@@ -63,17 +63,3 @@ def pivoted_lstsq(
     ssr = float(residuals @ residuals)
     return LstsqResult(beta, ssr, residuals, rank, tuple(int(i) for i in piv[rank:]))
 
-
-def qr_projector(X: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space of ``X`` (rank-deficient safe).
-
-    Used by the bootstrap fast path: for a fixed design, the SSR of any
-    response ``y`` is ``y @ y - || basis.T @ y ||^2``.
-    """
-    Q, R, _ = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros((X.shape[0], 0))
-    below = np.nonzero(diag < RANK_TOL * diag[0])[0]
-    rank = int(below[0]) if below.size else diag.size
-    return Q[:, :rank]

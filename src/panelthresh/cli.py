@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -827,10 +827,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_simulate(raw, args)
         config = load_config(args.config)
         if args.seed is not None:
-            config = RunConfig(**{
-                **{f: getattr(config, f) for f in config.__dataclass_fields__},
-                "seed": int(args.seed),
-            })
+            config = replace(config, seed=int(args.seed))
         handler = {
             "fit": _cmd_fit,
             "test": _cmd_test,

@@ -17,23 +17,24 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
+from ._linalg import pivoted_lstsq
 from .errors import ConfigError, EstimationError
 from .panel import PanelDataset
 from .regression import ols
 from .threshold import (
-    BatchScanner,
-    GridProjector,
+    SSRScan,
     ThresholdFit,
     ThresholdSpec,
-    _argmin,
-    _conditional_profile,
+    _demean_rows,
     _fit_ws,
     _Workspace,
     candidate_grid,
+    no_split_message,
+    sequential_estimates,
 )
 
 MIN_REPLICATIONS = 99
@@ -43,7 +44,12 @@ CRITICAL_LEVELS = (0.10, 0.05, 0.01)
 
 @dataclass(frozen=True)
 class BootstrapTestResult:
-    """Observed F statistic with its bootstrap reference distribution."""
+    """Observed F statistic with its bootstrap reference distribution.
+
+    ``degenerate_replications`` counts replications scored F* = 0 because a
+    conditional scan had no admissible split or the richer model's SSR was
+    not positive.
+    """
 
     f_statistic: float
     bootstrap_p: float
@@ -52,6 +58,7 @@ class BootstrapTestResult:
     seed: int
     null_model: str
     alt_model: str
+    degenerate_replications: int = 0
 
 
 @dataclass(frozen=True)
@@ -88,18 +95,19 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, rep]))
 
 
-def _run_reps(B: int, threads: int, worker: Callable[[int], float]) -> np.ndarray:
-    out = np.empty(B)
-    if threads <= 1:
-        for r in range(B):
-            out[r] = worker(r)
-        return out
+def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
+    """``[worker(0), ..., worker(count - 1)]`` in contiguous chunks on ``threads``
+    threads; each result lands at its own index, whatever the thread count."""
+    out: list = [None] * count
 
     def chunk(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            out[r] = worker(r)
+        for i in range(lo, hi):
+            out[i] = worker(i)
 
-    bounds = np.linspace(0, B, threads + 1).astype(int)
+    if threads <= 1:
+        chunk(0, count)
+        return out
+    bounds = np.linspace(0, count, threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(chunk, bounds[i], bounds[i + 1]) for i in range(threads)]
         for f in futures:
@@ -107,9 +115,13 @@ def _run_reps(B: int, threads: int, worker: Callable[[int], float]) -> np.ndarra
     return out
 
 
-def _summarize(
-    f_obs: float, f_boot: np.ndarray, B: int, seed: int, null_model: str, alt_model: str
+def _bootstrap(
+    f_obs: float, B: int, seed: int, threads: int,
+    worker: Callable[[int], float | None], null_model: str, alt_model: str,
 ) -> BootstrapTestResult:
+    """Run the replications and summarize; a None replication scores F* = 0."""
+    draws = run_indexed(B, threads, worker)
+    f_boot = np.array([0.0 if f is None else f for f in draws])
     p = float(np.count_nonzero(f_boot >= f_obs)) / B
     cvs = {a: float(np.quantile(f_boot, 1.0 - a)) for a in CRITICAL_LEVELS}
     return BootstrapTestResult(
@@ -120,11 +132,8 @@ def _summarize(
         seed=int(seed),
         null_model=null_model,
         alt_model=alt_model,
+        degenerate_replications=sum(f is None for f in draws),
     )
-
-
-def _demean_rows(mat: np.ndarray) -> np.ndarray:
-    return mat - mat.mean(axis=1, keepdims=True)
 
 
 def linearity_test(
@@ -138,37 +147,38 @@ def linearity_test(
     """Bootstrap F test of the linear model against one threshold.
 
     F1 = (S0 - S1(gamma_hat)) / sigma2_hat, with sigma2_hat the
-    single-threshold residual variance. The candidate designs are fixed
-    across replications, so they are factorized once and each replication
-    reduces to projections of the regenerated response.
+    single-threshold residual variance. The candidate Gram matrices are
+    fixed across replications, so the screened scan factorizes them once
+    and each replication costs one cumulative sum of the regenerated
+    response plus exact re-evaluation of the few candidates near the
+    minimum.
     """
     _check_bootstrap_args(B, seed)
     ws = _Workspace(panel, spec)
     grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
     linear = ols(ws.y, ws.linear_columns())
-    s0 = linear.ssr
-    profile = _conditional_profile(ws, grid, ())
-    if not profile:
-        raise EstimationError("no admissible threshold candidate after trimming")
-    gamma_hat, s1 = _argmin(profile)
+    scan = SSRScan(ws, grid)
+    hit = scan.scan(())
+    if hit is None:
+        raise EstimationError(no_split_message(0))
+    gamma_hat, s1 = hit
     dof = ws.n_units * (ws.n_periods - 1)
-    f_obs = (s0 - s1) / (s1 / dof)
+    f_obs = (linear.ssr - s1) / (s1 / dof)
 
-    projector = GridProjector(ws, grid)
     n, t = ws.n_units, ws.n_periods
     fitted_null = (ws.y - linear.residuals).reshape(n, t)
     resid_alt = _fit_ws(ws, (gamma_hat,)).residuals
+    X0 = np.column_stack(list(ws.linear_columns().values()))
 
-    def worker(rep: int) -> float:
+    def worker(rep: int) -> float | None:
         rng = _rep_rng(seed, rep)
         draw = rng.integers(0, n, size=n)
         ystar = _demean_rows(fitted_null + resid_alt[draw]).ravel()
-        s0_star = projector.linear_ssr(ystar)
-        _, s1_star = projector.min_ssr(ystar)
-        return (s0_star - s1_star) / (s1_star / dof) if s1_star > 0 else 0.0
+        s0_star = pivoted_lstsq(X0, ystar).ssr
+        _, s1_star = scan.scan((), ystar)
+        return (s0_star - s1_star) / (s1_star / dof) if s1_star > 0 else None
 
-    f_boot = _run_reps(B, threads, worker)
-    return _summarize(f_obs, f_boot, B, seed, "linear", "1 threshold")
+    return _bootstrap(f_obs, B, seed, threads, worker, "linear", "1 threshold")
 
 
 def additional_threshold_test(
@@ -200,86 +210,31 @@ def additional_threshold_test(
     ws = _Workspace(panel, spec)
     grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
     dof = ws.n_units * (ws.n_periods - 1)
-
-    def estimate_seq(k: int, y: np.ndarray | None) -> tuple[tuple[float, ...], float]:
-        profile = _conditional_profile(ws, grid, (), y)
-        if not profile:
-            raise EstimationError("no admissible threshold candidate after trimming")
-        g1, s = _argmin(profile)
-        gammas: tuple[float, ...] = (g1,)
-        if k >= 2:
-            scan2 = _conditional_profile(ws, grid, gammas, y)
-            if not scan2:
-                raise EstimationError("no admissible 2-threshold split")
-            g2, s = _argmin(scan2)
-            rescan = _conditional_profile(ws, grid, (g2,), y)
-            if rescan:
-                g1r, s = _argmin(rescan)
-                gammas = tuple(sorted((g1r, g2)))
-            else:
-                gammas = tuple(sorted((g1, g2)))
-        if k == 3:
-            scan3 = _conditional_profile(ws, grid, gammas, y)
-            if not scan3:
-                raise EstimationError("no admissible 3-threshold split")
-            g3, s = _argmin(scan3)
-            gammas = tuple(sorted((*gammas, g3)))
-        return gammas, s
-
-    null_gammas, s_null = estimate_seq(k_null, None)
-    alt_gammas, s_alt = estimate_seq(k_null + 1, None)
+    scan = SSRScan(ws, grid)
+    stages = sequential_estimates(scan, k_null + 1)
+    if len(stages) <= k_null:
+        raise EstimationError(no_split_message(len(stages)))
+    (null_gammas, s_null), (alt_gammas, s_alt) = stages[k_null - 1:]
     f_obs = (s_null - s_alt) / (s_alt / dof)
 
     n, t = ws.n_units, ws.n_periods
-    null_fit = _fit_ws(ws, null_gammas)
-    fitted_null = ws.y.reshape(n, t) - null_fit.residuals
+    fitted_null = ws.y.reshape(n, t) - _fit_ws(ws, null_gammas).residuals
     resid_alt = _fit_ws(ws, alt_gammas).residuals
-    projector = GridProjector(ws, grid)
-    scanner = BatchScanner(ws, grid)
 
-    def worker(rep: int) -> float:
+    def worker(rep: int) -> float | None:
         rng = _rep_rng(seed, rep)
         draw = rng.integers(0, n, size=n)
         ystar = _demean_rows(fitted_null + resid_alt[draw]).ravel()
-        if k_null == 1:
-            g1s, s_null_star = projector.min_ssr(ystar)
-            base: tuple[float, ...] = (g1s,)
-        else:
-            base, s_null_star = _sequential_on(scanner, projector, ystar)
-        hit = scanner.scan(base, ystar)
-        if hit is None:
-            return 0.0
-        if k_null == 1:
-            g2s, s_alt_star = hit
-            rescan = scanner.scan((g2s,), ystar)
-            if rescan is not None:
-                _, s_alt_star = rescan
-        else:
-            _, s_alt_star = hit
-        if s_alt_star <= 0:
-            return 0.0
+        stages = sequential_estimates(scan, k_null + 1, ystar)
+        if len(stages) <= k_null or stages[k_null][1] <= 0:
+            return None
+        (_, s_null_star), (_, s_alt_star) = stages[k_null - 1:]
         return (s_null_star - s_alt_star) / (s_alt_star / dof)
 
-    f_boot = _run_reps(B, threads, worker)
-    return _summarize(
-        f_obs, f_boot, B, seed, f"{k_null} threshold{'s' if k_null > 1 else ''}",
+    return _bootstrap(
+        f_obs, B, seed, threads, worker, f"{k_null} threshold{'s' if k_null > 1 else ''}",
         f"{k_null + 1} thresholds",
     )
-
-
-def _sequential_on(
-    scanner: BatchScanner, projector: GridProjector, y: np.ndarray
-) -> tuple[tuple[float, ...], float]:
-    """Two-threshold sequential estimate (with refinement) on a response vector."""
-    g1, s = projector.min_ssr(y)
-    hit2 = scanner.scan((g1,), y)
-    if hit2 is None:
-        return (g1,), s
-    g2, s = hit2
-    rescan = scanner.scan((g2,), y)
-    if rescan is not None:
-        g1, s = rescan
-    return tuple(sorted((g1, g2))), s
 
 
 def threshold_ci(

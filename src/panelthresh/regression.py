@@ -7,7 +7,7 @@ chi-square reference distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -159,10 +159,7 @@ def two_sls(
     if not endog:
         base = ols(yv, X, robust=robust)
         sargan = _sargan(yv, base.residuals, X, endog, Z) if len(excluded) > 0 else None
-        return RegressionResult(
-            **{**{f: getattr(base, f) for f in base.__dataclass_fields__},
-               "estimator": "2SLS", "sargan": sargan},
-        )
+        return replace(base, estimator="2SLS", sargan=sargan)
     if len(excluded) < len(endog):
         raise EstimationError(
             f"under-identified: {len(excluded)} excluded instruments for "

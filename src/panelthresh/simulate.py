@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .inference import linearity_test, threshold_ci
+from .inference import linearity_test, run_indexed, threshold_ci
 from .panel import PanelDataset, VariableRole
 from .threshold import ThresholdSpec, estimate_single
 
@@ -325,25 +323,6 @@ def _trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _run_trials(trials: int, threads: int, worker: Callable[[int], tuple]) -> list:
-    out: list = [None] * trials
-    if threads <= 1:
-        for i in range(trials):
-            out[i] = worker(i)
-        return out
-
-    def chunk(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = worker(i)
-
-    bounds = np.linspace(0, trials, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(chunk, bounds[i], bounds[i + 1]) for i in range(threads)]
-        for f in futures:
-            f.result()
-    return out
-
-
 def monte_carlo(
     experiment: str,
     trials: int,
@@ -386,7 +365,7 @@ def monte_carlo(
             idx_hat = int(np.searchsorted(grid, fit.gammas[0]))
             return abs(idx_hat - idx0) <= 1, fit.gammas[0] - truth.gammas[0]
 
-        results = _run_trials(trials, threads, worker)
+        results = run_indexed(trials, threads, worker)
         hits = np.array([r[0] for r in results], dtype=float)
         errs = np.array([r[1] for r in results])
         metrics = {
@@ -403,7 +382,7 @@ def monte_carlo(
             res = linearity_test(panel, spec, B=replications, seed=test_seed)
             return (res.bootstrap_p <= alpha,)
 
-        results = _run_trials(trials, threads, worker)
+        results = run_indexed(trials, threads, worker)
         rejects = np.array([r[0] for r in results], dtype=float)
         metrics = {
             "rejection_rate": float(rejects.mean()),
@@ -417,7 +396,7 @@ def monte_carlo(
             ci = threshold_ci(panel, spec, fit, alpha)
             return (ci.lower <= truth.gammas[0] <= ci.upper,)
 
-        results = _run_trials(trials, threads, worker)
+        results = run_indexed(trials, threads, worker)
         covered = np.array([r[0] for r in results], dtype=float)
         metrics = {
             "coverage_rate": float(covered.mean()),

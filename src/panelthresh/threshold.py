@@ -13,6 +13,8 @@ nothing.
 
 References
 ----------
+Bai, J. and Perron, P. (2003). Computation and analysis of multiple
+    structural change models. Journal of Applied Econometrics, 18(1), 1-22.
 Hansen, B. E. (1999). Threshold effects in non-dynamic panels: estimation,
     testing, and inference. Journal of Econometrics, 93(2), 345-368.
 """
@@ -20,13 +22,12 @@ Hansen, B. E. (1999). Threshold effects in non-dynamic panels: estimation,
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._linalg import pivoted_lstsq, qr_projector
+from ._linalg import RANK_TOL, pivoted_lstsq
 from .errors import ConfigError, EstimationError
 from .panel import PanelDataset, VariableRole, make_lag
 
@@ -340,7 +341,7 @@ def estimate_single(panel: PanelDataset, spec: ThresholdSpec) -> ThresholdFit:
         raise EstimationError("no admissible threshold candidate after trimming")
     gamma_hat, _ = _argmin(profile)
     fit = _fit_ws(ws, (gamma_hat,))
-    return _with_profiles(fit, (tuple(profile),))
+    return replace(fit, ssr_profiles=(tuple(profile),))
 
 
 def estimate_multiple(panel: PanelDataset, spec: ThresholdSpec) -> ThresholdFit:
@@ -358,210 +359,247 @@ def estimate_multiple(panel: PanelDataset, spec: ThresholdSpec) -> ThresholdFit:
         )
     ws = _Workspace(panel, spec)
     grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
-    first = _conditional_profile(ws, grid, ())
-    if not first:
-        raise EstimationError("no admissible threshold candidate after trimming")
-    g1, _ = _argmin(first)
-    gammas = _sequential_step(ws, grid, (g1,), refine=True)
-    if spec.num_thresholds == 3:
-        gammas = _sequential_step(ws, grid, gammas, refine=False)
+    stages = sequential_estimates(SSRScan(ws, grid), spec.num_thresholds)
+    if len(stages) < spec.num_thresholds:
+        raise EstimationError(no_split_message(len(stages)))
+    gammas, _ = stages[-1]
     fit = _fit_ws(ws, gammas)
     profiles = []
     for j in range(len(gammas)):
         others = tuple(g for i, g in enumerate(gammas) if i != j)
         profiles.append(tuple(_conditional_profile(ws, grid, others)))
-    return _with_profiles(fit, tuple(profiles))
+    return replace(fit, ssr_profiles=tuple(profiles))
 
 
-def _sequential_step(
-    ws: _Workspace, grid: np.ndarray, current: tuple[float, ...], refine: bool
-) -> tuple[float, ...]:
-    """Add one threshold conditional on ``current``; optionally re-estimate the first."""
-    k_new = len(current) + 1
-    scan = _conditional_profile(ws, grid, current)
-    if not scan:
-        raise EstimationError(f"no admissible {k_new}-threshold split")
-    g_new, _ = _argmin(scan)
-    if refine:
-        rescan = _conditional_profile(ws, grid, (g_new,))
-        if rescan:
-            g_old, _ = _argmin(rescan)
-            return tuple(sorted((g_old, g_new)))
-    return tuple(sorted((*current, g_new)))
+def no_split_message(found: int) -> str:
+    """Error text for a sequential estimate that stopped after ``found`` stages."""
+    if found == 0:
+        return "no admissible threshold candidate after trimming"
+    return f"no admissible {found + 1}-threshold split"
 
 
-def _with_profiles(fit: ThresholdFit, profiles) -> ThresholdFit:
-    return ThresholdFit(
-        **{
-            **{f: getattr(fit, f) for f in fit.__dataclass_fields__},
-            "ssr_profiles": profiles,
-        }
-    )
+def sequential_estimates(
+    scan: SSRScan, k: int, y: np.ndarray | None = None
+) -> list[tuple[tuple[float, ...], float]]:
+    """Sequential (sorted thresholds, SSR) for 1 up to ``k`` thresholds.
+
+    Entry j is the (j + 1)-threshold stage: the unconditional minimizer;
+    then the second threshold given the first, followed by one refinement
+    pass for the first given the second; then the third given both. The
+    list stops early at the first stage without an admissible split.
+    """
+    hit = scan.scan((), y)
+    if hit is None:
+        return []
+    g1, s = hit
+    stages = [((g1,), s)]
+    if k >= 2:
+        hit = scan.scan((g1,), y)
+        if hit is None:
+            return stages
+        g2, s = hit
+        rescan = scan.scan((g2,), y)
+        if rescan is not None:
+            g1, s = rescan
+        stages.append((tuple(sorted((g1, g2))), s))
+    if k == 3:
+        hit = scan.scan(stages[-1][0], y)
+        if hit is None:
+            return stages
+        g3, s = hit
+        stages.append((tuple(sorted((*stages[-1][0], g3))), s))
+    return stages
 
 
-class BatchScanner:
-    """Batched SSR scan over the candidate grid, conditional on fixed thresholds.
+class SSRScan:
+    """Screened SSR scan over a candidate grid, conditional on fixed thresholds.
 
-    Assembles every candidate's design in one (candidates, n, k) tensor from
-    precomputed cumulative columns and factorizes them with one stacked QR
-    call. Used inside bootstrap replications, where conditional scans depend
-    on per-replication threshold estimates and cannot be factorized ahead of
-    time. Candidates whose stacked factorization looks rank-deficient are
-    re-solved through the pivoted path.
+    The design at boundaries b_1 < ... < b_k spans the same column space as
+    the demeaned cumulative columns u * I(q <= b_j), with u = [x, 1] (u = x
+    without intercept shifts), next to the demeaned x and controls. Because
+    sum demean(a) * demean(b) = sum a * b - sum_i S_a,i * S_b,i / T, with
+    S_i the per-unit sums, every candidate's Gram matrix follows from
+    q-sorted cumulative moments and per-unit partial sums S(gamma), built
+    once here (C x N x m floats). A response then costs one cumulative sum
+    of u * y plus batched small solves of the equilibrated normal equations:
+    the cumulative-moment device of Bai and Perron (2003) for break dates.
+
+    The normal-equation SSRs only screen the grid. Every candidate whose
+    screened SSR lies within a conditioning-based error bound of the
+    minimum, and every candidate whose Gram matrix is too ill-conditioned to
+    bound, is re-evaluated by the pivoted-QR path, so the returned argmin,
+    its tie-break (first, i.e. smallest, candidate) and its SSR are bitwise
+    those of ``_argmin(_conditional_profile(ws, grid, fixed, y))``.
+
+    Read-only after construction, so threads may share one instance.
     """
 
     def __init__(self, ws: _Workspace, grid: np.ndarray):
         self.ws = ws
         self.grid = np.asarray(grid, dtype=float)
-        self._values = list(self.grid)
-        self._value_arr = self.grid.copy()
-        self._index = {float(v): i for i, v in enumerate(self._values)}
-        k1 = len(ws.rv_names)
-        self._rv_cum = np.empty((len(self._values), ws.n_obs, k1))
-        self._ind_cum = np.empty((len(self._values), ws.n_obs))
-        self._n_le = np.empty(len(self._values))
-        for i, v in enumerate(self._values):
-            rv_cum, ind_cum = ws.cum(float(v))
-            self._rv_cum[i] = rv_cum
-            self._ind_cum[i] = ind_cum
-            self._n_le[i] = np.count_nonzero(ws.q <= v)
-        self._local = threading.local()
-        self._grow_lock = threading.Lock()
-
-    def _row(self, value: float) -> int:
-        idx = self._index.get(value)
-        if idx is None:
-            with self._grow_lock:
-                idx = self._index.get(value)
-                if idx is not None:
-                    return idx
-                rv_cum, ind_cum = self.ws.cum(value)
-                self._values.append(value)
-                self._value_arr = np.append(self._value_arr, value)
-                self._rv_cum = np.concatenate([self._rv_cum, rv_cum[None]], axis=0)
-                self._ind_cum = np.concatenate([self._ind_cum, ind_cum[None]], axis=0)
-                self._n_le = np.append(self._n_le, np.count_nonzero(self.ws.q <= value))
-                idx = len(self._values) - 1
-                self._index[value] = idx
-        return idx
-
-    def _buffer(self, kb: int) -> np.ndarray:
-        """Per-thread design tensor for kb boundaries, with a trailing slot
-        for the response column; the constant control block is written once
-        per shape."""
-        buffers = getattr(self._local, "buffers", None)
-        if buffers is None:
-            buffers = self._local.buffers = {}
-        buf = buffers.get(kb)
-        if buf is None:
-            ws = self.ws
-            k1 = len(ws.rv_names)
-            k_total = (kb + 1) * k1
-            if ws.spec.include_intercept_shift:
-                k_total += kb
-            k2 = ws.controls_dem.shape[1]
-            buf = np.empty((self.grid.size, ws.n_obs, k_total + k2 + 1))
-            if k2:
-                buf[:, :, k_total:-1] = ws.controls_dem
-            buffers[kb] = buf
-        return buf
-
-    def scan(self, fixed: tuple[float, ...], y: np.ndarray) -> tuple[float, float] | None:
-        """(argmin candidate, min SSR) jointly admissible with ``fixed``."""
-        ws = self.ws
-        C = self.grid.size
-        k1 = len(ws.rv_names)
-        fixed_idx = [self._row(float(g)) for g in fixed]
-        cand_idx = np.arange(C)
-        # boundary index matrix, sorted by threshold value per candidate
-        if fixed_idx:
-            bidx = np.empty((C, len(fixed_idx) + 1), dtype=int)
-            bidx[:, :-1] = fixed_idx
-            bidx[:, -1] = cand_idx
-            order = np.argsort(self._value_arr[bidx], axis=1, kind="stable")
-            bidx = np.take_along_axis(bidx, order, axis=1)
-        else:
-            bidx = cand_idx[:, None]
-        kb = bidx.shape[1]
-        n_le = self._n_le[bidx]
-        counts = np.diff(np.concatenate(
-            [np.zeros((C, 1)), n_le, np.full((C, 1), ws.n_obs)], axis=1), axis=1)
-        admissible = counts.min(axis=1) >= ws.floor
-        if fixed:
-            admissible &= ~np.isin(self.grid, np.asarray(fixed))
-        if not admissible.any():
-            return None
-        X = self._buffer(kb)
-        prev = None
-        for j in range(kb):
-            block = X[:, :, j * k1:(j + 1) * k1]
-            np.take(self._rv_cum, bidx[:, j], axis=0, out=block)
-            if prev is not None:
-                block -= prev
-            prev = self._rv_cum[bidx[:, j]]
-        top = X[:, :, kb * k1:(kb + 1) * k1]
-        np.subtract(ws.rv_full_dem[None], prev, out=top)
-        offset = (kb + 1) * k1
+        self._index = {float(g): i for i, g in enumerate(self.grid)}
+        n_units, t = ws.n_units, ws.n_periods
+        u = ws.rv_raw
         if ws.spec.include_intercept_shift:
-            for j in range(kb):
-                np.take(self._ind_cum, bidx[:, j], axis=0, out=X[:, :, offset + j])
-            offset += kb
-        X[:, :, -1] = y
-        # R-only QR of [X | y]: the last diagonal is the residual norm of y
-        # projected off the design columns, so Q is never formed.
-        R = np.linalg.qr(X, mode="r")
-        ssr = R[:, -1, -1] ** 2
-        diag = np.abs(np.diagonal(R[:, :-1, :-1], axis1=1, axis2=2))
-        shaky = (diag.min(axis=1) < 1e-10 * diag.max(axis=1)) & admissible
-        for c in np.nonzero(shaky)[0]:
-            ssr[c] = pivoted_lstsq(X[c, :, :-1], y, on_deficient="drop").ssr
-        ssr = np.where(admissible, ssr, np.inf)
-        i = int(np.argmin(ssr))
-        return float(self.grid[i]), float(ssr[i])
+            u = np.column_stack([u, np.ones(ws.n_obs)])
+        self._w = np.hstack([ws.rv_full_dem, ws.controls_dem])
+        self._w_sums = self._w.reshape(n_units, t, -1).sum(axis=1)
+        self._order = np.argsort(ws.q, kind="stable")
+        self._n_le = np.searchsorted(ws.q[self._order], self.grid, side="right")
+        self._u_sorted = u[self._order]
+        # S(gamma): an observation enters from the first candidate >= its q on
+        C, m = self.grid.size, u.shape[1]
+        cell = np.searchsorted(self.grid, ws.q) * n_units + np.repeat(np.arange(n_units), t)
+        S = np.stack(
+            [np.bincount(cell, weights=u[:, j], minlength=(C + 1) * n_units) for j in range(m)],
+            axis=-1,
+        )
+        self._S = np.cumsum(S.reshape(C + 1, n_units, m)[:C], axis=0)
+        us = self._u_sorted
+        self._M = self._cumulative(us[:, :, None] * us[:, None, :])
+        uw = self._cumulative(us[:, :, None] * self._w[self._order][:, None, :])
+        self._Gcc = self._M - np.einsum("cnj,cnk->cjk", self._S, self._S) / t
+        self._Gcw = uw - np.einsum("cnj,nk->cjk", self._S, self._w_sums) / t
+        self._WW = self._w.T @ self._w
+        rows = self._admissible([])
+        self._unconditional = rows, self._screen_factor([], rows)
+
+    def _cumulative(self, sorted_rows: np.ndarray) -> np.ndarray:
+        """Sums of q-sorted rows over q <= each candidate."""
+        return np.cumsum(sorted_rows, axis=0)[self._n_le - 1]
+
+    def _admissible(self, fidx: list[int]) -> np.ndarray:
+        """Indices of the candidates whose regimes all clear the floor jointly
+        with the fixed thresholds (a fixed value itself leaves an empty regime)."""
+        n_le = np.tile(self._n_le[fidx], (self.grid.size, 1))
+        n_le = np.sort(np.column_stack([n_le, self._n_le]), axis=1)
+        counts = np.diff(n_le, axis=1, prepend=0, append=self.ws.n_obs)
+        return np.nonzero(counts.min(axis=1) >= self.ws.floor)[0]
+
+    def _screen_factor(self, fidx: list[int], rows: np.ndarray):
+        """Inverse Cholesky factors of the equilibrated Gram matrices.
+
+        One matrix per candidate in ``rows``, its columns ordered [cumulative
+        block per fixed threshold, candidate block, demeaned x and controls].
+        Returns the inverse factors, the equilibration scales and, per
+        candidate, a bound on |screened SSR - pivoted SSR| per unit of y'y;
+        the bound is infinite where the factor fails or the conditioning
+        leaves the first-order bound meaningless.
+        """
+        ws, t = self.ws, self.ws.n_periods
+        C, m = rows.size, self._Gcc.shape[1]
+        S, M = self._S[rows], self._M[rows]
+        Gcc, Gcw = self._Gcc[rows], self._Gcw[rows]
+        kb = len(fidx) + 1
+        p = kb * m + self._WW.shape[0]
+        blocks = [slice(a * m, (a + 1) * m) for a in range(kb)]
+        cand, wcols = blocks[-1], slice(kb * m, p)
+        G = np.empty((C, p, p))
+        raw = np.empty((C, p))
+        for a, ia in enumerate(fidx):
+            for b in range(a, len(fidx)):
+                ib = fidx[b]
+                blk = self._M[min(ia, ib)] - self._S[ia].T @ self._S[ib] / t
+                G[:, blocks[a], blocks[b]] = blk
+                G[:, blocks[b], blocks[a]] = blk.T
+            cross = self._M[np.minimum(ia, rows)] - self._S[ia].T @ S / t
+            G[:, blocks[a], cand] = cross
+            G[:, cand, blocks[a]] = cross.transpose(0, 2, 1)
+            G[:, blocks[a], wcols] = self._Gcw[ia]
+            G[:, wcols, blocks[a]] = self._Gcw[ia].T
+            raw[:, blocks[a]] = np.diagonal(self._M[ia])
+        G[:, cand, cand] = Gcc
+        G[:, cand, wcols] = Gcw
+        G[:, wcols, cand] = Gcw.transpose(0, 2, 1)
+        G[:, wcols, wcols] = self._WW
+        raw[:, cand] = np.diagonal(M, axis1=1, axis2=2)
+        raw[:, wcols] = np.diag(self._WW)
+
+        norms = np.sqrt(np.maximum(np.diagonal(G, axis1=1, axis2=2), 0.0))
+        ok = np.all(norms > 0, axis=1)
+        d = 1.0 / np.where(norms > 0, norms, 1.0)
+        G *= d[:, :, None] * d[:, None, :]
+        L, factored = _cholesky(G)
+        linv = _lower_inverse(L)
+        trace = np.einsum("cij,cij->c", linv, linv)  # >= ||G^-1||
+        # First-order bound: the cumulative sums and unit-sum corrections
+        # carry absolute errors of about acc * sqrt(raw_a * raw_b), so the
+        # equilibrated Gram is off by about acc * p * rho in norm, amplified
+        # by ||G^-1||; the pivoted reference adds its own error of order
+        # acc * sqrt(condition).
+        acc = (ws.n_obs + ws.n_units + t + p**3) * np.finfo(float).eps
+        kappa = p * np.max(raw * d * d, axis=1) * trace
+        ok &= factored & (acc * kappa < 1e-2)
+        # The pivoted path keeps every column when sigma_min of the design
+        # clears RANK_TOL times its largest column norm by a wide margin;
+        # the design is the basis times a transform with inverse norm <= kb + 1.
+        sigma_min = norms.min(axis=1) / np.sqrt(trace) / (kb + 1)
+        ok &= sigma_min > 20.0 * RANK_TOL * norms.max(axis=1)
+        bound = 8.0 * acc * (kappa + 4.0 * kb * p * np.sqrt(kappa))
+        return linv, d, np.where(ok, bound, np.inf)
+
+    def scan(
+        self, fixed: tuple[float, ...], y: np.ndarray | None = None
+    ) -> tuple[float, float] | None:
+        """(argmin candidate, min SSR) jointly admissible with ``fixed``.
+
+        ``fixed`` holds grid candidates; ``y`` defaults to the workspace
+        response. None when no candidate is admissible.
+        """
+        ws = self.ws
+        y = ws.y if y is None else y
+        fidx = [self._index[float(g)] for g in fixed]
+        if fidx:
+            rows = self._admissible(fidx)
+            linv, d, bound = self._screen_factor(fidx, rows)
+        else:
+            rows, (linv, d, bound) = self._unconditional
+        if not rows.size:
+            return None
+        t = ws.n_periods
+        sums = y.reshape(ws.n_units, t).sum(axis=1)
+        rc = self._cumulative(self._u_sorted * y[self._order, None])
+        rc -= sums @ self._S / t
+        rw = self._w.T @ y - self._w_sums.T @ sums / t
+        r = np.concatenate(
+            [np.broadcast_to(rc[i], (rows.size, rc.shape[1])) for i in fidx]
+            + [rc[rows], np.broadcast_to(rw, (rows.size, rw.size))],
+            axis=1,
+        ) * d
+        z = np.einsum("cij,cj->ci", linv, r)
+        yy = float(y @ y)
+        screened = yy - np.einsum("ci,ci->c", z, z)
+        slack = bound * yy
+        trusted = np.isfinite(screened + slack)
+        ceiling = np.min(np.where(trusted, screened + slack, np.inf))
+        floor = np.where(trusted, screened - slack, -np.inf)
+        best = None
+        for c in rows[floor <= ceiling]:
+            cand = float(self.grid[c])
+            ssr = _ssr_ws(ws, tuple(sorted((*fixed, cand))), y)
+            if best is None or ssr < best[1]:
+                best = (cand, ssr)
+        return best
 
 
-class GridProjector:
-    """Fixed-design SSR evaluator for bootstrap replications.
+def _cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched lower Cholesky factors and the mask of matrices that have one.
 
-    In the fixed-regressor bootstrap the candidate designs never change
-    across replications, only the regenerated response does. This class
-    QR-factorizes the linear design and every admissible candidate design
-    once; each replication then costs one batched projection.
+    The rare matrices that are not clearly positive definite (rank-deficient
+    candidates) get the identity instead.
     """
+    try:
+        return np.linalg.cholesky(G), np.ones(len(G), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.eigvalsh(G)[:, 0] > 1e-10
+        return np.linalg.cholesky(np.where(ok[:, None, None], G, np.eye(G.shape[1]))), ok
 
-    def __init__(self, ws: _Workspace, grid: np.ndarray, fixed: tuple[float, ...] = ()):
-        self.ws = ws
-        cands: list[float] = []
-        bases: list[np.ndarray] = []
-        for c in grid:
-            c = float(c)
-            if c in fixed:
-                continue
-            gammas = tuple(sorted((*fixed, c)))
-            if np.min(ws.regime_counts(gammas)) < ws.floor:
-                continue
-            X, _ = ws.design(gammas)
-            bases.append(qr_projector(X))
-            cands.append(c)
-        if not cands:
-            raise EstimationError(f"no admissible {len(fixed) + 1}-threshold split")
-        self.candidates = np.array(cands)
-        rmax = max(b.shape[1] for b in bases)
-        stack = np.zeros((len(bases), ws.n_obs, rmax))
-        for i, b in enumerate(bases):
-            stack[i, :, : b.shape[1]] = b
-        self._stack = stack
-        cols = ws.linear_columns()
-        X0 = np.column_stack(list(cols.values())) if cols else np.empty((ws.n_obs, 0))
-        self._linear_basis = qr_projector(X0)
 
-    def linear_ssr(self, y: np.ndarray) -> float:
-        proj = self._linear_basis.T @ y
-        return max(float(y @ y - proj @ proj), 0.0)
-
-    def min_ssr(self, y: np.ndarray) -> tuple[float, float]:
-        """(argmin candidate, min SSR) over the precomputed candidate designs."""
-        proj = np.einsum("cnk,n->ck", self._stack, y)
-        ssr = np.maximum(float(y @ y) - np.einsum("ck,ck->c", proj, proj), 0.0)
-        i = int(np.argmin(ssr))
-        return float(self.candidates[i]), float(ssr[i])
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Batched inverse of lower-triangular matrices by forward substitution."""
+    linv = np.zeros_like(L)
+    for i in range(L.shape[1]):
+        linv[:, i, :i] = -np.einsum("ck,ckj->cj", L[:, i, :i], linv[:, :i, :i])
+        linv[:, i, i] = 1.0
+        linv[:, i, :i + 1] /= L[:, i, i, None]
+    return linv

@@ -7,6 +7,8 @@ from panelthresh import (
     ConfigError,
     EstimationError,
     ThresholdDGP,
+    ThresholdSpec,
+    VariableRole,
     additional_threshold_test,
     benchmark_dgp,
     candidate_grid,
@@ -18,6 +20,8 @@ from panelthresh import (
     simulate_threshold_panel,
     threshold_ci,
 )
+
+from conftest import make_panel
 
 # Frozen oracle values for -2 log(1 - sqrt(1 - alpha)), computed with
 # 30-digit mpmath arithmetic.
@@ -135,6 +139,74 @@ class TestAdditionalThresholdTest:
         a = additional_threshold_test(panel, spec, k_null=1, B=99, seed=8)
         b = additional_threshold_test(panel, spec, k_null=1, B=99, seed=8, threads=3)
         assert a == b
+
+    def test_degenerate_replications_counted(self):
+        # 4x10 noise panel with trim 0.2: every regime needs 8 of the 40
+        # observations, so many replications' two-threshold estimates leave
+        # no room for a third. Those score F* = 0 and are counted. The
+        # reference re-runs every replication through the pivoted profile
+        # path with the sequential estimator written out.
+        from panelthresh.inference import _rep_rng
+        from panelthresh.threshold import (
+            _argmin, _conditional_profile, _demean_rows, _fit_ws, _Workspace,
+        )
+
+        rng = np.random.default_rng(0)
+        n, t = 4, 10
+        panel = make_panel({
+            "y": rng.standard_normal((n, t)),
+            "q": rng.uniform(0.0, 1.0, (n, t)),
+            "x": rng.standard_normal((n, t)),
+        })
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"]), num_thresholds=2, trim_fraction=0.2)
+        res = additional_threshold_test(panel, spec, k_null=2, B=99, seed=1)
+        assert res == additional_threshold_test(panel, spec, k_null=2, B=99, seed=1, threads=2)
+
+        ws = _Workspace(panel, spec)
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+
+        def stages(y):
+            out = []
+            profile = _conditional_profile(ws, grid, (), y)
+            g1, s = _argmin(profile)
+            out.append(((g1,), s))
+            profile = _conditional_profile(ws, grid, (g1,), y)
+            if not profile:
+                return out
+            g2, s = _argmin(profile)
+            profile = _conditional_profile(ws, grid, (g2,), y)
+            if profile:
+                g1, s = _argmin(profile)
+            out.append((tuple(sorted((g1, g2))), s))
+            profile = _conditional_profile(ws, grid, out[-1][0], y)
+            if profile:
+                g3, s = _argmin(profile)
+                out.append((tuple(sorted((*out[-1][0], g3))), s))
+            return out
+
+        (null_gammas, s_null), (alt_gammas, s_alt) = stages(None)[1:]
+        dof = n * (t - 1)
+        assert res.f_statistic == (s_null - s_alt) / (s_alt / dof)
+        fitted_null = ws.y.reshape(n, t) - _fit_ws(ws, null_gammas).residuals
+        resid_alt = _fit_ws(ws, alt_gammas).residuals
+        f_boot, degenerate = [], 0
+        for rep in range(99):
+            draw = _rep_rng(1, rep).integers(0, n, size=n)
+            found = stages(_demean_rows(fitted_null + resid_alt[draw]).ravel())
+            if len(found) < 3 or found[2][1] <= 0:
+                degenerate += 1
+                f_boot.append(0.0)
+            else:
+                f_boot.append((found[1][1] - found[2][1]) / (found[2][1] / dof))
+        assert 0 < res.degenerate_replications == degenerate < 99
+        assert res.bootstrap_p == np.mean(np.array(f_boot) >= res.f_statistic)
+        for a, cv in res.critical_values.items():
+            assert cv == pytest.approx(np.quantile(f_boot, 1.0 - a), rel=1e-9)
+
+    def test_no_degenerate_replications_on_regular_panel(self, fitted):
+        panel, _, spec, _ = fitted
+        res = additional_threshold_test(panel, spec, k_null=1, B=99, seed=6)
+        assert res.degenerate_replications == 0
 
     @pytest.mark.slow
     def test_two_vs_three_keeps_null_on_two_threshold_data(self):

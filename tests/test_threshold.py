@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelthresh import (
     ConfigError,
@@ -336,3 +338,163 @@ class TestSpecValidation:
         fit = estimate_single(panel, spec)
         assert fit.n_periods_used == panel.n_periods - 1
         assert "y_lag1" in fit.control_betas
+
+
+def _scan_panel(rng, n=6, t=30, x_scale=1.0, control=None):
+    """Two-threshold-ish panel with a regressor x and a control c."""
+    q = rng.uniform(0.0, 1.0, (n, t))
+    x = rng.standard_normal((n, t)) + 1.0
+    c = rng.standard_normal((n, t)) if control is None else control(x, rng)
+    regime = (q > 0.35).astype(float) + (q > 0.7)
+    y = (x * (1.0 + 0.8 * regime) + 0.4 * regime + 0.5 * c
+         + rng.standard_normal((n, t)) + rng.standard_normal((n, 1)))
+    return make_panel({"y": y, "q": q, "x": x * x_scale, "c": c})
+
+
+def _reference(ws, grid, fixed, y):
+    from panelthresh.threshold import _argmin, _conditional_profile
+
+    profile = _conditional_profile(ws, grid, fixed, y)
+    return _argmin(profile) if profile else None
+
+
+class TestSSRScan:
+    """The screened scan returns the pivoted reference's (argmin, SSR) bitwise."""
+
+    @staticmethod
+    def _check_sequence(panel, spec, rng, responses=3):
+        from panelthresh.threshold import SSRScan, _Workspace
+
+        ws = _Workspace(panel, spec)
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+        scan = SSRScan(ws, grid)
+        n, t = ws.n_units, ws.n_periods
+        ys = [None]
+        for _ in range(responses - 1):
+            draw = ws.y.reshape(n, t)[rng.integers(0, n, n)] + rng.standard_normal((n, t))
+            ys.append((draw - draw.mean(axis=1, keepdims=True)).ravel())
+        for y in ys:
+            fixed: tuple[float, ...] = ()
+            for _ in range(3):
+                ref = _reference(ws, grid, fixed, y)
+                assert scan.scan(fixed, y) == ref
+                if ref is None:
+                    break
+                gammas = sorted((*fixed, ref[0]))
+                X, _ = ws.design(gammas)
+                # unit-norm columns span the same space, so the SSR is unchanged
+                X = X / np.linalg.norm(X, axis=0)
+                _, oracle_ssr = dummy_ols_oracle(ws.y if y is None else y, X)
+                assert ref[1] == pytest.approx(oracle_ssr, rel=1e-7)
+                fixed = tuple(gammas)
+
+    @pytest.mark.parametrize("shift", [True, False])
+    def test_plain_with_and_without_intercept_shift(self, rng, shift):
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]), include_intercept_shift=shift)
+        self._check_sequence(_scan_panel(rng), spec, rng)
+
+    def test_two_regime_varying_without_controls(self, rng):
+        panel = _scan_panel(rng)
+        spec = ThresholdSpec(VariableRole("y", "q", ["x", "c"]))
+        self._check_sequence(panel, spec, rng)
+
+    def test_dynamic_lag(self, rng):
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]), dynamic_lag=True)
+        self._check_sequence(_scan_panel(rng), spec, rng)
+
+    def test_regressors_scaled_by_1e6(self, rng):
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
+        self._check_sequence(_scan_panel(rng, x_scale=1e6), spec, rng)
+
+    def test_nearly_collinear_control(self, rng):
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
+        panel = _scan_panel(rng, control=lambda x, r: x + 1e-5 * r.standard_normal(x.shape))
+        self._check_sequence(panel, spec, rng)
+
+    @pytest.mark.parametrize("band_x", [0.0, 1e-12, 1e-14])
+    def test_flat_profile_band(self, rng, band_x):
+        # Without intercept shifts, moving the threshold across observations
+        # with x = 0 leaves the design unchanged, so the profile is flat over
+        # the band q in [0.4, 0.6] around the true threshold: exact ties,
+        # which break toward the first candidate. With x of 1e-12 or 1e-14
+        # there the profile varies across the band at the rounding level of
+        # either path, so only exact re-evaluation of every near-tied
+        # candidate orders it as the reference does.
+        from panelthresh.threshold import SSRScan, _conditional_profile, _Workspace
+
+        n, t = 6, 30
+        q = rng.uniform(0.0, 1.0, (n, t))
+        band = np.abs(q - 0.5) <= 0.1
+        x = np.where(band, band_x, 1.0 + np.abs(rng.standard_normal((n, t))))
+        y = np.where(q <= 0.5, x, 3.0 * x) + 0.1 * rng.standard_normal((n, t))
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"]), include_intercept_shift=False)
+        ws = _Workspace(make_panel({"y": y, "q": q, "x": x}), spec)
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+        profile = _conditional_profile(ws, grid, (), None)
+        best = min(s for _, s in profile)
+        assert sum(abs(s - best) <= 1e-12 * best for _, s in profile) > 5
+        scan = SSRScan(ws, grid)
+        for y_r in (None, *(ws.y + 1e-3 * rng.standard_normal(ws.n_obs) for _ in range(5))):
+            if y_r is not None:
+                y_r = (y_r.reshape(n, t) - y_r.reshape(n, t).mean(axis=1, keepdims=True)).ravel()
+            assert scan.scan((), y_r) == _reference(ws, grid, (), y_r)
+
+    def test_screen_reevaluates_few_candidates(self, rng, monkeypatch):
+        # On a well-conditioned panel the screen, not the pivoted path, does
+        # the scanning: only candidates within rounding of the minimum are
+        # re-evaluated.
+        from panelthresh import threshold
+
+        calls = []
+        exact = threshold._ssr_ws
+        monkeypatch.setattr(
+            threshold, "_ssr_ws", lambda *a, **k: calls.append(1) or exact(*a, **k)
+        )
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
+        ws = threshold._Workspace(_scan_panel(rng, n=8, t=40), spec)
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+        scan = threshold.SSRScan(ws, grid)
+        g1, _ = scan.scan(())
+        g2, _ = scan.scan((g1,))
+        scan.scan(tuple(sorted((g1, g2))))
+        assert grid.size > 250 and len(calls) <= 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    t=st.integers(5, 12),
+    n_rv=st.integers(1, 2),
+    with_control=st.booleans(),
+    shift=st.booleans(),
+    log_scale=st.integers(-3, 6),
+    n_fixed=st.integers(0, 2),
+)
+def test_scan_matches_pivoted_reference_property(
+    seed, n, t, n_rv, with_control, shift, log_scale, n_fixed
+):
+    from panelthresh.threshold import SSRScan, _Workspace
+
+    rng = np.random.default_rng(seed)
+    variables = {
+        "y": rng.standard_normal((n, t)),
+        "q": rng.uniform(0.0, 1.0, (n, t)),
+        "x1": rng.standard_normal((n, t)) * 10.0**log_scale,
+        "x2": rng.standard_normal((n, t)),
+        "c": rng.standard_normal((n, t)),
+    }
+    rv = ["x1", "x2"][:n_rv]
+    spec = ThresholdSpec(
+        VariableRole("y", "q", rv, ["c"] if with_control else []),
+        include_intercept_shift=shift,
+        trim_fraction=0.1,
+    )
+    ws = _Workspace(make_panel(variables), spec)
+    grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+    scan = SSRScan(ws, grid)
+    fixed = tuple(float(g) for g in rng.choice(grid, size=min(n_fixed, grid.size), replace=False))
+    y = rng.standard_normal((ws.n_units, ws.n_periods)) * 10.0 ** rng.integers(-2, 3)
+    y = (y - y.mean(axis=1, keepdims=True)).ravel()
+    assert scan.scan(fixed, y) == _reference(ws, grid, fixed, y)
+    assert scan.scan(fixed) == _reference(ws, grid, fixed, None)
