@@ -270,6 +270,9 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         raise ConfigError("estimator 2SLS requires instruments")
     output = dict(raw.get("output", {}))
     diag = dict(raw.get("diagnostics", {}))
+    ips_moment_draws = int(diag.get("ips_moment_draws", DEFAULT_MOMENT_DRAWS))
+    if ips_moment_draws < 2:
+        raise ConfigError(f"diagnostics.ips_moment_draws must be >= 2, got {ips_moment_draws}")
     role_vars = list(dict.fromkeys(
         [roles.dependent, roles.threshold, *roles.regime_varying, *roles.invariant_controls]
     ))
@@ -295,7 +298,7 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         output_markdown=str(output.get("markdown", "report.md")),
         regime_count_test=bool(inference_raw.get("regime_count_test", True)),
         ips_max_lag=int(diag.get("max_lag", DEFAULT_MAX_LAG)),
-        ips_moment_draws=int(diag.get("ips_moment_draws", DEFAULT_MOMENT_DRAWS)),
+        ips_moment_draws=ips_moment_draws,
         diagnostics_vars=diagnostics_vars,
         raw=dict(raw),
     )
@@ -352,6 +355,25 @@ class _StageClock:
         now = time.perf_counter()
         self.timings_ms[stage] = round((now - self._t0) * 1000.0, 3)
         self._t0 = now
+
+
+def _unit_roots(panel: PanelDataset, config: RunConfig) -> dict[str, dict[str, Any]]:
+    """IPS t-bar, standardized statistic and p-value per deterministic choice and variable."""
+    unit_roots: dict[str, dict[str, Any]] = {}
+    for det in DETERMINISTIC_CHOICES:
+        per_var = {}
+        for v in config.diagnostics_vars:
+            res = ips_test(
+                panel, v, deterministic=det, max_lag=config.ips_max_lag,
+                moment_draws=config.ips_moment_draws,
+            )
+            per_var[v] = {
+                "t_bar": res.t_bar,
+                "statistic": res.statistic,
+                "p_value": res.p_value,
+            }
+        unit_roots[det] = per_var
+    return unit_roots
 
 
 def run_pipeline(config: RunConfig, *, threads: int = 1, seed: int | None = None):
@@ -413,20 +435,7 @@ def run_pipeline(config: RunConfig, *, threads: int = 1, seed: int | None = None
     corr = correlation_matrix(panel, config.diagnostics_vars)
     clock.lap("correlation")
 
-    unit_roots: dict[str, dict[str, Any]] = {}
-    for det in DETERMINISTIC_CHOICES:
-        per_var = {}
-        for v in config.diagnostics_vars:
-            res = ips_test(
-                panel, v, deterministic=det, max_lag=config.ips_max_lag,
-                moment_draws=config.ips_moment_draws,
-            )
-            per_var[v] = {
-                "t_bar": res.t_bar,
-                "statistic": res.statistic,
-                "p_value": res.p_value,
-            }
-        unit_roots[det] = per_var
+    unit_roots = _unit_roots(panel, config)
     clock.lap("unit_roots")
 
     reg = estimate_regime_equation(
@@ -721,16 +730,6 @@ def _cmd_diagnose(config: RunConfig, args) -> int:
     fit = estimate_single(panel, spec) if spec.num_thresholds == 1 else estimate_multiple(panel, spec)
     desc = regime_descriptives(panel, config.roles.threshold, fit.gammas[0])
     corr = correlation_matrix(panel, config.diagnostics_vars)
-    unit_roots = {}
-    for det in DETERMINISTIC_CHOICES:
-        unit_roots[det] = {
-            v: {
-                "t_bar": r.t_bar, "statistic": r.statistic, "p_value": r.p_value,
-            }
-            for v in config.diagnostics_vars
-            for r in [ips_test(panel, v, deterministic=det, max_lag=config.ips_max_lag,
-                               moment_draws=config.ips_moment_draws)]
-        }
     payload = {
         "gamma": fit.gammas[0],
         "descriptives": {
@@ -739,7 +738,7 @@ def _cmd_diagnose(config: RunConfig, args) -> int:
             "high_regime": {v: s._asdict() for v, s in desc.high.items()} if desc.high else None,
         },
         "correlation": {"variables": list(config.diagnostics_vars), "matrix": corr},
-        "unit_roots": unit_roots,
+        "unit_roots": _unit_roots(panel, config),
     }
     print(dumps_report(payload), end="")
     return 0

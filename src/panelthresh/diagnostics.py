@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .errors import ConfigError, DataError
 from .panel import PanelDataset
@@ -30,6 +30,7 @@ from .panel import PanelDataset
 DEFAULT_MAX_LAG = 3
 DEFAULT_MOMENT_DRAWS = 50_000
 _MOMENT_SEED = 912_662_041  # fixed internal seed for the moment tables
+_MOMENT_CHUNK = 4096  # random walks per batch in the moment simulation
 
 DETERMINISTIC_CHOICES = ("intercept", "intercept+trend")
 
@@ -111,59 +112,80 @@ class IpsResult:
     moment_var: float
 
 
-def _adf_tstat(y: np.ndarray, deterministic: str, max_lag: int) -> tuple[float, int]:
-    """ADF t statistic with AIC-selected lag order on a common sample.
+def _adf_batch(
+    Y: np.ndarray, deterministic: str, max_lag: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """ADF t statistics and AIC-selected lag orders for each row of ``Y``.
 
     All candidate lag orders are compared on the observations left after
     dropping ``max_lag`` initial differences, so AIC values are comparable;
-    the reported statistic is from the selected model on that same sample.
+    the first minimum wins, and the reported statistic is from the selected
+    model on that same sample. The (B, nobs, K) design and its Gram
+    matrices are built once; each lag order solves their leading k x k
+    blocks for all series at once.
     """
-    t_len = y.shape[0]
-    dy = np.diff(y)
-    nobs = dy.shape[0] - max_lag
-    rows = slice(max_lag, dy.shape[0])
-    target = dy[rows]
-    base_cols = [y[max_lag:t_len - 1], np.ones(nobs)]
-    if deterministic == "intercept+trend":
-        base_cols.append(np.arange(nobs, dtype=float))
-    lag_cols = [dy[max_lag - j:dy.shape[0] - j] for j in range(1, max_lag + 1)]
-    X_full = np.column_stack(base_cols + lag_cols)
-    base_k = len(base_cols)
-    best_aic = math.inf
-    best_p = 0
-    best = None
+    n_series, t_len = Y.shape
+    dy = np.diff(Y, axis=1)
+    n_dy = t_len - 1
+    nobs = n_dy - max_lag
+    base_k = 3 if deterministic == "intercept+trend" else 2
+    X = np.empty((n_series, nobs, base_k + max_lag))
+    X[:, :, 0] = Y[:, max_lag:n_dy]
+    X[:, :, 1] = 1.0
+    if base_k == 3:
+        X[:, :, 2] = np.arange(nobs, dtype=float)
+    for j in range(1, max_lag + 1):
+        X[:, :, base_k + j - 1] = dy[:, max_lag - j:n_dy - j]
+    target = dy[:, max_lag:, None]
+    Xt = X.transpose(0, 2, 1)
+    gram = Xt @ X
+    best_aic = np.full(n_series, np.inf)
+    lags = np.zeros(n_series, dtype=np.intp)
+    beta0 = np.empty(n_series)
+    ssr = np.empty(n_series)
     for p in range(max_lag + 1):
-        X = X_full[:, : base_k + p]
-        gram = X.T @ X
-        rhs = X.T @ target
-        beta = np.linalg.solve(gram, rhs)
-        resid = target - X @ beta
-        ssr = float(resid @ resid)
         k = base_k + p
-        aic = nobs * math.log(ssr / nobs) + 2 * k
-        if aic < best_aic:
-            best_aic = aic
-            best_p = p
-            best = (gram, ssr, beta, k)
-    gram, ssr, beta, k = best
-    sigma2 = ssr / (nobs - k)
-    gram_inv_00 = np.linalg.solve(gram, np.eye(k)[:, 0])[0]
-    se = math.sqrt(sigma2 * gram_inv_00)
-    return float(beta[0] / se), best_p
+        # X'y is formed per order from the leading k rows of X' rather than
+        # sliced from the full product, so BLAS rounds it as in a k-column
+        # fit of the series alone.
+        beta = np.linalg.solve(gram[:, :k, :k], Xt[:, :k] @ target)
+        resid = target - X[:, :, :k] @ beta
+        ssr_p = (resid.transpose(0, 2, 1) @ resid)[:, 0, 0]
+        aic = nobs * np.log(ssr_p / nobs) + 2 * k
+        better = aic < best_aic
+        best_aic[better] = aic[better]
+        lags[better] = p
+        beta0[better] = beta[better, 0, 0]
+        ssr[better] = ssr_p[better]
+    t = np.empty(n_series)
+    for p in np.unique(lags):
+        rows = np.nonzero(lags == p)[0]
+        k = base_k + int(p)
+        e0 = np.zeros((rows.size, k, 1))
+        e0[:, 0] = 1.0
+        gram_inv_00 = np.linalg.solve(gram[rows, :k, :k], e0)[:, 0, 0]
+        t[rows] = beta0[rows] / np.sqrt(ssr[rows] / (nobs - k) * gram_inv_00)
+    return t, lags
 
 
 @lru_cache(maxsize=64)
 def _ips_moments(
     t_len: int, deterministic: str, max_lag: int, draws: int, seed: int
 ) -> tuple[float, float]:
-    """Simulated mean and variance of the per-unit ADF t under the unit-root null."""
+    """Simulated mean and variance of the per-unit ADF t under the unit-root null.
+
+    Walks are drawn in chunks of ``_MOMENT_CHUNK`` rows, which consumes the
+    generator in the same order as one draw of ``t_len`` at a time and
+    bounds memory for any ``draws``.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, t_len, DETERMINISTIC_CHOICES.index(deterministic), max_lag])
     )
     ts = np.empty(draws)
-    for d in range(draws):
-        walk = np.cumsum(rng.standard_normal(t_len))
-        ts[d], _ = _adf_tstat(walk, deterministic, max_lag)
+    for start in range(0, draws, _MOMENT_CHUNK):
+        rows = min(_MOMENT_CHUNK, draws - start)
+        walks = np.cumsum(rng.standard_normal((rows, t_len)), axis=1)
+        ts[start:start + rows], _ = _adf_batch(walks, deterministic, max_lag)
     return float(ts.mean()), float(ts.var(ddof=1))
 
 
@@ -187,29 +209,29 @@ def ips_test(
         )
     if max_lag < 0:
         raise ConfigError(f"max_lag must be nonnegative, got {max_lag}")
+    if moment_draws < 2:
+        raise ConfigError(f"moment_draws must be at least 2, got {moment_draws}")
     data = panel.values(var)
     t_len = panel.n_periods
     if t_len - max_lag - 2 < 3:
         raise DataError(
             f"T={t_len} too small for ADF regressions with max_lag={max_lag}"
         )
-    per_unit = []
-    lags = []
-    for i, series in enumerate(data):
-        if np.ptp(series) == 0.0:
-            raise DataError(f"unit {panel.unit_ids[i]!r} has a constant series for {var!r}")
-        t_stat, p = _adf_tstat(np.asarray(series, dtype=float), deterministic, max_lag)
-        per_unit.append(t_stat)
-        lags.append(p)
+    flat = np.nonzero(np.ptp(data, axis=1) == 0.0)[0]
+    if flat.size:
+        raise DataError(
+            f"unit {panel.unit_ids[int(flat[0])]!r} has a constant series for {var!r}"
+        )
+    per_unit, lags = _adf_batch(np.asarray(data, dtype=float), deterministic, max_lag)
     mean, var_ = _ips_moments(t_len, deterministic, max_lag, moment_draws, seed)
     t_bar = float(np.mean(per_unit))
-    z = math.sqrt(len(per_unit)) * (t_bar - mean) / math.sqrt(var_)
+    z = math.sqrt(per_unit.size) * (t_bar - mean) / math.sqrt(var_)
     return IpsResult(
         t_bar=t_bar,
         statistic=float(z),
-        p_value=float(stats.norm.cdf(z)),
-        per_unit_t=tuple(per_unit),
-        lags=tuple(lags),
+        p_value=float(ndtr(z)),
+        per_unit_t=tuple(per_unit.tolist()),
+        lags=tuple(lags.tolist()),
         deterministic=deterministic,
         moment_mean=mean,
         moment_var=var_,

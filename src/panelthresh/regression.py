@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 from ._linalg import pivoted_lstsq
 from .errors import ConfigError, EstimationError
@@ -63,6 +63,11 @@ def _is_constant(col: np.ndarray) -> bool:
     return bool(np.ptp(col) == 0.0)
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function; 1 for x < 0, as for a statistic rounded below zero."""
+    return 1.0 if x < 0 else float(chdtrc(df, x))
+
+
 def _wald_all_slopes(beta: np.ndarray, cov: np.ndarray, M: np.ndarray) -> WaldTest:
     slopes = [j for j in range(M.shape[1]) if not _is_constant(M[:, j])]
     if not slopes:
@@ -70,7 +75,7 @@ def _wald_all_slopes(beta: np.ndarray, cov: np.ndarray, M: np.ndarray) -> WaldTe
     b = beta[slopes]
     sub = cov[np.ix_(slopes, slopes)]
     stat = float(b @ np.linalg.solve(sub, b))
-    return WaldTest(stat, float(stats.chi2.sf(stat, len(slopes))), len(slopes))
+    return WaldTest(stat, _chi2_sf(stat, len(slopes)), len(slopes))
 
 
 def _package(
@@ -99,7 +104,7 @@ def _package(
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.inf)
-    pvals = 2.0 * stats.norm.sf(np.abs(z))
+    pvals = 2.0 * ndtr(-np.abs(z))
     has_const = any(_is_constant(M[:, j]) for j in range(k))
     tss = float(np.sum((y - y.mean()) ** 2)) if has_const else float(y @ y)
     r2 = 1.0 - ssr / tss if tss > 0 else float("nan")
@@ -201,7 +206,7 @@ def _sargan(y, residuals, X, endog, Z) -> SarganTest:
     stat = len(residuals) * (1.0 - aux.ssr / rss0) if rss0 > 0 else 0.0
     excluded = [z for z in Z if z not in X or z in endog]
     df = len(excluded) - len(endog)
-    return SarganTest(float(stat), float(stats.chi2.sf(stat, df)), df)
+    return SarganTest(float(stat), _chi2_sf(stat, df), df)
 
 
 def estimate_regime_equation(

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import ConfigError, EstimationError
 from .inference import linearity_test, run_indexed, threshold_ci
@@ -125,10 +126,8 @@ def _parse_dist(descriptor: str) -> tuple[str, float, float]:
 
 
 def _from_gaussian(kind: str, a: float, b: float, g: np.ndarray) -> np.ndarray:
-    from scipy.stats import norm
-
     if kind == "uniform":
-        return a + (b - a) * norm.cdf(g)
+        return a + (b - a) * ndtr(g)
     return np.exp(a + b * g)
 
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,14 @@ class TestConfig:
         cfg = base_config(path, estimator="SGMM")
         from panelthresh import ConfigError
         with pytest.raises(ConfigError, match="out of scope"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("draws", [1, 0, -5])
+    def test_too_few_ips_moment_draws_rejected(self, panel_csv, draws):
+        path, _ = panel_csv
+        cfg = base_config(path, diagnostics={"ips_moment_draws": draws})
+        from panelthresh import ConfigError
+        with pytest.raises(ConfigError, match="ips_moment_draws"):
             parse_config(cfg)
 
     def test_transforms_applied_in_order(self, rng):
@@ -312,3 +324,18 @@ class TestMainExitCodes:
         ]) == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["seed"] == 777
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs most of a second to import; the package needs only
+    # scipy.special's ndtr and chdtrc.
+    import panelthresh
+
+    src = str(Path(panelthresh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import panelthresh.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,14 @@ from panelthresh import (
     correlation_matrix,
     ips_test,
     regime_descriptives,
+)
+
+from panelthresh.diagnostics import (
+    DETERMINISTIC_CHOICES,
+    _MOMENT_CHUNK,
+    _MOMENT_SEED,
+    _adf_batch,
+    _ips_moments,
 )
 
 from conftest import make_panel
@@ -136,3 +146,115 @@ class TestIpsTest:
         assert all(0 <= p <= 3 for p in res.lags)
         assert len(res.per_unit_t) == 4
         assert res.t_bar == pytest.approx(float(np.mean(res.per_unit_t)), abs=1e-12)
+
+    @pytest.mark.parametrize("draws", [1, 0, -5])
+    def test_fewer_than_two_draws_rejected(self, draws, rng):
+        panel = _series_panel(rng.standard_normal((3, 20)))
+        with pytest.raises(ConfigError, match="moment_draws"):
+            ips_test(panel, "v", "intercept", moment_draws=draws)
+
+    def test_per_unit_results_match_reference(self, rng):
+        data = np.cumsum(rng.standard_normal((5, 30)), axis=1)
+        res = ips_test(_series_panel(data), "v", "intercept+trend", moment_draws=MOMENT_DRAWS)
+        ref = [_adf_reference(y, "intercept+trend", 3) for y in data]
+        np.testing.assert_allclose(res.per_unit_t, [r[0] for r in ref], rtol=1e-12, atol=0)
+        assert res.lags == tuple(r[1] for r in ref)
+        assert all(type(p) is int for p in res.lags)
+        assert all(type(t) is float for t in res.per_unit_t)
+
+
+def _adf_reference(y: np.ndarray, deterministic: str, max_lag: int) -> tuple[float, int]:
+    """One-series ADF fit, kept as the reference for the batched kernel.
+
+    Every lag order 0..max_lag is fitted on the sample left after dropping
+    ``max_lag`` initial differences; the first AIC minimum wins and t is
+    beta[0] / sqrt(sigma2 * inv(X'X)[0, 0]) of the selected model.
+    """
+    t_len = y.shape[0]
+    dy = np.diff(y)
+    nobs = dy.shape[0] - max_lag
+    target = dy[max_lag:]
+    base_cols = [y[max_lag:t_len - 1], np.ones(nobs)]
+    if deterministic == "intercept+trend":
+        base_cols.append(np.arange(nobs, dtype=float))
+    lag_cols = [dy[max_lag - j:dy.shape[0] - j] for j in range(1, max_lag + 1)]
+    X_full = np.column_stack(base_cols + lag_cols)
+    base_k = len(base_cols)
+    best_aic = math.inf
+    best = None
+    for p in range(max_lag + 1):
+        X = X_full[:, : base_k + p]
+        gram = X.T @ X
+        beta = np.linalg.solve(gram, X.T @ target)
+        resid = target - X @ beta
+        ssr = float(resid @ resid)
+        k = base_k + p
+        aic = nobs * math.log(ssr / nobs) + 2 * k
+        if aic < best_aic:
+            best_aic = aic
+            best = (p, gram, ssr, beta, k)
+    p, gram, ssr, beta, k = best
+    gram_inv_00 = np.linalg.solve(gram, np.eye(k)[:, 0])[0]
+    return float(beta[0] / math.sqrt(ssr / (nobs - k) * gram_inv_00)), p
+
+
+def _reference_moments(t_len, deterministic, max_lag, draws, seed=_MOMENT_SEED):
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, t_len, DETERMINISTIC_CHOICES.index(deterministic), max_lag])
+    )
+    ts = np.array([
+        _adf_reference(np.cumsum(rng.standard_normal(t_len)), deterministic, max_lag)[0]
+        for _ in range(draws)
+    ])
+    return float(ts.mean()), float(ts.var(ddof=1))
+
+
+def _series(kind, rng, n, t_len):
+    if kind == "random_walk":
+        return np.cumsum(rng.standard_normal((n, t_len)), axis=1)
+    if kind == "white_noise":
+        return rng.standard_normal((n, t_len))
+    trend = np.arange(t_len, dtype=float)
+    return 5.0 + rng.uniform(0.2, 2.0, (n, 1)) * trend + rng.standard_normal((n, t_len))
+
+
+class TestAdfBatch:
+    @pytest.mark.parametrize("kind", ["random_walk", "white_noise", "trending"])
+    @pytest.mark.parametrize("deterministic", ["intercept", "intercept+trend"])
+    @pytest.mark.parametrize("max_lag", [0, 1, 2, 3])
+    def test_matches_per_series_reference(self, kind, deterministic, max_lag, rng):
+        Y = _series(kind, rng, 60, 30)
+        t, lags = _adf_batch(Y, deterministic, max_lag)
+        ref = [_adf_reference(y, deterministic, max_lag) for y in Y]
+        np.testing.assert_allclose(t, [r[0] for r in ref], rtol=1e-12, atol=0)
+        assert lags.tolist() == [r[1] for r in ref]
+        assert all(0 <= p <= max_lag for p in lags)
+
+    @pytest.mark.parametrize("deterministic", ["intercept", "intercept+trend"])
+    def test_single_series(self, deterministic, rng):
+        y = np.cumsum(rng.standard_normal(25))
+        t, lags = _adf_batch(y[None, :], deterministic, 2)
+        ref_t, ref_p = _adf_reference(y, deterministic, 2)
+        assert t.shape == (1,) and lags.shape == (1,)
+        assert t[0] == pytest.approx(ref_t, rel=1e-12, abs=0)
+        assert int(lags[0]) == ref_p
+
+    def test_moments_with_partial_last_chunk(self):
+        # Two chunks, the second holding 37 walks: the chunked draw must
+        # consume the generator exactly as one walk at a time.
+        draws = _MOMENT_CHUNK + 37
+        got = _ips_moments(12, "intercept", 1, draws, 17)
+        want = _reference_moments(12, "intercept", 1, draws, seed=17)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    # Moments of the former one-walk-at-a-time simulation (hex, so the pin
+    # carries every bit); they guard the order the generator is consumed in.
+    @pytest.mark.parametrize("t_len, deterministic, draws, mean_hex, var_hex", [
+        (36, "intercept", 50_000, "-0x1.94688f53abba2p+0", "0x1.f08b14939955ep-1"),
+        (40, "intercept", 5_000, "-0x1.8f7de91c551fep+0", "0x1.ee63bf3485605p-1"),
+        (40, "intercept+trend", 5_000, "-0x1.26df2474e2878p+1", "0x1.b26e51f5d95e1p-1"),
+    ])
+    def test_moments_pinned(self, t_len, deterministic, draws, mean_hex, var_hex):
+        mean, var = _ips_moments(t_len, deterministic, 3, draws, _MOMENT_SEED)
+        assert mean == pytest.approx(float.fromhex(mean_hex), rel=1e-12, abs=0)
+        assert var == pytest.approx(float.fromhex(var_hex), rel=1e-12, abs=0)

@@ -243,6 +243,14 @@ class TestEstimateRegimeEquation:
         assert res.p_values["q (beta1)"] > res.p_values["q (beta2)"]
 
 
+@pytest.mark.parametrize("x", [-1e-12, -0.0, 0.0, 0.37, 3.0, 41.5, np.inf])
+@pytest.mark.parametrize("df", [1, 2, 7])
+def test_chi2_sf_matches_scipy_stats(x, df):
+    from panelthresh.regression import _chi2_sf
+
+    assert _chi2_sf(x, df) == float(stats.chi2.sf(x, df))
+
+
 class TestDummyOracle:
     def test_identity_design(self):
         y = np.array([3.0, -1.0, 2.0])
