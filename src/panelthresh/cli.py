@@ -32,13 +32,8 @@ from .diagnostics import (
     ips_test,
     regime_descriptives,
 )
-from .errors import ConfigError, DataError, EstimationError, PanelThreshError
-from .inference import (
-    DEFAULT_REPLICATIONS,
-    additional_threshold_test,
-    linearity_test,
-    threshold_ci,
-)
+from .errors import ConfigError, DataError, EstimationError
+from .inference import DEFAULT_REPLICATIONS, linearity_on, regime_count_on, threshold_ci
 from .panel import (
     PanelDataset,
     VariableRole,
@@ -49,9 +44,10 @@ from .panel import (
 )
 from .regression import estimate_regime_equation
 from .simulate import RNG_DESCRIPTOR, ThresholdDGP, monte_carlo
-from .threshold import ThresholdSpec, estimate_multiple, estimate_single
+from .threshold import SSRScan, ThresholdFit, ThresholdSpec, build_scan, estimate_on
 
 SCHEMA_VERSION = 1
+MIN_TRIALS_DEFAULT = 100
 
 REPORT_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -194,15 +190,18 @@ class RunConfig:
         return ThresholdSpec(roles=self.roles, **self.spec_fields)
 
 
-def load_config(path) -> RunConfig:
+def _read_json(path) -> Any:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return parse_config(raw)
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(_read_json(path))
 
 
 def parse_config(raw: Mapping[str, Any]) -> RunConfig:
@@ -252,6 +251,11 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     seed = int(inference_raw.get("seed", 0))
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
+    regime_count_test = inference_raw.get("regime_count_test", True)
+    if not isinstance(regime_count_test, bool):
+        raise ConfigError(
+            f"inference.regime_count_test must be true or false, got {regime_count_test!r}"
+        )
     transforms = tuple(dict(t) for t in raw.get("transforms", ()))
     for t in transforms:
         op = t.get("op")
@@ -273,15 +277,14 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     ips_moment_draws = int(diag.get("ips_moment_draws", DEFAULT_MOMENT_DRAWS))
     if ips_moment_draws < 2:
         raise ConfigError(f"diagnostics.ips_moment_draws must be >= 2, got {ips_moment_draws}")
+    max_lag = diag.get("max_lag", DEFAULT_MAX_LAG)
+    if isinstance(max_lag, bool) or not isinstance(max_lag, int) or max_lag < 0:
+        raise ConfigError(f"diagnostics.max_lag must be a nonnegative integer, got {max_lag!r}")
     role_vars = list(dict.fromkeys(
         [roles.dependent, roles.threshold, *roles.regime_varying, *roles.invariant_controls]
     ))
     diagnostics_vars = tuple(diag.get("variables", role_vars))
-    try:
-        spec_check = ThresholdSpec(roles=roles, **spec_raw)
-    except PanelThreshError:
-        raise
-    del spec_check
+    ThresholdSpec(roles=roles, **spec_raw)  # validates the spec fields
     return RunConfig(
         input_path=input_path,
         unit_col=unit_col,
@@ -296,8 +299,8 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         instruments=instruments,
         output_json=str(output.get("json", "report.json")),
         output_markdown=str(output.get("markdown", "report.md")),
-        regime_count_test=bool(inference_raw.get("regime_count_test", True)),
-        ips_max_lag=int(diag.get("max_lag", DEFAULT_MAX_LAG)),
+        regime_count_test=regime_count_test,
+        ips_max_lag=max_lag,
         ips_moment_draws=ips_moment_draws,
         diagnostics_vars=diagnostics_vars,
         raw=dict(raw),
@@ -357,15 +360,100 @@ class _StageClock:
         self._t0 = now
 
 
-def _unit_roots(panel: PanelDataset, config: RunConfig) -> dict[str, dict[str, Any]]:
+@dataclass
+class _Session:
+    """One run's panel and estimation scan (workspace, grid and scan, built
+    once), shared by every stage; the estimation stage records the fit."""
+
+    config: RunConfig
+    panel: PanelDataset
+    scan: SSRScan
+    threads: int
+    fit: ThresholdFit | None = None
+
+
+def _estimate(s: _Session) -> ThresholdFit:
+    s.fit = estimate_on(s.scan)
+    return s.fit
+
+
+def _linearity(s: _Session) -> dict[str, Any]:
+    lin = linearity_on(s.scan, s.config.replications, s.config.seed, threads=s.threads)
+    return {
+        "f_statistic": lin.f_statistic,
+        "bootstrap_p": lin.bootstrap_p,
+        "critical_values": {f"{int(a * 100)}%": v for a, v in lin.critical_values.items()},
+        "replications": lin.replications,
+        "seed": lin.seed,
+    }
+
+
+def _regime_count(s: _Session) -> dict[str, Any] | None:
+    """None when the config switches the test off; a skip note when the data
+    admit no further split."""
+    if not s.config.regime_count_test:
+        return None
+    try:
+        extra = regime_count_on(
+            s.scan, s.scan.ws.spec.num_thresholds, s.config.replications, s.config.seed,
+            threads=s.threads,
+        )
+    except EstimationError as exc:
+        return {"skipped": str(exc)}
+    return {
+        "f_statistic": extra.f_statistic,
+        "bootstrap_p": extra.bootstrap_p,
+        "null_model": extra.null_model,
+        "alt_model": extra.alt_model,
+        "replications": extra.replications,
+    }
+
+
+def _confidence_sets(s: _Session) -> list[dict[str, Any]]:
+    cis = []
+    for j in range(len(s.fit.gammas)):
+        for alpha in s.config.alphas:
+            ci = threshold_ci(s.panel, s.scan.ws.spec, s.fit, alpha, threshold_index=j)
+            cis.append({
+                "threshold_index": j,
+                "alpha": alpha,
+                "level": ci.level,
+                "lower": ci.lower,
+                "upper": ci.upper,
+                "critical_value": ci.critical_value,
+            })
+    return cis
+
+
+def _descriptives(s: _Session) -> dict[str, Any]:
+    desc = regime_descriptives(s.panel, s.config.roles.threshold, s.fit.gammas[0])
+
+    def stats_block(stats_map):
+        return None if stats_map is None else {v: st._asdict() for v, st in stats_map.items()}
+
+    return {
+        "threshold_var": desc.threshold_var,
+        "gamma": desc.gamma,
+        "pooled": stats_block(desc.pooled),
+        "low_regime": stats_block(desc.low),
+        "high_regime": stats_block(desc.high),
+    }
+
+
+def _correlation(s: _Session) -> dict[str, Any]:
+    variables = s.config.diagnostics_vars
+    return {"variables": list(variables), "matrix": correlation_matrix(s.panel, variables)}
+
+
+def _unit_roots(s: _Session) -> dict[str, dict[str, Any]]:
     """IPS t-bar, standardized statistic and p-value per deterministic choice and variable."""
     unit_roots: dict[str, dict[str, Any]] = {}
     for det in DETERMINISTIC_CHOICES:
         per_var = {}
-        for v in config.diagnostics_vars:
+        for v in s.config.diagnostics_vars:
             res = ips_test(
-                panel, v, deterministic=det, max_lag=config.ips_max_lag,
-                moment_draws=config.ips_moment_draws,
+                s.panel, v, deterministic=det, max_lag=s.config.ips_max_lag,
+                moment_draws=s.config.ips_moment_draws,
             )
             per_var[v] = {
                 "t_bar": res.t_bar,
@@ -376,86 +464,89 @@ def _unit_roots(panel: PanelDataset, config: RunConfig) -> dict[str, dict[str, A
     return unit_roots
 
 
-def run_pipeline(config: RunConfig, *, threads: int = 1, seed: int | None = None):
-    """Execute the full pipeline; returns (report dict, markdown str, timings).
+def _regression(s: _Session) -> dict[str, Any]:
+    reg = estimate_regime_equation(
+        s.panel, s.scan.ws.spec, s.fit, estimator=s.config.estimator,
+        instruments=s.config.instruments or None,
+    )
+    return {
+        "estimator": reg.estimator,
+        "coefficients": {
+            name: {
+                "estimate": reg.coefficients[name],
+                "std_error": reg.std_errors[name],
+                "p_value": reg.p_values[name],
+            }
+            for name in reg.coefficients
+        },
+        "r_squared": reg.r_squared,
+        "rmse": reg.rmse,
+        "sargan": (
+            {"statistic": reg.sargan.statistic, "p_value": reg.sargan.p_value,
+             "df": reg.sargan.df}
+            if reg.sargan else None
+        ),
+        "wald": {"statistic": reg.wald.statistic, "p_value": reg.wald.p_value,
+                 "df": reg.wald.df},
+        "n_obs": reg.n_obs,
+        "n_units": s.panel.n_units,
+    }
 
-    Stage order: ingest, transforms, threshold estimation, linearity test,
-    regime-count test, confidence sets, regime descriptives, correlations,
-    panel unit roots, regime regression.
-    """
+
+# The pipeline's stages in run order; each builds one block of the report.
+_STAGES = {
+    "threshold_estimation": _estimate,
+    "linearity_test": _linearity,
+    "regime_count_test": _regime_count,
+    "confidence_sets": _confidence_sets,
+    "descriptives": _descriptives,
+    "correlation": _correlation,
+    "unit_roots": _unit_roots,
+    "regression": _regression,
+}
+
+# The stages each subcommand runs, a subset of ``report``'s.
+_COMMAND_STAGES = {
+    "fit": ("threshold_estimation",),
+    "test": ("linearity_test", "regime_count_test"),
+    "ci": ("threshold_estimation", "confidence_sets"),
+    "diagnose": ("threshold_estimation", "descriptives", "correlation", "unit_roots"),
+    "report": tuple(_STAGES),
+}
+
+
+def _run_stages(config: RunConfig, stages: Sequence[str], *, threads: int = 1):
+    """Ingest, transform, build the estimation scan once, then run ``stages``
+    in order; returns (panel, {stage: block}, stage clock)."""
     clock = _StageClock()
-    master_seed = config.seed if seed is None else int(seed)
     panel = ingest_csv(config.input_path, config.unit_col, config.time_col)
     clock.lap("ingest")
     panel = apply_transforms(panel, config.transforms)
     config.roles.validate(panel)
     clock.lap("transforms")
+    session = _Session(config, panel, build_scan(panel, config.build_spec()), threads)
+    clock.lap("workspace")
+    blocks = {}
+    for stage in stages:
+        blocks[stage] = _STAGES[stage](session)
+        clock.lap(stage)
+    return panel, blocks, clock
 
-    spec = config.build_spec()
-    fit = estimate_single(panel, spec) if spec.num_thresholds == 1 else estimate_multiple(panel, spec)
-    clock.lap("threshold_estimation")
 
-    lin = linearity_test(panel, spec, B=config.replications, seed=master_seed, threads=threads)
-    clock.lap("linearity_test")
+def run_pipeline(config: RunConfig, *, threads: int = 1):
+    """Execute the full pipeline; returns (report dict, markdown str, timings).
 
-    regime_count: dict[str, Any] | None = None
-    if config.regime_count_test:
-        try:
-            extra = additional_threshold_test(
-                panel, spec, k_null=spec.num_thresholds,
-                B=config.replications, seed=master_seed, threads=threads,
-            )
-            regime_count = {
-                "f_statistic": extra.f_statistic,
-                "bootstrap_p": extra.bootstrap_p,
-                "null_model": extra.null_model,
-                "alt_model": extra.alt_model,
-                "replications": extra.replications,
-            }
-        except EstimationError as exc:
-            regime_count = {"skipped": str(exc)}
-    clock.lap("regime_count_test")
-
-    cis = []
-    for j in range(len(fit.gammas)):
-        for alpha in config.alphas:
-            ci = threshold_ci(panel, spec, fit, alpha, threshold_index=j)
-            cis.append({
-                "threshold_index": j,
-                "alpha": alpha,
-                "level": ci.level,
-                "lower": ci.lower,
-                "upper": ci.upper,
-                "critical_value": ci.critical_value,
-            })
-    clock.lap("confidence_sets")
-
-    desc = regime_descriptives(panel, config.roles.threshold, fit.gammas[0])
-    clock.lap("descriptives")
-    corr = correlation_matrix(panel, config.diagnostics_vars)
-    clock.lap("correlation")
-
-    unit_roots = _unit_roots(panel, config)
-    clock.lap("unit_roots")
-
-    reg = estimate_regime_equation(
-        panel, spec, fit, estimator=config.estimator,
-        instruments=config.instruments or None,
-    )
-    clock.lap("regression")
-
-    def stats_block(stats_map):
-        if stats_map is None:
-            return None
-        return {
-            v: {"mean": s.mean, "std": s.std, "min": s.min, "max": s.max, "n_obs": s.n_obs}
-            for v, s in stats_map.items()
-        }
-
+    Stage order: ingest, transforms, workspace (the shared estimation scan),
+    threshold estimation, linearity test, regime-count test, confidence
+    sets, regime descriptives, correlations, panel unit roots, regime
+    regression.
+    """
+    panel, blocks, clock = _run_stages(config, _COMMAND_STAGES["report"], threads=threads)
+    fit = blocks["threshold_estimation"]
     report = {
         "schema_version": SCHEMA_VERSION,
         "generator": {"package": "panelthresh", "version": __version__, "rng": RNG_DESCRIPTOR},
-        "seed": master_seed,
+        "seed": config.seed,
         "config": config.raw,
         "panel": {
             "n_units": panel.n_units,
@@ -463,60 +554,54 @@ def run_pipeline(config: RunConfig, *, threads: int = 1, seed: int | None = None
             "variables": list(panel.variable_names),
         },
         "blocks": {
-            "descriptives": {
-                "threshold_var": desc.threshold_var,
-                "gamma": desc.gamma,
-                "pooled": stats_block(desc.pooled),
-                "low_regime": stats_block(desc.low),
-                "high_regime": stats_block(desc.high),
-            },
-            "correlation": {
-                "variables": list(config.diagnostics_vars),
-                "matrix": corr,
-            },
-            "unit_roots": unit_roots,
+            "descriptives": blocks["descriptives"],
+            "correlation": blocks["correlation"],
+            "unit_roots": blocks["unit_roots"],
             "threshold": {
                 "gammas": list(fit.gammas),
                 "ssr": fit.ssr,
                 "sigma2": fit.sigma2,
                 "regime_counts": list(fit.regime_counts),
-                "confidence_sets": cis,
-                "linearity": {
-                    "f_statistic": lin.f_statistic,
-                    "bootstrap_p": lin.bootstrap_p,
-                    "critical_values": {f"{int(a * 100)}%": v for a, v in lin.critical_values.items()},
-                    "replications": lin.replications,
-                    "seed": lin.seed,
-                },
-                "regime_count_test": regime_count,
+                "confidence_sets": blocks["confidence_sets"],
+                "linearity": blocks["linearity_test"],
+                "regime_count_test": blocks["regime_count_test"],
             },
-            "regression": {
-                "estimator": reg.estimator,
-                "coefficients": {
-                    name: {
-                        "estimate": reg.coefficients[name],
-                        "std_error": reg.std_errors[name],
-                        "p_value": reg.p_values[name],
-                    }
-                    for name in reg.coefficients
-                },
-                "r_squared": reg.r_squared,
-                "rmse": reg.rmse,
-                "sargan": (
-                    {"statistic": reg.sargan.statistic, "p_value": reg.sargan.p_value,
-                     "df": reg.sargan.df}
-                    if reg.sargan else None
-                ),
-                "wald": {"statistic": reg.wald.statistic, "p_value": reg.wald.p_value,
-                         "df": reg.wald.df},
-                "n_obs": reg.n_obs,
-                "n_units": panel.n_units,
-            },
+            "regression": blocks["regression"],
         },
     }
     markdown = render_markdown(report)
     clock.lap("render")
     return report, markdown, clock.timings_ms
+
+
+def _command_payload(command: str, blocks: Mapping[str, Any]) -> dict[str, Any]:
+    """The stdout JSON of the ``fit``, ``test``, ``ci`` and ``diagnose``
+    subcommands, from the blocks of their stages."""
+    fit = blocks.get("threshold_estimation")
+    if command == "fit":
+        return {
+            "gammas": list(fit.gammas),
+            "regime_varying": list(fit.regime_varying),
+            "betas_by_regime": [list(map(float, b)) for b in fit.betas_by_regime],
+            "delta": list(fit.delta) if fit.delta is not None else None,
+            "control_betas": fit.control_betas,
+            "ssr": fit.ssr,
+            "sigma2": fit.sigma2,
+            "regime_counts": list(fit.regime_counts),
+        }
+    if command == "test":
+        payload = {"linearity": blocks["linearity_test"]}
+        if blocks["regime_count_test"] is not None:
+            payload["regime_count"] = blocks["regime_count_test"]
+        return payload
+    if command == "ci":
+        return {"gammas": list(fit.gammas), "confidence_sets": blocks["confidence_sets"]}
+    return {
+        "gamma": fit.gammas[0],
+        "descriptives": blocks["descriptives"],
+        "correlation": blocks["correlation"],
+        "unit_roots": blocks["unit_roots"],
+    }
 
 
 def _fmt(x: Any) -> str:
@@ -640,18 +725,8 @@ def _resolve(output_dir: str | None, path: str) -> Path:
     return p
 
 
-def _prepare(config: RunConfig):
-    panel = ingest_csv(config.input_path, config.unit_col, config.time_col)
-    panel = apply_transforms(panel, config.transforms)
-    config.roles.validate(panel)
-    spec = config.build_spec()
-    return panel, spec
-
-
 def _cmd_report(config: RunConfig, args) -> int:
-    report, markdown, timings = run_pipeline(
-        config, threads=args.threads, seed=args.seed
-    )
+    report, markdown, timings = run_pipeline(config, threads=args.threads)
     json_path = _resolve(args.output_dir, config.output_json)
     md_path = _resolve(args.output_dir, config.output_markdown)
     json_path.write_text(dumps_report(report), encoding="utf-8")
@@ -659,88 +734,6 @@ def _cmd_report(config: RunConfig, args) -> int:
     sidecar = json_path.with_name(json_path.name + ".timings.json")
     sidecar.write_text(json.dumps({"timings_ms": timings}, indent=2) + "\n", encoding="utf-8")
     print(f"report written: {json_path} {md_path}")
-    return 0
-
-
-def _cmd_fit(config: RunConfig, args) -> int:
-    panel, spec = _prepare(config)
-    fit = estimate_single(panel, spec) if spec.num_thresholds == 1 else estimate_multiple(panel, spec)
-    payload = {
-        "gammas": list(fit.gammas),
-        "regime_varying": list(fit.regime_varying),
-        "betas_by_regime": [list(map(float, b)) for b in fit.betas_by_regime],
-        "delta": list(fit.delta) if fit.delta is not None else None,
-        "control_betas": fit.control_betas,
-        "ssr": fit.ssr,
-        "sigma2": fit.sigma2,
-        "regime_counts": list(fit.regime_counts),
-    }
-    print(dumps_report(payload), end="")
-    return 0
-
-
-def _cmd_test(config: RunConfig, args) -> int:
-    panel, spec = _prepare(config)
-    seed = config.seed if args.seed is None else args.seed
-    lin = linearity_test(panel, spec, B=config.replications, seed=seed, threads=args.threads)
-    payload: dict[str, Any] = {
-        "linearity": {
-            "f_statistic": lin.f_statistic,
-            "bootstrap_p": lin.bootstrap_p,
-            "critical_values": {f"{int(a * 100)}%": v for a, v in lin.critical_values.items()},
-            "replications": lin.replications,
-            "seed": lin.seed,
-        }
-    }
-    if config.regime_count_test:
-        try:
-            extra = additional_threshold_test(
-                panel, spec, k_null=spec.num_thresholds,
-                B=config.replications, seed=seed, threads=args.threads,
-            )
-            payload["regime_count"] = {
-                "f_statistic": extra.f_statistic,
-                "bootstrap_p": extra.bootstrap_p,
-                "null_model": extra.null_model,
-                "alt_model": extra.alt_model,
-            }
-        except EstimationError as exc:
-            payload["regime_count"] = {"skipped": str(exc)}
-    print(dumps_report(payload), end="")
-    return 0
-
-
-def _cmd_ci(config: RunConfig, args) -> int:
-    panel, spec = _prepare(config)
-    fit = estimate_single(panel, spec) if spec.num_thresholds == 1 else estimate_multiple(panel, spec)
-    payload = {"gammas": list(fit.gammas), "confidence_sets": []}
-    for j in range(len(fit.gammas)):
-        for alpha in config.alphas:
-            ci = threshold_ci(panel, spec, fit, alpha, threshold_index=j)
-            payload["confidence_sets"].append({
-                "threshold_index": j, "alpha": alpha, "level": ci.level,
-                "lower": ci.lower, "upper": ci.upper, "critical_value": ci.critical_value,
-            })
-    print(dumps_report(payload), end="")
-    return 0
-
-
-def _cmd_diagnose(config: RunConfig, args) -> int:
-    panel, spec = _prepare(config)
-    fit = estimate_single(panel, spec) if spec.num_thresholds == 1 else estimate_multiple(panel, spec)
-    desc = regime_descriptives(panel, config.roles.threshold, fit.gammas[0])
-    corr = correlation_matrix(panel, config.diagnostics_vars)
-    payload = {
-        "gamma": fit.gammas[0],
-        "descriptives": {
-            "pooled": {v: s._asdict() for v, s in desc.pooled.items()},
-            "low_regime": {v: s._asdict() for v, s in desc.low.items()} if desc.low else None,
-            "high_regime": {v: s._asdict() for v, s in desc.high.items()} if desc.high else None,
-        },
-        "correlation": {"variables": list(config.diagnostics_vars), "matrix": corr},
-        "unit_roots": _unit_roots(panel, config),
-    }
-    print(dumps_report(payload), end="")
     return 0
 
 
@@ -785,9 +778,6 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
     return 0
 
 
-MIN_TRIALS_DEFAULT = 100
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panelthresh",
@@ -815,26 +805,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        raw = _read_json(args.config)
         if args.command == "simulate":
-            config_path = Path(args.config)
-            if not config_path.exists():
-                raise ConfigError(f"config file not found: {config_path}")
-            try:
-                raw = json.loads(config_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{config_path}: invalid JSON ({exc})") from None
             return _cmd_simulate(raw, args)
-        config = load_config(args.config)
+        config = parse_config(raw)
         if args.seed is not None:
-            config = replace(config, seed=int(args.seed))
-        handler = {
-            "fit": _cmd_fit,
-            "test": _cmd_test,
-            "ci": _cmd_ci,
-            "diagnose": _cmd_diagnose,
-            "report": _cmd_report,
-        }[args.command]
-        return handler(config, args)
+            config = replace(config, seed=args.seed)
+        if args.command == "report":
+            return _cmd_report(config, args)
+        _, blocks, _ = _run_stages(config, _COMMAND_STAGES[args.command], threads=args.threads)
+        print(dumps_report(_command_payload(args.command, blocks)), end="")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

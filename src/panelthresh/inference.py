@@ -23,8 +23,7 @@ import numpy as np
 
 from ._linalg import pivoted_lstsq
 from .errors import ConfigError, EstimationError
-from .panel import PanelDataset
-from .regression import ols
+from .panel import PanelDataset, make_lag
 from .threshold import (
     SSRScan,
     ThresholdFit,
@@ -32,7 +31,7 @@ from .threshold import (
     _demean_rows,
     _fit_ws,
     _Workspace,
-    candidate_grid,
+    build_scan,
     no_split_message,
     sequential_estimates,
 )
@@ -116,10 +115,26 @@ def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
 
 
 def _bootstrap(
-    f_obs: float, B: int, seed: int, threads: int,
-    worker: Callable[[int], float | None], null_model: str, alt_model: str,
+    ws: _Workspace, observed: tuple[float, float], resid_null: np.ndarray,
+    resid_alt: np.ndarray, ssr_pair: Callable[[np.ndarray], tuple[float, float] | None],
+    B: int, seed: int, threads: int, null_model: str, alt_model: str,
 ) -> BootstrapTestResult:
-    """Run the replications and summarize; a None replication scores F* = 0."""
+    """F = (S_null - S_alt) / (S_alt / dof) of the ``observed`` SSR pair and of
+    ``ssr_pair`` on B fixed-regressor resamples; a resample without a pair,
+    or with S_alt <= 0, scores F* = 0 and counts as degenerate."""
+    _check_bootstrap_args(B, seed)
+    n, t = ws.n_units, ws.n_periods
+    dof = n * (t - 1)
+    fitted_null = ws.y.reshape(n, t) - resid_null.reshape(n, t)
+
+    def worker(rep: int) -> float | None:
+        draw = _rep_rng(seed, rep).integers(0, n, size=n)
+        pair = ssr_pair(_demean_rows(fitted_null + resid_alt[draw]).ravel())
+        if pair is None or pair[1] <= 0:
+            return None
+        return (pair[0] - pair[1]) / (pair[1] / dof)
+
+    f_obs = (observed[0] - observed[1]) / (observed[1] / dof)
     draws = run_indexed(B, threads, worker)
     f_boot = np.array([0.0 if f is None else f for f in draws])
     p = float(np.count_nonzero(f_boot >= f_obs)) / B
@@ -153,32 +168,27 @@ def linearity_test(
     response plus exact re-evaluation of the few candidates near the
     minimum.
     """
-    _check_bootstrap_args(B, seed)
-    ws = _Workspace(panel, spec)
-    grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
-    linear = ols(ws.y, ws.linear_columns())
-    scan = SSRScan(ws, grid)
+    return linearity_on(build_scan(panel, spec), B, seed, threads=threads)
+
+
+def linearity_on(scan: SSRScan, B: int, seed: int, *, threads: int = 1) -> BootstrapTestResult:
+    """``linearity_test`` on a built scan."""
+    ws = scan.ws
+    columns = ws.linear_columns()
+    X0 = np.column_stack(list(columns.values()))
+    linear = pivoted_lstsq(X0, ws.y, names=list(columns))
     hit = scan.scan(())
     if hit is None:
         raise EstimationError(no_split_message(0))
     gamma_hat, s1 = hit
-    dof = ws.n_units * (ws.n_periods - 1)
-    f_obs = (linear.ssr - s1) / (s1 / dof)
 
-    n, t = ws.n_units, ws.n_periods
-    fitted_null = (ws.y - linear.residuals).reshape(n, t)
-    resid_alt = _fit_ws(ws, (gamma_hat,)).residuals
-    X0 = np.column_stack(list(ws.linear_columns().values()))
+    def ssr_pair(ystar: np.ndarray) -> tuple[float, float]:
+        return pivoted_lstsq(X0, ystar).ssr, scan.scan((), ystar)[1]
 
-    def worker(rep: int) -> float | None:
-        rng = _rep_rng(seed, rep)
-        draw = rng.integers(0, n, size=n)
-        ystar = _demean_rows(fitted_null + resid_alt[draw]).ravel()
-        s0_star = pivoted_lstsq(X0, ystar).ssr
-        _, s1_star = scan.scan((), ystar)
-        return (s0_star - s1_star) / (s1_star / dof) if s1_star > 0 else None
-
-    return _bootstrap(f_obs, B, seed, threads, worker, "linear", "1 threshold")
+    return _bootstrap(
+        ws, (linear.ssr, s1), linear.residuals, _fit_ws(ws, (gamma_hat,)).residuals,
+        ssr_pair, B, seed, threads, "linear", "1 threshold",
+    )
 
 
 def additional_threshold_test(
@@ -204,36 +214,29 @@ def additional_threshold_test(
     two-threshold panels with ``max_grid_points=120``, 2-vs-3 rejects at
     0.525 / 0.625 at alpha = 5% / 10%.
     """
+    return regime_count_on(build_scan(panel, spec), k_null, B, seed, threads=threads)
+
+
+def regime_count_on(
+    scan: SSRScan, k_null: int, B: int, seed: int, *, threads: int = 1
+) -> BootstrapTestResult:
+    """``additional_threshold_test`` on a built scan."""
     if k_null not in (1, 2):
         raise ConfigError(f"k_null must be 1 or 2, got {k_null}")
-    _check_bootstrap_args(B, seed)
-    ws = _Workspace(panel, spec)
-    grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
-    dof = ws.n_units * (ws.n_periods - 1)
-    scan = SSRScan(ws, grid)
+    ws = scan.ws
     stages = sequential_estimates(scan, k_null + 1)
     if len(stages) <= k_null:
         raise EstimationError(no_split_message(len(stages)))
     (null_gammas, s_null), (alt_gammas, s_alt) = stages[k_null - 1:]
-    f_obs = (s_null - s_alt) / (s_alt / dof)
 
-    n, t = ws.n_units, ws.n_periods
-    fitted_null = ws.y.reshape(n, t) - _fit_ws(ws, null_gammas).residuals
-    resid_alt = _fit_ws(ws, alt_gammas).residuals
-
-    def worker(rep: int) -> float | None:
-        rng = _rep_rng(seed, rep)
-        draw = rng.integers(0, n, size=n)
-        ystar = _demean_rows(fitted_null + resid_alt[draw]).ravel()
+    def ssr_pair(ystar: np.ndarray) -> tuple[float, float] | None:
         stages = sequential_estimates(scan, k_null + 1, ystar)
-        if len(stages) <= k_null or stages[k_null][1] <= 0:
-            return None
-        (_, s_null_star), (_, s_alt_star) = stages[k_null - 1:]
-        return (s_null_star - s_alt_star) / (s_alt_star / dof)
+        return None if len(stages) <= k_null else (stages[k_null - 1][1], stages[k_null][1])
 
     return _bootstrap(
-        f_obs, B, seed, threads, worker, f"{k_null} threshold{'s' if k_null > 1 else ''}",
-        f"{k_null + 1} thresholds",
+        ws, (s_null, s_alt), _fit_ws(ws, null_gammas).residuals,
+        _fit_ws(ws, alt_gammas).residuals, ssr_pair, B, seed, threads,
+        f"{k_null} threshold{'s' if k_null > 1 else ''}", f"{k_null + 1} thresholds",
     )
 
 
@@ -267,11 +270,7 @@ def threshold_ci(
     accepted = [g for g, v in lr_profile if v <= c_alpha]
     accepted.append(gamma_hat)
     hi = max(accepted)
-    q_panel = panel
-    if spec.dynamic_lag:
-        from .panel import make_lag
-
-        q_panel = make_lag(panel, spec.roles.dependent, 1)
+    q_panel = make_lag(panel, spec.roles.dependent, 1) if spec.dynamic_lag else panel
     observed = np.unique(q_panel.values(spec.roles.threshold))
     nxt = np.searchsorted(observed, hi, side="right")
     upper = float(observed[nxt]) if nxt < observed.size else float(hi)

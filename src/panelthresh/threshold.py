@@ -142,9 +142,10 @@ def _demean_rows(mat: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Estimation-ready arrays for one (panel, spec) pair.
 
-    Applies the dynamic-lag truncation, flattens matrices unit-major, and
-    caches the demeaned cumulative columns I(q <= c) * x per candidate so
-    regime columns can be assembled as differences of cumulative columns.
+    Applies the dynamic-lag truncation and flattens matrices unit-major.
+    Regime columns are assembled as differences of the demeaned cumulative
+    columns I(q <= c) * x, recomputed on each use so the workspace stays
+    read-only and its memory does not grow with the number of candidates.
     """
 
     def __init__(self, panel: PanelDataset, spec: ThresholdSpec):
@@ -173,7 +174,6 @@ class _Workspace:
             )
         else:
             self.controls_dem = np.empty((self.n_obs, 0))
-        self._cum_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def _demean_cols(self, cols: np.ndarray) -> np.ndarray:
         shaped = cols.reshape(self.n_units, self.n_periods, -1)
@@ -181,14 +181,8 @@ class _Workspace:
 
     def cum(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Demeaned x * I(q <= gamma) columns and the demeaned indicator."""
-        hit = self._cum_cache.get(gamma)
-        if hit is not None:
-            return hit
-        mask = (self.q <= gamma).astype(float)
-        rv_cum = self._demean_cols(self.rv_raw * mask[:, None])
-        ind_cum = self._demean_cols(mask[:, None])[:, 0]
-        self._cum_cache[gamma] = (rv_cum, ind_cum)
-        return rv_cum, ind_cum
+        mask = (self.q <= gamma).astype(float)[:, None]
+        return self._demean_cols(self.rv_raw * mask), self._demean_cols(mask)[:, 0]
 
     def regime_counts(self, gammas: Sequence[float]) -> np.ndarray:
         regime = np.sum(self.q[:, None] > np.asarray(gammas)[None, :], axis=1)
@@ -197,9 +191,8 @@ class _Workspace:
     def design(self, gammas: Sequence[float]) -> tuple[np.ndarray, list[str]]:
         """Regressor matrix at the given strictly-sorted thresholds.
 
-        Regime columns are differences of cumulative columns, so scans that
-        reuse cached cumulative columns produce bit-identical designs to a
-        one-off fit at the same thresholds.
+        Regime columns are differences of cumulative columns, so a scan and a
+        one-off fit at the same thresholds build bit-identical designs.
         """
         gs = list(gammas)
         if any(b <= a for a, b in zip(gs, gs[1:])):
@@ -295,6 +288,7 @@ def _conditional_profile(
 
 
 def _argmin(profile: list[tuple[float, float]]) -> tuple[float, float]:
+    """First minimum of a profile: the reference search ``SSRScan`` reproduces."""
     best = profile[0]
     for entry in profile[1:]:
         if entry[1] < best[1]:
@@ -328,47 +322,50 @@ def ssr_at(panel: PanelDataset, spec: ThresholdSpec, gammas: Sequence[float]) ->
 def estimate_single(panel: PanelDataset, spec: ThresholdSpec) -> ThresholdFit:
     """Grid-search the single SSR-minimizing threshold.
 
-    Evaluates the pinned fit over the trimmed candidate grid and returns the
-    fit at the minimizer with the full profile attached. Ties break toward
-    the smallest candidate.
+    Returns the fit at the minimizer with the full profile attached. Ties
+    break toward the smallest candidate.
     """
     if spec.num_thresholds != 1:
         raise ConfigError(f"estimate_single requires num_thresholds=1, got {spec.num_thresholds}")
-    ws = _Workspace(panel, spec)
-    grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
-    profile = _conditional_profile(ws, grid, ())
-    if not profile:
-        raise EstimationError("no admissible threshold candidate after trimming")
-    gamma_hat, _ = _argmin(profile)
-    fit = _fit_ws(ws, (gamma_hat,))
-    return replace(fit, ssr_profiles=(tuple(profile),))
+    return estimate_on(build_scan(panel, spec))
 
 
 def estimate_multiple(panel: PanelDataset, spec: ThresholdSpec) -> ThresholdFit:
-    """Sequential estimation of two or three thresholds.
-
-    The first threshold is the single-threshold minimizer; each further
-    threshold minimizes the SSR conditional on the ones already found. After
-    the second threshold is located, the first is re-estimated once holding
-    the second fixed. Conditional profiles at the final estimates are
-    attached per threshold (sorted order) for confidence-set construction.
-    """
+    """Sequential estimation of two or three thresholds (see ``estimate_on``)."""
     if spec.num_thresholds not in (2, 3):
         raise ConfigError(
             f"estimate_multiple requires num_thresholds in {{2, 3}}, got {spec.num_thresholds}"
         )
+    return estimate_on(build_scan(panel, spec))
+
+
+def build_scan(panel: PanelDataset, spec: ThresholdSpec) -> SSRScan:
+    """Workspace, trimmed candidate grid and screened scan of one (panel, spec)
+    problem; the scan carries the other two, and every stage of a run shares it."""
     ws = _Workspace(panel, spec)
-    grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
-    stages = sequential_estimates(SSRScan(ws, grid), spec.num_thresholds)
-    if len(stages) < spec.num_thresholds:
+    return SSRScan(ws, candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points))
+
+
+def estimate_on(scan: SSRScan) -> ThresholdFit:
+    """Sequential estimate of the spec's 1 to 3 thresholds on a built scan.
+
+    The first threshold is the SSR minimizer over the grid; each further
+    threshold minimizes the SSR conditional on the ones already found. After
+    the second threshold is located, the first is re-estimated once holding
+    the second fixed. The profile of each threshold conditional on the
+    others at their estimates (sorted order; the full profile for a single
+    threshold) is attached for confidence-set construction.
+    """
+    ws, k = scan.ws, scan.ws.spec.num_thresholds
+    stages = sequential_estimates(scan, k)
+    if len(stages) < k:
         raise EstimationError(no_split_message(len(stages)))
     gammas, _ = stages[-1]
-    fit = _fit_ws(ws, gammas)
-    profiles = []
-    for j in range(len(gammas)):
-        others = tuple(g for i, g in enumerate(gammas) if i != j)
-        profiles.append(tuple(_conditional_profile(ws, grid, others)))
-    return replace(fit, ssr_profiles=tuple(profiles))
+    profiles = tuple(
+        tuple(_conditional_profile(ws, scan.grid, gammas[:j] + gammas[j + 1:]))
+        for j in range(k)
+    )
+    return replace(_fit_ws(ws, gammas), ssr_profiles=profiles)
 
 
 def no_split_message(found: int) -> str:

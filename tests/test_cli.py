@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ from panelthresh.cli import (
     apply_transforms,
     dumps_report,
     ingest_csv,
+    load_config,
     main,
     parse_config,
     run_pipeline,
@@ -146,6 +149,23 @@ class TestConfig:
         cfg = base_config(path, diagnostics={"ips_moment_draws": draws})
         from panelthresh import ConfigError
         with pytest.raises(ConfigError, match="ips_moment_draws"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("inference", "regime_count_test", "false"),
+        ("inference", "regime_count_test", 0),
+        ("inference", "regime_count_test", None),
+        ("diagnostics", "max_lag", -1),
+        ("diagnostics", "max_lag", 2.5),
+        ("diagnostics", "max_lag", "3"),
+        ("diagnostics", "max_lag", True),
+    ])
+    def test_mistyped_regime_switch_or_lag_rejected(self, panel_csv, section, key, value):
+        path, _ = panel_csv
+        cfg = base_config(path)
+        cfg[section][key] = value
+        from panelthresh import ConfigError
+        with pytest.raises(ConfigError, match=key):
             parse_config(cfg)
 
     def test_transforms_applied_in_order(self, rng):
@@ -324,6 +344,68 @@ class TestMainExitCodes:
         ]) == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["seed"] == 777
+
+
+def _main_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def stage_config(panel_csv, tmp_path_factory):
+    path, _ = panel_csv
+    cfg = base_config(path)
+    cfg["inference"]["regime_count_test"] = True
+    cfg_path = tmp_path_factory.mktemp("stages") / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+class TestSubcommandsAreStageSubsets:
+    def test_blocks_equal_the_report_blocks(self, stage_config, tmp_path):
+        argv = ["--config", str(stage_config), "--seed", "5"]
+        out = {c: json.loads(_main_stdout([*argv, c])) for c in ("fit", "test", "ci", "diagnose")}
+        _main_stdout([*argv, "--output-dir", str(tmp_path), "report"])
+        blocks = json.loads((tmp_path / "report.json").read_text())["blocks"]
+        th = blocks["threshold"]
+        assert "f_statistic" in th["regime_count_test"] and th["linearity"]["seed"] == 5
+        fit_keys = ("gammas", "ssr", "sigma2", "regime_counts")
+        assert {k: out["fit"][k] for k in fit_keys} == {k: th[k] for k in fit_keys}
+        assert out["test"] == {"linearity": th["linearity"], "regime_count": th["regime_count_test"]}
+        assert out["ci"] == {"gammas": th["gammas"], "confidence_sets": th["confidence_sets"]}
+        assert out["diagnose"] == {
+            "gamma": th["gammas"][0],
+            "descriptives": blocks["descriptives"],
+            "correlation": blocks["correlation"],
+            "unit_roots": blocks["unit_roots"],
+        }
+
+    def test_test_runs_no_estimator(self, stage_config, monkeypatch):
+        from panelthresh import threshold
+
+        def estimator_ran(*args, **kwargs):
+            raise AssertionError("the estimator ran")
+
+        monkeypatch.setattr(threshold, "_conditional_profile", estimator_ran)
+        payload = json.loads(_main_stdout(["--config", str(stage_config), "test"]))
+        assert set(payload) == {"linearity", "regime_count"}
+        with pytest.raises(AssertionError, match="estimator ran"):
+            main(["--config", str(stage_config), "fit"])
+
+    def test_one_workspace_and_scan_per_run(self, stage_config, monkeypatch):
+        from panelthresh import threshold
+
+        built = []
+        for cls in (threshold._Workspace, threshold.SSRScan):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        run_pipeline(load_config(stage_config))
+        assert sorted(built) == ["SSRScan", "_Workspace"]
 
 
 def test_cli_import_skips_scipy_stats():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,3 +499,20 @@ def test_scan_matches_pivoted_reference_property(
     y = (y - y.mean(axis=1, keepdims=True)).ravel()
     assert scan.scan(fixed, y) == _reference(ws, grid, fixed, y)
     assert scan.scan(fixed) == _reference(ws, grid, fixed, None)
+
+
+def test_estimate_single_memory_does_not_grow_with_the_grid():
+    # Regime columns are rebuilt per candidate instead of cached per grid
+    # point; a cache of 400 candidates' columns on this panel costs ~25 MB.
+    panel, truth = simulate_threshold_panel(ThresholdDGP(
+        n_units=100, n_periods=40, gamma0=0.5, beta_low=(1.0,), beta_high=(2.0,), seed=1,
+    ))
+    spec = default_spec(truth, num_thresholds=1)
+    tracemalloc.start()
+    try:
+        fit = estimate_single(panel, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fit.ssr_profile) == 400
+    assert peak < 8 * 2**20
