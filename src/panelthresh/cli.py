@@ -389,14 +389,17 @@ def _linearity(s: _Session) -> dict[str, Any]:
 
 
 def _regime_count(s: _Session) -> dict[str, Any] | None:
-    """None when the config switches the test off; a skip note when the data
-    admit no further split."""
+    """None when the config switches the test off; a skip note for three
+    thresholds (there is no 3-vs-4 test) or when the data admit no further
+    split."""
     if not s.config.regime_count_test:
         return None
+    k = s.scan.ws.spec.num_thresholds
+    if k == 3:
+        return {"skipped": "no 3-vs-4 threshold test"}
     try:
         extra = regime_count_on(
-            s.scan, s.scan.ws.spec.num_thresholds, s.config.replications, s.config.seed,
-            threads=s.threads,
+            s.scan, k, s.config.replications, s.config.seed, threads=s.threads,
         )
     except EstimationError as exc:
         return {"skipped": str(exc)}

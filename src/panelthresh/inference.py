@@ -23,7 +23,7 @@ import numpy as np
 
 from ._linalg import pivoted_lstsq
 from .errors import ConfigError, EstimationError
-from .panel import PanelDataset, make_lag
+from .panel import PanelDataset
 from .threshold import (
     SSRScan,
     ThresholdFit,
@@ -32,6 +32,7 @@ from .threshold import (
     _fit_ws,
     _Workspace,
     build_scan,
+    estimation_panel,
     no_split_message,
     sequential_estimates,
 )
@@ -174,9 +175,8 @@ def linearity_test(
 def linearity_on(scan: SSRScan, B: int, seed: int, *, threads: int = 1) -> BootstrapTestResult:
     """``linearity_test`` on a built scan."""
     ws = scan.ws
-    columns = ws.linear_columns()
-    X0 = np.column_stack(list(columns.values()))
-    linear = pivoted_lstsq(X0, ws.y, names=list(columns))
+    X0 = scan.shared_columns(())
+    linear = pivoted_lstsq(X0, ws.y, names=[*ws.rv_names, *ws.control_names])
     hit = scan.scan(())
     if hit is None:
         raise EstimationError(no_split_message(0))
@@ -270,7 +270,7 @@ def threshold_ci(
     accepted = [g for g, v in lr_profile if v <= c_alpha]
     accepted.append(gamma_hat)
     hi = max(accepted)
-    q_panel = make_lag(panel, spec.roles.dependent, 1) if spec.dynamic_lag else panel
+    q_panel, _ = estimation_panel(panel, spec)
     observed = np.unique(q_panel.values(spec.roles.threshold))
     nxt = np.searchsorted(observed, hi, side="right")
     upper = float(observed[nxt]) if nxt < observed.size else float(hi)

@@ -15,8 +15,8 @@ from scipy.special import chdtrc, ndtr
 
 from ._linalg import pivoted_lstsq
 from .errors import ConfigError, EstimationError
-from .panel import PanelDataset, make_lag, regime_indicator
-from .threshold import ThresholdFit, ThresholdSpec
+from .panel import PanelDataset, regime_indicator
+from .threshold import ThresholdFit, ThresholdSpec, estimation_panel
 
 
 class SarganTest(NamedTuple):
@@ -232,17 +232,13 @@ def estimate_regime_equation(
         raise ConfigError(f"estimator must be OLS or 2SLS, got {estimator!r}")
     roles = spec.roles
     roles.validate(panel)
-    est_panel = panel
-    lag_label = None
-    if spec.dynamic_lag:
-        est_panel = make_lag(panel, roles.dependent, 1)
-        lag_label = f"{roles.dependent} (-1)"
+    est_panel, lag = estimation_panel(panel, spec)
     gammas = fit.gammas
     indicators = _regime_indicators(est_panel, roles.threshold, gammas)
     n = est_panel.n_units * est_panel.n_periods
     X: dict[str, np.ndarray] = {"C": np.ones(n)}
-    if lag_label is not None:
-        X[lag_label] = est_panel.values(f"{roles.dependent}_lag1").ravel()
+    if lag is not None:
+        X[f"{roles.dependent} (-1)"] = est_panel.values(lag).ravel()
     slope_labels: list[str] = []
     for r, ind in enumerate(indicators, start=1):
         for v in roles.regime_varying:

@@ -55,6 +55,13 @@ class ThresholdSpec:
     num_thresholds: int = 1
 
     def __post_init__(self):
+        for name in ("include_intercept_shift", "dynamic_lag"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("max_grid_points", "num_thresholds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.trim_fraction < 0.45:
             raise ConfigError(f"trim_fraction must be in (0, 0.45), got {self.trim_fraction}")
         if self.max_grid_points < 2:
@@ -135,6 +142,18 @@ def candidate_grid(
     return survivors
 
 
+def estimation_panel(panel: PanelDataset, spec: ThresholdSpec) -> tuple[PanelDataset, str | None]:
+    """The panel a spec is estimated on, and the name of its lag column.
+
+    With ``dynamic_lag`` the dependent variable's one-period lag is added as
+    ``<dependent>_lag1`` and the first period is dropped; otherwise the panel
+    comes back unchanged, without a lag column.
+    """
+    if not spec.dynamic_lag:
+        return panel, None
+    return make_lag(panel, spec.roles.dependent, 1), f"{spec.roles.dependent}_lag1"
+
+
 def _demean_rows(mat: np.ndarray) -> np.ndarray:
     return mat - mat.mean(axis=1, keepdims=True)
 
@@ -151,11 +170,10 @@ class _Workspace:
     def __init__(self, panel: PanelDataset, spec: ThresholdSpec):
         roles = spec.roles
         roles.validate(panel)
-        est_panel = panel
+        est_panel, lag = estimation_panel(panel, spec)
         controls = list(roles.invariant_controls)
-        if spec.dynamic_lag:
-            est_panel = make_lag(panel, roles.dependent, 1)
-            controls.append(f"{roles.dependent}_lag1")
+        if lag is not None:
+            controls.append(lag)
         self.panel = est_panel
         self.spec = spec
         self.n_units = est_panel.n_units
@@ -216,13 +234,6 @@ class _Workspace:
             blocks.append(self.controls_dem)
             names.extend(self.control_names)
         return np.hstack(blocks), names
-
-    def linear_columns(self) -> dict[str, np.ndarray]:
-        """Demeaned no-threshold design (regime slopes pooled), for the linear fit."""
-        cols = {v: self.rv_full_dem[:, j] for j, v in enumerate(self.rv_names)}
-        for j, v in enumerate(self.control_names):
-            cols[v] = self.controls_dem[:, j]
-        return cols
 
 
 def _fit_ws(ws: _Workspace, gammas: Sequence[float]) -> ThresholdFit:
@@ -413,13 +424,20 @@ class SSRScan:
 
     The design at boundaries b_1 < ... < b_k spans the same column space as
     the demeaned cumulative columns u * I(q <= b_j), with u = [x, 1] (u = x
-    without intercept shifts), next to the demeaned x and controls. Because
-    sum demean(a) * demean(b) = sum a * b - sum_i S_a,i * S_b,i / T, with
-    S_i the per-unit sums, every candidate's Gram matrix follows from
-    q-sorted cumulative moments and per-unit partial sums S(gamma), built
-    once here (C x N x m floats). A response then costs one cumulative sum
-    of u * y plus batched small solves of the equilibrated normal equations:
-    the cumulative-moment device of Bai and Perron (2003) for break dates.
+    without intercept shifts), next to the demeaned x and controls. So every
+    scan splits a candidate's columns into a shared matrix Z (the cumulative
+    columns of the fixed thresholds, then the demeaned x and controls) and
+    the candidate's own m columns, and factors the equilibrated Gram of Z
+    once. Because sum demean(a) * demean(b) = sum a * b - sum_i S_a,i *
+    S_b,i / T, with S_i the per-unit sums, each candidate's block and its
+    cross moments with Z follow from q-sorted cumulative sums and per-unit
+    partial sums S(gamma), built once here (C x N x m floats): the
+    cumulative-moment device of Bai and Perron (2003) for break dates. Per
+    candidate only the m x m Schur complement of its own block is factored;
+    with Z's factor it gives the Cholesky factor of the Gram ordered [Z,
+    candidate]. A response then costs one cumulative sum of u * y, one
+    product with Z and batched m x m solves. The scan without fixed
+    thresholds (Z = [x, controls]) is factored at construction.
 
     The normal-equation SSRs only screen the grid. Every candidate whose
     screened SSR lies within a conditioning-based error bound of the
@@ -434,15 +452,13 @@ class SSRScan:
     def __init__(self, ws: _Workspace, grid: np.ndarray):
         self.ws = ws
         self.grid = np.asarray(grid, dtype=float)
-        self._index = {float(g): i for i, g in enumerate(self.grid)}
         n_units, t = ws.n_units, ws.n_periods
         u = ws.rv_raw
         if ws.spec.include_intercept_shift:
             u = np.column_stack([u, np.ones(ws.n_obs)])
-        self._w = np.hstack([ws.rv_full_dem, ws.controls_dem])
-        self._w_sums = self._w.reshape(n_units, t, -1).sum(axis=1)
         self._order = np.argsort(ws.q, kind="stable")
-        self._n_le = np.searchsorted(ws.q[self._order], self.grid, side="right")
+        self._q_sorted = ws.q[self._order]
+        self._n_le = np.searchsorted(self._q_sorted, self.grid, side="right")
         self._u_sorted = u[self._order]
         # S(gamma): an observation enters from the first candidate >= its q on
         C, m = self.grid.size, u.shape[1]
@@ -453,119 +469,100 @@ class SSRScan:
         )
         self._S = np.cumsum(S.reshape(C + 1, n_units, m)[:C], axis=0)
         us = self._u_sorted
-        self._M = self._cumulative(us[:, :, None] * us[:, None, :])
-        uw = self._cumulative(us[:, :, None] * self._w[self._order][:, None, :])
-        self._Gcc = self._M - np.einsum("cnj,cnk->cjk", self._S, self._S) / t
-        self._Gcw = uw - np.einsum("cnj,nk->cjk", self._S, self._w_sums) / t
-        self._WW = self._w.T @ self._w
-        rows = self._admissible([])
-        self._unconditional = rows, self._screen_factor([], rows)
+        M = self._cumulative(us[:, :, None] * us[:, None, :])
+        self._Gcc = M - np.einsum("cnj,cnk->cjk", self._S, self._S) / t
+        self._raw = np.diagonal(M, axis1=1, axis2=2).copy()
+        self._unconditional = self._factor(())
 
     def _cumulative(self, sorted_rows: np.ndarray) -> np.ndarray:
         """Sums of q-sorted rows over q <= each candidate."""
         return np.cumsum(sorted_rows, axis=0)[self._n_le - 1]
 
-    def _admissible(self, fidx: list[int]) -> np.ndarray:
+    def _admissible(self, fixed: tuple[float, ...]) -> np.ndarray:
         """Indices of the candidates whose regimes all clear the floor jointly
         with the fixed thresholds (a fixed value itself leaves an empty regime)."""
-        n_le = np.tile(self._n_le[fidx], (self.grid.size, 1))
-        n_le = np.sort(np.column_stack([n_le, self._n_le]), axis=1)
-        counts = np.diff(n_le, axis=1, prepend=0, append=self.ws.n_obs)
+        fixed_le = np.searchsorted(self._q_sorted, fixed, side="right")
+        n_le = np.column_stack([np.tile(fixed_le, (self.grid.size, 1)), self._n_le])
+        counts = np.diff(np.sort(n_le, axis=1), axis=1, prepend=0, append=self.ws.n_obs)
         return np.nonzero(counts.min(axis=1) >= self.ws.floor)[0]
 
-    def _screen_factor(self, fidx: list[int], rows: np.ndarray):
-        """Inverse Cholesky factors of the equilibrated Gram matrices.
+    def shared_columns(self, fixed: tuple[float, ...]) -> np.ndarray:
+        """Z: the demeaned cumulative columns u * I(q <= b) of each fixed b,
+        then the demeaned x and controls (for no b, the linear model's design)."""
+        ws, blocks = self.ws, []
+        for b in fixed:
+            rv_cum, ind_cum = ws.cum(b)
+            blocks.append(rv_cum)
+            if ws.spec.include_intercept_shift:
+                blocks.append(ind_cum[:, None])
+        return np.hstack([*blocks, ws.rv_full_dem, ws.controls_dem])
 
-        One matrix per candidate in ``rows``, its columns ordered [cumulative
-        block per fixed threshold, candidate block, demeaned x and controls].
-        Returns the inverse factors, the equilibration scales and, per
-        candidate, a bound on |screened SSR - pivoted SSR| per unit of y'y;
-        the bound is infinite where the factor fails or the conditioning
-        leaves the first-order bound meaningless.
-        """
+    def _factor(self, fixed: tuple[float, ...]):
+        """The response-free part of a scan: the admissible candidates and the
+        factors giving each one's screened SSR, y'y - |P'y|^2 - |R rc - K P'y|^2
+        with rc its cross moments with y, plus a bound on |screened SSR -
+        pivoted SSR| per unit of y'y. The bound is infinite where a factor
+        fails or the conditioning leaves the first-order bound meaningless."""
         ws, t = self.ws, self.ws.n_periods
-        C, m = rows.size, self._Gcc.shape[1]
-        S, M = self._S[rows], self._M[rows]
-        Gcc, Gcw = self._Gcc[rows], self._Gcw[rows]
-        kb = len(fidx) + 1
-        p = kb * m + self._WW.shape[0]
-        blocks = [slice(a * m, (a + 1) * m) for a in range(kb)]
-        cand, wcols = blocks[-1], slice(kb * m, p)
-        G = np.empty((C, p, p))
-        raw = np.empty((C, p))
-        for a, ia in enumerate(fidx):
-            for b in range(a, len(fidx)):
-                ib = fidx[b]
-                blk = self._M[min(ia, ib)] - self._S[ia].T @ self._S[ib] / t
-                G[:, blocks[a], blocks[b]] = blk
-                G[:, blocks[b], blocks[a]] = blk.T
-            cross = self._M[np.minimum(ia, rows)] - self._S[ia].T @ S / t
-            G[:, blocks[a], cand] = cross
-            G[:, cand, blocks[a]] = cross.transpose(0, 2, 1)
-            G[:, blocks[a], wcols] = self._Gcw[ia]
-            G[:, wcols, blocks[a]] = self._Gcw[ia].T
-            raw[:, blocks[a]] = np.diagonal(self._M[ia])
-        G[:, cand, cand] = Gcc
-        G[:, cand, wcols] = Gcw
-        G[:, wcols, cand] = Gcw.transpose(0, 2, 1)
-        G[:, wcols, wcols] = self._WW
-        raw[:, cand] = np.diagonal(M, axis1=1, axis2=2)
-        raw[:, wcols] = np.diag(self._WW)
-
-        norms = np.sqrt(np.maximum(np.diagonal(G, axis1=1, axis2=2), 0.0))
-        ok = np.all(norms > 0, axis=1)
-        d = 1.0 / np.where(norms > 0, norms, 1.0)
-        G *= d[:, :, None] * d[:, None, :]
-        L, factored = _cholesky(G)
-        linv = _lower_inverse(L)
-        trace = np.einsum("cij,cij->c", linv, linv)  # >= ||G^-1||
+        rows = self._admissible(fixed)
+        Z = self.shared_columns(fixed)
+        z_sums = Z.reshape(ws.n_units, t, -1).sum(axis=1)
+        cross = self._cumulative(self._u_sorted[:, :, None] * Z[self._order][:, None, :])
+        cross = (cross - np.swapaxes(self._S, 1, 2) @ z_sums / t)[rows]
+        Gzz, Gcc = Z.T @ Z, self._Gcc[rows]
+        nz = np.sqrt(np.diag(Gzz))
+        nc = np.sqrt(np.maximum(np.diagonal(Gcc, axis1=1, axis2=2), 0.0))
+        dz, dc = 1.0 / np.where(nz > 0, nz, 1.0), 1.0 / np.where(nc > 0, nc, 1.0)
+        # The equilibrated Gram is L L' with L = [[Lz, 0], [W, L_H]].
+        Lz, z_factored = _cholesky((Gzz * dz[:, None] * dz)[None])
+        lz_inv = _lower_inverse(Lz)[0]
+        W = (dc[:, :, None] * cross * dz) @ lz_inv.T
+        L_H, factored = _cholesky(Gcc * dc[:, :, None] * dc[:, None, :] - W @ W.transpose(0, 2, 1))
+        lh_inv = _lower_inverse(L_H)
+        K = lh_inv @ W
+        # trace(G^-1) = ||L^-1||_F^2 >= ||G^-1||, from the blocks of L^-1
+        trace = (np.sum(lz_inv * lz_inv) + np.einsum("cij,cij->c", K @ lz_inv, K @ lz_inv)
+                 + np.einsum("cij,cij->c", lh_inv, lh_inv))
         # First-order bound: the cumulative sums and unit-sum corrections
         # carry absolute errors of about acc * sqrt(raw_a * raw_b), so the
         # equilibrated Gram is off by about acc * p * rho in norm, amplified
         # by ||G^-1||; the pivoted reference adds its own error of order
-        # acc * sqrt(condition).
+        # acc * sqrt(condition). Z'Z comes from Z itself (raw = its
+        # diagonal), the candidate blocks from uncentered cumulative sums.
+        kb, p = len(fixed) + 1, Z.shape[1] + nc.shape[1]
         acc = (ws.n_obs + ws.n_units + t + p**3) * np.finfo(float).eps
-        kappa = p * np.max(raw * d * d, axis=1) * trace
-        ok &= factored & (acc * kappa < 1e-2)
+        kappa = p * np.maximum(1.0, np.max(self._raw[rows] * dc * dc, axis=1)) * trace
+        ok = np.all(nc > 0, axis=1) & np.all(nz > 0) & z_factored[0] & factored
+        ok &= acc * kappa < 1e-2
         # The pivoted path keeps every column when sigma_min of the design
         # clears RANK_TOL times its largest column norm by a wide margin;
         # the design is the basis times a transform with inverse norm <= kb + 1.
-        sigma_min = norms.min(axis=1) / np.sqrt(trace) / (kb + 1)
-        ok &= sigma_min > 20.0 * RANK_TOL * norms.max(axis=1)
+        sigma_min = np.minimum(nz.min(), nc.min(axis=1)) / np.sqrt(trace) / (kb + 1)
+        ok &= sigma_min > 20.0 * RANK_TOL * np.maximum(nz.max(), nc.max(axis=1))
         bound = 8.0 * acc * (kappa + 4.0 * kb * p * np.sqrt(kappa))
-        return linv, d, np.where(ok, bound, np.inf)
+        P = (Z * dz) @ lz_inv.T
+        return rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf)
 
     def scan(
         self, fixed: tuple[float, ...], y: np.ndarray | None = None
     ) -> tuple[float, float] | None:
         """(argmin candidate, min SSR) jointly admissible with ``fixed``.
 
-        ``fixed`` holds grid candidates; ``y`` defaults to the workspace
+        ``fixed`` holds threshold values; ``y`` defaults to the workspace
         response. None when no candidate is admissible.
         """
         ws = self.ws
         y = ws.y if y is None else y
-        fidx = [self._index[float(g)] for g in fixed]
-        if fidx:
-            rows = self._admissible(fidx)
-            linv, d, bound = self._screen_factor(fidx, rows)
-        else:
-            rows, (linv, d, bound) = self._unconditional
+        rows, P, R, K, bound = self._factor(fixed) if fixed else self._unconditional
         if not rows.size:
             return None
-        t = ws.n_periods
-        sums = y.reshape(ws.n_units, t).sum(axis=1)
+        sums = y.reshape(ws.n_units, ws.n_periods).sum(axis=1)
         rc = self._cumulative(self._u_sorted * y[self._order, None])
-        rc -= sums @ self._S / t
-        rw = self._w.T @ y - self._w_sums.T @ sums / t
-        r = np.concatenate(
-            [np.broadcast_to(rc[i], (rows.size, rc.shape[1])) for i in fidx]
-            + [rc[rows], np.broadcast_to(rw, (rows.size, rw.size))],
-            axis=1,
-        ) * d
-        z = np.einsum("cij,cj->ci", linv, r)
+        rc -= sums @ self._S / ws.n_periods
+        sz = P.T @ y
+        sc = R @ rc[rows, :, None] - K @ sz[:, None]
         yy = float(y @ y)
-        screened = yy - np.einsum("ci,ci->c", z, z)
+        screened = yy - sz @ sz - np.einsum("cij,cij->c", sc, sc)
         slack = bound * yy
         trusted = np.isfinite(screened + slack)
         ceiling = np.min(np.where(trusted, screened + slack, np.inf))

@@ -159,6 +159,14 @@ class TestConfig:
         ("diagnostics", "max_lag", 2.5),
         ("diagnostics", "max_lag", "3"),
         ("diagnostics", "max_lag", True),
+        ("spec", "dynamic_lag", "false"),
+        ("spec", "dynamic_lag", 1),
+        ("spec", "include_intercept_shift", "false"),
+        ("spec", "include_intercept_shift", None),
+        ("spec", "max_grid_points", 100.5),
+        ("spec", "max_grid_points", True),
+        ("spec", "num_thresholds", 1.0),
+        ("spec", "num_thresholds", "2"),
     ])
     def test_mistyped_regime_switch_or_lag_rejected(self, panel_csv, section, key, value):
         path, _ = panel_csv
@@ -277,6 +285,14 @@ class TestMainExitCodes:
         path, _ = panel_csv
         cfg_path = self._write_config(tmp_path, base_config(path, estimator="2SLS"))
         assert main(["--config", str(cfg_path), "fit"]) == 2
+
+    def test_mistyped_spec_field_exit_two(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        cfg = base_config(path)
+        cfg["spec"]["max_grid_points"] = 100.5
+        cfg_path = self._write_config(tmp_path, cfg)
+        assert main(["--config", str(cfg_path), "fit"]) == 2
+        assert "max_grid_points must be an integer" in capsys.readouterr().err
 
     def test_data_error_exit_three(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -406,6 +422,43 @@ class TestSubcommandsAreStageSubsets:
             monkeypatch.setattr(cls, "__init__", counted)
         run_pipeline(load_config(stage_config))
         assert sorted(built) == ["SSRScan", "_Workspace"]
+
+
+@pytest.fixture(scope="module")
+def three_threshold_config(tmp_path_factory):
+    from panelthresh import ThresholdDGP
+
+    root = tmp_path_factory.mktemp("three")
+    panel, _ = simulate_threshold_panel(ThresholdDGP(
+        n_units=8, n_periods=40, gamma0=(0.25, 0.5, 0.75), beta_low=(1.0,), beta_high=(2.0,),
+        beta_regimes=((1.0,), (2.5,), (0.0,), (3.0,)), noise_sd=0.3, seed=8,
+    ))
+    write_csv(panel, root / "panel.csv")
+    cfg = base_config(root / "panel.csv")
+    cfg["spec"] = {"num_thresholds": 3}
+    cfg["inference"] = {"replications": 99, "seed": 3}
+    cfg["diagnostics"] = {"ips_moment_draws": 200}
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+class TestThreeThresholds:
+    """No 3-vs-4 test exists, so the default regime-count stage skips with a note."""
+
+    def test_test_skips_regime_count(self, three_threshold_config):
+        payload = json.loads(_main_stdout(["--config", str(three_threshold_config), "test"]))
+        assert payload["regime_count"] == {"skipped": "no 3-vs-4 threshold test"}
+        assert payload["linearity"]["replications"] == 99
+
+    def test_report_completes_with_skip(self, three_threshold_config, tmp_path):
+        _main_stdout(["--config", str(three_threshold_config), "--output-dir", str(tmp_path),
+                      "report"])
+        th = json.loads((tmp_path / "report.json").read_text())["blocks"]["threshold"]
+        assert len(th["gammas"]) == 3
+        assert th["regime_count_test"] == {"skipped": "no 3-vs-4 threshold test"}
+        markdown = (tmp_path / "report.md").read_text()
+        assert "| Regime-count F (p-value) | skipped: no 3-vs-4 threshold test |" in markdown
 
 
 def test_cli_import_skips_scipy_stats():

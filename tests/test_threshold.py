@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from panelthresh import (
@@ -330,6 +330,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             ThresholdSpec(roles, num_thresholds=4)
 
+    def test_field_types_checked_for_library_callers(self):
+        # numpy integers and bools pass; a numpy bool is no count
+        roles = VariableRole("y", "q", ["x"])
+        spec = ThresholdSpec(
+            roles, dynamic_lag=np.False_, max_grid_points=np.int64(50), num_thresholds=np.int32(2),
+        )
+        assert spec.max_grid_points == 50 and spec.num_thresholds == 2
+        with pytest.raises(ConfigError, match="num_thresholds"):
+            ThresholdSpec(roles, num_thresholds=np.True_)
+
     def test_dynamic_lag_changes_sample(self):
         panel, truth = simulate_threshold_panel(
             _noiseless_dgp(noise_sd=0.3, theta0=0.4, n_periods=16)
@@ -471,19 +481,30 @@ class TestSSRScan:
     shift=st.booleans(),
     log_scale=st.integers(-3, 6),
     n_fixed=st.integers(0, 2),
+    offset=st.sampled_from([0.0, 1e2, 1e4]),
+    tied_q=st.booleans(),
+    collinear_control=st.booleans(),
 )
 def test_scan_matches_pivoted_reference_property(
-    seed, n, t, n_rv, with_control, shift, log_scale, n_fixed
+    seed, n, t, n_rv, with_control, shift, log_scale, n_fixed, offset, tied_q,
+    collinear_control,
 ):
+    # A large regressor offset makes the cumulative columns x * I(q <= b) and
+    # I(q <= b) nearly collinear, tied q values put several observations on
+    # one boundary, and a control within 1e-5 of x1 leaves the shared columns
+    # nearly singular.
     from panelthresh.threshold import SSRScan, _Workspace
 
     rng = np.random.default_rng(seed)
+    x1 = (rng.standard_normal((n, t)) + offset) * 10.0**log_scale
+    q = rng.uniform(0.0, 1.0, (n, t))
     variables = {
         "y": rng.standard_normal((n, t)),
-        "q": rng.uniform(0.0, 1.0, (n, t)),
-        "x1": rng.standard_normal((n, t)) * 10.0**log_scale,
+        "q": np.round(q, 1) if tied_q else q,
+        "x1": x1,
         "x2": rng.standard_normal((n, t)),
-        "c": rng.standard_normal((n, t)),
+        "c": x1 + 1e-5 * rng.standard_normal((n, t))
+        if collinear_control else rng.standard_normal((n, t)),
     }
     rv = ["x1", "x2"][:n_rv]
     spec = ThresholdSpec(
@@ -492,7 +513,11 @@ def test_scan_matches_pivoted_reference_property(
         trim_fraction=0.1,
     )
     ws = _Workspace(make_panel(variables), spec)
-    grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+    try:
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+    except EstimationError:
+        assume(not tied_q)
+        raise
     scan = SSRScan(ws, grid)
     fixed = tuple(float(g) for g in rng.choice(grid, size=min(n_fixed, grid.size), replace=False))
     y = rng.standard_normal((ws.n_units, ws.n_periods)) * 10.0 ** rng.integers(-2, 3)
@@ -515,4 +540,28 @@ def test_estimate_single_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert len(fit.ssr_profile) == 400
+    assert peak < 8 * 2**20
+
+
+def test_conditional_scan_memory_does_not_grow_with_the_grid():
+    # A scan with a fixed threshold needs the shared columns once and one
+    # m x m block per candidate. The bound leaves no room for a full p x p
+    # Gram per candidate with its partial sums copied, ~28 MB over this
+    # panel's full ~5 400-point grid.
+    from panelthresh.threshold import build_scan
+
+    panel, truth = simulate_threshold_panel(ThresholdDGP(
+        n_units=150, n_periods=40, gamma0=0.5, beta_low=(1.0, 0.5), beta_high=(2.0, -0.5),
+        delta0=0.3, control_betas=(0.5,), seed=1,
+    ))
+    scan = build_scan(panel, default_spec(truth, max_grid_points=10_000))
+    assert scan.grid.size > 5000
+    g1, _ = scan.scan(())
+    tracemalloc.start()
+    try:
+        hit = scan.scan((g1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit is not None
     assert peak < 8 * 2**20
