@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -33,7 +33,7 @@ from .diagnostics import (
     regime_descriptives,
 )
 from .errors import ConfigError, DataError, EstimationError
-from .inference import DEFAULT_REPLICATIONS, linearity_on, regime_count_on, threshold_ci
+from .inference import DEFAULT_REPLICATIONS, MIN_REPLICATIONS, regime_count_on, threshold_ci
 from .panel import (
     PanelDataset,
     VariableRole,
@@ -212,6 +212,14 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from None
 
 
+def _config_int(value: Any, name: str, low: int) -> int:
+    """``value`` when it is a JSON integer >= ``low``; floats, strings and
+    booleans are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     def need(section: Mapping, key: str, where: str):
         if key not in section:
@@ -234,23 +242,18 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     except DataError as exc:
         raise ConfigError(str(exc)) from None
     spec_raw = dict(raw.get("spec", {}))
-    allowed_spec = {
-        "include_intercept_shift", "dynamic_lag", "trim_fraction",
-        "max_grid_points", "num_thresholds",
-    }
-    unknown = set(spec_raw) - allowed_spec
+    unknown = set(spec_raw) - {f.name for f in fields(ThresholdSpec)} - {"roles"}
     if unknown:
         raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
     inference_raw = dict(raw.get("inference", {}))
-    replications = int(inference_raw.get("replications", DEFAULT_REPLICATIONS))
-    if replications < 99:
-        raise ConfigError(f"inference.replications must be >= 99, got {replications}")
+    replications = _config_int(
+        inference_raw.get("replications", DEFAULT_REPLICATIONS), "inference.replications",
+        MIN_REPLICATIONS,
+    )
     alphas = tuple(float(a) for a in inference_raw.get("alphas", (0.05,)))
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ConfigError(f"alpha levels must lie in (0, 1), got {alphas}")
-    seed = int(inference_raw.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    seed = _config_int(inference_raw.get("seed", 0), "inference.seed", 0)
     regime_count_test = inference_raw.get("regime_count_test", True)
     if not isinstance(regime_count_test, bool):
         raise ConfigError(
@@ -274,12 +277,10 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         raise ConfigError("estimator 2SLS requires instruments")
     output = dict(raw.get("output", {}))
     diag = dict(raw.get("diagnostics", {}))
-    ips_moment_draws = int(diag.get("ips_moment_draws", DEFAULT_MOMENT_DRAWS))
-    if ips_moment_draws < 2:
-        raise ConfigError(f"diagnostics.ips_moment_draws must be >= 2, got {ips_moment_draws}")
-    max_lag = diag.get("max_lag", DEFAULT_MAX_LAG)
-    if isinstance(max_lag, bool) or not isinstance(max_lag, int) or max_lag < 0:
-        raise ConfigError(f"diagnostics.max_lag must be a nonnegative integer, got {max_lag!r}")
+    ips_moment_draws = _config_int(
+        diag.get("ips_moment_draws", DEFAULT_MOMENT_DRAWS), "diagnostics.ips_moment_draws", 2
+    )
+    max_lag = _config_int(diag.get("max_lag", DEFAULT_MAX_LAG), "diagnostics.max_lag", 0)
     role_vars = list(dict.fromkeys(
         [roles.dependent, roles.threshold, *roles.regime_varying, *roles.invariant_controls]
     ))
@@ -378,7 +379,7 @@ def _estimate(s: _Session) -> ThresholdFit:
 
 
 def _linearity(s: _Session) -> dict[str, Any]:
-    lin = linearity_on(s.scan, s.config.replications, s.config.seed, threads=s.threads)
+    lin = regime_count_on(s.scan, 0, s.config.replications, s.config.seed, threads=s.threads)
     return {
         "f_statistic": lin.f_statistic,
         "bootstrap_p": lin.bootstrap_p,
@@ -759,11 +760,13 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
     master_seed = sim.get("master_seed", 0) if args.seed is None else args.seed
     summary = monte_carlo(
         str(sim.get("experiment", "recovery")),
-        int(sim.get("trials", MIN_TRIALS_DEFAULT)),
+        _config_int(sim.get("trials", MIN_TRIALS_DEFAULT), "simulate.trials", 1),
         dgp,
-        master_seed=int(master_seed),
+        master_seed=_config_int(master_seed, "simulate.master_seed", 0),
         alpha=float(sim.get("alpha", 0.05)),
-        replications=int(sim.get("replications", 199)),
+        replications=_config_int(
+            sim.get("replications", 199), "simulate.replications", MIN_REPLICATIONS
+        ),
         threads=args.threads,
     )
     payload = {
@@ -808,6 +811,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         raw = _read_json(args.config)
         if args.command == "simulate":
             return _cmd_simulate(raw, args)

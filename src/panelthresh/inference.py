@@ -1,12 +1,15 @@
 """Bootstrap threshold tests and likelihood-ratio confidence sets.
 
-The linearity and regime-count tests use the fixed-regressor bootstrap of
-Hansen (1996, 1999): residual vectors are resampled whole, by unit and with
-replacement, from the richer (alternative) model's residuals, the dependent
-variable is regenerated under the null model's fitted values, and both
-models are re-estimated on each replication. Per-replication RNG streams
-derive from (seed, replication index), so p-values do not depend on how
-replications are scheduled across threads.
+There is one test, Hansen's (1999) sequential F test of k thresholds
+against k + 1, F_k = (S_k - S_{k+1}) / sigma2_hat_{k+1}; the linearity test
+is k = 0, with S_0 the linear model's SSR. It is calibrated by the
+fixed-regressor bootstrap of Hansen (1996, 1999): residual vectors are
+resampled whole, by unit and with replacement, from the richer model's
+residuals, the dependent variable is regenerated under the null model's
+fitted values, and both models are re-estimated on each replication by the
+same sequential estimator. Per-replication RNG streams derive from (seed,
+replication index), so p-values do not depend on how replications are
+scheduled across threads.
 
 Confidence sets for the threshold invert the likelihood-ratio statistic
 against the closed-form critical value -2 log(1 - sqrt(1 - alpha)).
@@ -30,7 +33,6 @@ from .threshold import (
     ThresholdSpec,
     _demean_rows,
     _fit_ws,
-    _Workspace,
     build_scan,
     estimation_panel,
     no_split_message,
@@ -40,6 +42,7 @@ from .threshold import (
 MIN_REPLICATIONS = 99
 DEFAULT_REPLICATIONS = 1000
 CRITICAL_LEVELS = (0.10, 0.05, 0.01)
+_MODEL_NAMES = ("linear", "1 threshold", "2 thresholds", "3 thresholds")
 
 
 @dataclass(frozen=True)
@@ -84,21 +87,16 @@ def critical_value(alpha: float) -> float:
     return -2.0 * math.log(1.0 - math.sqrt(1.0 - alpha))
 
 
-def _check_bootstrap_args(B: int, seed: int) -> None:
-    if B < MIN_REPLICATIONS:
-        raise ConfigError(f"need at least {MIN_REPLICATIONS} bootstrap replications, got {B}")
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-
-
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, rep]))
 
 
 def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
-    """``[worker(0), ..., worker(count - 1)]`` in contiguous chunks on ``threads``
-    threads; each result lands at its own index, whatever the thread count."""
+    """``[worker(0), ..., worker(count - 1)]`` in contiguous chunks on at most
+    ``min(threads, count)`` threads; each result lands at its own index,
+    whatever the thread count."""
     out: list = [None] * count
+    threads = min(threads, count)
 
     def chunk(lo: int, hi: int) -> None:
         for i in range(lo, hi):
@@ -115,43 +113,6 @@ def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
     return out
 
 
-def _bootstrap(
-    ws: _Workspace, observed: tuple[float, float], resid_null: np.ndarray,
-    resid_alt: np.ndarray, ssr_pair: Callable[[np.ndarray], tuple[float, float] | None],
-    B: int, seed: int, threads: int, null_model: str, alt_model: str,
-) -> BootstrapTestResult:
-    """F = (S_null - S_alt) / (S_alt / dof) of the ``observed`` SSR pair and of
-    ``ssr_pair`` on B fixed-regressor resamples; a resample without a pair,
-    or with S_alt <= 0, scores F* = 0 and counts as degenerate."""
-    _check_bootstrap_args(B, seed)
-    n, t = ws.n_units, ws.n_periods
-    dof = n * (t - 1)
-    fitted_null = ws.y.reshape(n, t) - resid_null.reshape(n, t)
-
-    def worker(rep: int) -> float | None:
-        draw = _rep_rng(seed, rep).integers(0, n, size=n)
-        pair = ssr_pair(_demean_rows(fitted_null + resid_alt[draw]).ravel())
-        if pair is None or pair[1] <= 0:
-            return None
-        return (pair[0] - pair[1]) / (pair[1] / dof)
-
-    f_obs = (observed[0] - observed[1]) / (observed[1] / dof)
-    draws = run_indexed(B, threads, worker)
-    f_boot = np.array([0.0 if f is None else f for f in draws])
-    p = float(np.count_nonzero(f_boot >= f_obs)) / B
-    cvs = {a: float(np.quantile(f_boot, 1.0 - a)) for a in CRITICAL_LEVELS}
-    return BootstrapTestResult(
-        f_statistic=float(f_obs),
-        bootstrap_p=p,
-        critical_values=cvs,
-        replications=B,
-        seed=int(seed),
-        null_model=null_model,
-        alt_model=alt_model,
-        degenerate_replications=sum(f is None for f in draws),
-    )
-
-
 def linearity_test(
     panel: PanelDataset,
     spec: ThresholdSpec,
@@ -163,32 +124,13 @@ def linearity_test(
     """Bootstrap F test of the linear model against one threshold.
 
     F1 = (S0 - S1(gamma_hat)) / sigma2_hat, with sigma2_hat the
-    single-threshold residual variance. The candidate Gram matrices are
-    fixed across replications, so the screened scan factorizes them once
-    and each replication costs one cumulative sum of the regenerated
-    response plus exact re-evaluation of the few candidates near the
-    minimum.
+    single-threshold residual variance: ``regime_count_on`` with k_null = 0.
+    The candidate Gram matrices are fixed across replications, so the
+    screened scan factorizes them once and each replication costs one
+    cumulative sum of the regenerated response plus exact re-evaluation of
+    the few candidates near the minimum.
     """
-    return linearity_on(build_scan(panel, spec), B, seed, threads=threads)
-
-
-def linearity_on(scan: SSRScan, B: int, seed: int, *, threads: int = 1) -> BootstrapTestResult:
-    """``linearity_test`` on a built scan."""
-    ws = scan.ws
-    X0 = scan.shared_columns(())
-    linear = pivoted_lstsq(X0, ws.y, names=[*ws.rv_names, *ws.control_names])
-    hit = scan.scan(())
-    if hit is None:
-        raise EstimationError(no_split_message(0))
-    gamma_hat, s1 = hit
-
-    def ssr_pair(ystar: np.ndarray) -> tuple[float, float]:
-        return pivoted_lstsq(X0, ystar).ssr, scan.scan((), ystar)[1]
-
-    return _bootstrap(
-        ws, (linear.ssr, s1), linear.residuals, _fit_ws(ws, (gamma_hat,)).residuals,
-        ssr_pair, B, seed, threads, "linear", "1 threshold",
-    )
+    return regime_count_on(build_scan(panel, spec), 0, B, seed, threads=threads)
 
 
 def additional_threshold_test(
@@ -200,7 +142,7 @@ def additional_threshold_test(
     *,
     threads: int = 1,
 ) -> BootstrapTestResult:
-    """Bootstrap F test of k_null thresholds against k_null + 1.
+    """Bootstrap F test of k_null thresholds against k_null + 1 (1 or 2).
 
     The observed statistic compares the sequentially estimated nested fits;
     sigma2_hat comes from the richer model. Each bootstrap replication
@@ -214,29 +156,60 @@ def additional_threshold_test(
     two-threshold panels with ``max_grid_points=120``, 2-vs-3 rejects at
     0.525 / 0.625 at alpha = 5% / 10%.
     """
+    if k_null not in (1, 2):
+        raise ConfigError(f"k_null must be 1 or 2, got {k_null}")
     return regime_count_on(build_scan(panel, spec), k_null, B, seed, threads=threads)
 
 
 def regime_count_on(
     scan: SSRScan, k_null: int, B: int, seed: int, *, threads: int = 1
 ) -> BootstrapTestResult:
-    """``additional_threshold_test`` on a built scan."""
-    if k_null not in (1, 2):
-        raise ConfigError(f"k_null must be 1 or 2, got {k_null}")
+    """Sequential bootstrap F test of k_null thresholds against k_null + 1 on a
+    built scan, for k_null = 0 (linearity), 1 or 2.
+
+    F = (S_null - S_alt) / (S_alt / dof) from the sequential stages; the
+    linear SSR (k_null = 0) is a pivoted least-squares fit on the fixed
+    linear design. A replication whose sequential estimate stops short of
+    k_null + 1 thresholds, or whose S_alt is not positive, scores F* = 0
+    and counts as degenerate.
+    """
     ws = scan.ws
+    n, t = ws.n_units, ws.n_periods
+    dof = n * (t - 1)
     stages = sequential_estimates(scan, k_null + 1)
     if len(stages) <= k_null:
         raise EstimationError(no_split_message(len(stages)))
-    (null_gammas, s_null), (alt_gammas, s_alt) = stages[k_null - 1:]
+    null_fit = _fit_ws(ws, stages[k_null - 1][0] if k_null else ())
+    s_alt = stages[k_null][1]
+    f_obs = (null_fit.ssr - s_alt) / (s_alt / dof)
+    fitted_null = ws.y.reshape(n, t) - null_fit.residuals
+    resid_alt = _fit_ws(ws, stages[k_null][0]).residuals
+    if B < MIN_REPLICATIONS:
+        raise ConfigError(f"need at least {MIN_REPLICATIONS} bootstrap replications, got {B}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    X0 = None if k_null else ws.design(())[0]
 
-    def ssr_pair(ystar: np.ndarray) -> tuple[float, float] | None:
-        stages = sequential_estimates(scan, k_null + 1, ystar)
-        return None if len(stages) <= k_null else (stages[k_null - 1][1], stages[k_null][1])
+    def worker(rep: int) -> float | None:
+        draw = _rep_rng(seed, rep).integers(0, n, size=n)
+        ystar = _demean_rows(fitted_null + resid_alt[draw]).ravel()
+        found = sequential_estimates(scan, k_null + 1, ystar)
+        if len(found) <= k_null or found[k_null][1] <= 0:
+            return None
+        s_null = found[k_null - 1][1] if k_null else pivoted_lstsq(X0, ystar).ssr
+        return (s_null - found[k_null][1]) / (found[k_null][1] / dof)
 
-    return _bootstrap(
-        ws, (s_null, s_alt), _fit_ws(ws, null_gammas).residuals,
-        _fit_ws(ws, alt_gammas).residuals, ssr_pair, B, seed, threads,
-        f"{k_null} threshold{'s' if k_null > 1 else ''}", f"{k_null + 1} thresholds",
+    draws = run_indexed(B, threads, worker)
+    f_boot = np.array([0.0 if f is None else f for f in draws])
+    return BootstrapTestResult(
+        f_statistic=float(f_obs),
+        bootstrap_p=float(np.count_nonzero(f_boot >= f_obs)) / B,
+        critical_values={a: float(np.quantile(f_boot, 1.0 - a)) for a in CRITICAL_LEVELS},
+        replications=B,
+        seed=int(seed),
+        null_model=_MODEL_NAMES[k_null],
+        alt_model=_MODEL_NAMES[k_null + 1],
+        degenerate_replications=sum(f is None for f in draws),
     )
 
 

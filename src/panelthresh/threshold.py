@@ -210,7 +210,9 @@ class _Workspace:
         """Regressor matrix at the given strictly-sorted thresholds.
 
         Regime columns are differences of cumulative columns, so a scan and a
-        one-off fit at the same thresholds build bit-identical designs.
+        one-off fit at the same thresholds build bit-identical designs. With
+        no thresholds it is the linear model's design, its columns named
+        plainly.
         """
         gs = list(gammas)
         if any(b <= a for a, b in zip(gs, gs[1:])):
@@ -225,7 +227,7 @@ class _Workspace:
             names.extend(f"{v}:regime{r}" for v in self.rv_names)
             prev = rv_cum
         blocks.append(self.rv_full_dem - prev)
-        names.extend(f"{v}:regime{len(gs) + 1}" for v in self.rv_names)
+        names.extend(f"{v}:regime{len(gs) + 1}" if gs else v for v in self.rv_names)
         if self.spec.include_intercept_shift:
             for k, (_, ind_cum) in enumerate(cums, start=1):
                 blocks.append(ind_cum[:, None])

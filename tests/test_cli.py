@@ -155,6 +155,12 @@ class TestConfig:
         ("inference", "regime_count_test", "false"),
         ("inference", "regime_count_test", 0),
         ("inference", "regime_count_test", None),
+        ("inference", "replications", 99.9),
+        ("inference", "replications", "150"),
+        ("inference", "seed", True),
+        ("inference", "seed", 2.7),
+        ("inference", "seed", -1),
+        ("diagnostics", "ips_moment_draws", 100.5),
         ("diagnostics", "max_lag", -1),
         ("diagnostics", "max_lag", 2.5),
         ("diagnostics", "max_lag", "3"),
@@ -294,6 +300,12 @@ class TestMainExitCodes:
         assert main(["--config", str(cfg_path), "fit"]) == 2
         assert "max_grid_points must be an integer" in capsys.readouterr().err
 
+    def test_threads_below_one_exit_two(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        cfg_path = self._write_config(tmp_path, base_config(path))
+        assert main(["--config", str(cfg_path), "--threads", "0", "fit"]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
     def test_data_error_exit_three(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("unit,time,y,q\na,1,1.0,2.0\na,2,1.0,2.0\nb,1,1.0,2.0\n")
@@ -312,12 +324,13 @@ class TestMainExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "fit"]) == 2
 
-    def test_simulate_subcommand(self, tmp_path, capsys):
-        cfg = {
+    @staticmethod
+    def _simulate_config(master_seed):
+        return {
             "simulate": {
                 "experiment": "recovery",
                 "trials": 50,
-                "master_seed": 4,
+                "master_seed": master_seed,
                 "dgp": {
                     "n_units": 8, "n_periods": 36, "gamma0": 12.741,
                     "beta_low": [0.2], "beta_high": [0.7],
@@ -325,11 +338,18 @@ class TestMainExitCodes:
                 },
             }
         }
-        cfg_path = self._write_config(tmp_path, cfg)
+
+    def test_simulate_subcommand(self, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path, self._simulate_config(4))
         assert main(["--config", str(cfg_path), "simulate"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["experiment"] == "recovery"
         assert 0.0 <= payload["metrics"]["hit_rate"] <= 1.0
+
+    def test_simulate_negative_master_seed_exit_two(self, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path, self._simulate_config(-1))
+        assert main(["--config", str(cfg_path), "simulate"]) == 2
+        assert "simulate.master_seed" in capsys.readouterr().err
 
     def test_diagnose_subcommand(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv

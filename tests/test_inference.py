@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,12 @@ from panelthresh import (
     linearity_test,
     simulate_threshold_panel,
     threshold_ci,
+)
+
+from panelthresh._linalg import pivoted_lstsq
+from panelthresh.inference import _rep_rng, run_indexed
+from panelthresh.threshold import (
+    _argmin, _conditional_profile, _demean_rows, _fit_ws, _Workspace,
 )
 
 from conftest import make_panel
@@ -52,6 +61,75 @@ class TestCriticalValue:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ConfigError):
                 critical_value(bad)
+
+
+def reference_stages(ws, grid, y):
+    """The sequential estimator written out over full pivoted profiles:
+    (sorted thresholds, SSR) for 1 up to 3 thresholds, stopping at the first
+    stage without an admissible split."""
+    out = []
+    profile = _conditional_profile(ws, grid, (), y)
+    g1, s = _argmin(profile)
+    out.append(((g1,), s))
+    profile = _conditional_profile(ws, grid, (g1,), y)
+    if not profile:
+        return out
+    g2, s = _argmin(profile)
+    profile = _conditional_profile(ws, grid, (g2,), y)
+    if profile:
+        g1, s = _argmin(profile)
+    out.append((tuple(sorted((g1, g2))), s))
+    profile = _conditional_profile(ws, grid, out[-1][0], y)
+    if profile:
+        g3, s = _argmin(profile)
+        out.append((tuple(sorted((*out[-1][0], g3))), s))
+    return out
+
+
+def reference_bootstrap(ws, resid_null, resid_alt, ssr_pair, B, seed):
+    """F* of each fixed-regressor replication from ``ssr_pair(y*)`` = (S_null,
+    S_alt) or None, scored 0 when degenerate; returns (F* list, degenerate count)."""
+    n, t = ws.n_units, ws.n_periods
+    fitted_null = ws.y.reshape(n, t) - resid_null.reshape(n, t)
+    f_boot, degenerate = [], 0
+    for rep in range(B):
+        draw = _rep_rng(seed, rep).integers(0, n, size=n)
+        pair = ssr_pair(_demean_rows(fitted_null + resid_alt[draw]).ravel())
+        if pair is None or pair[1] <= 0:
+            degenerate += 1
+            f_boot.append(0.0)
+        else:
+            f_boot.append((pair[0] - pair[1]) / (pair[1] / (n * (t - 1))))
+    return f_boot, degenerate
+
+
+def assert_matches_reference(res, f_boot):
+    assert res.bootstrap_p == np.mean(np.array(f_boot) >= res.f_statistic)
+    for a, cv in res.critical_values.items():
+        assert cv == pytest.approx(np.quantile(f_boot, 1.0 - a), rel=1e-9)
+
+
+def test_run_indexed_starts_at_most_count_workers(monkeypatch):
+    from panelthresh import inference
+
+    pool_sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(inference, "ThreadPoolExecutor", RecordingPool)
+    barrier = threading.Barrier(3, timeout=10)
+    idents = []
+
+    def worker(i):
+        barrier.wait()  # all three items run at once, each on its own thread
+        idents.append(threading.get_ident())
+        return i * i
+
+    assert run_indexed(3, 8, worker) == [0, 1, 4]
+    assert pool_sizes == [3] and len(set(idents)) == 3
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +175,49 @@ class TestLinearityTest:
         res = linearity_test(panel, spec, B=199, seed=4)
         assert res.bootstrap_p <= 0.01
 
+    def test_matches_pivoted_reference(self):
+        # Every replication re-run through the written-out reference: the
+        # linear SSR by pivoted least squares on the linear design, the
+        # one-threshold SSR from the full pivoted profile.
+        rng = np.random.default_rng(3)
+        n, t = 4, 10
+        panel = make_panel({
+            "y": rng.standard_normal((n, t)),
+            "q": rng.uniform(0.0, 1.0, (n, t)),
+            "x": rng.standard_normal((n, t)),
+            "c": rng.standard_normal((n, t)),
+        })
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]), trim_fraction=0.2)
+        res = linearity_test(panel, spec, B=99, seed=4)
+        assert (res.null_model, res.alt_model) == ("linear", "1 threshold")
+
+        ws = _Workspace(panel, spec)
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+        X0 = np.column_stack([ws.rv_full_dem, ws.controls_dem])
+        linear = pivoted_lstsq(X0, ws.y)
+        (gamma_hat,), s1 = reference_stages(ws, grid, None)[0]
+        assert res.f_statistic == (linear.ssr - s1) / (s1 / (n * (t - 1)))
+
+        def ssr_pair(ystar):
+            return pivoted_lstsq(X0, ystar).ssr, reference_stages(ws, grid, ystar)[0][1]
+
+        f_boot, degenerate = reference_bootstrap(
+            ws, linear.residuals, _fit_ws(ws, (gamma_hat,)).residuals, ssr_pair, 99, 4,
+        )
+        assert res.degenerate_replications == degenerate
+        assert_matches_reference(res, f_boot)
+
+    def test_rank_deficient_linear_design_named_before_replication_check(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 12))
+        panel = make_panel({
+            "y": rng.standard_normal((6, 12)), "q": rng.uniform(0.0, 1.0, (6, 12)),
+            "x": x, "c": 2.0 * x,
+        })
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
+        with pytest.raises(EstimationError, match=r"rank-deficient regressor matrix \((x|c)\)"):
+            linearity_test(panel, spec, B=50, seed=0)
+
     @pytest.mark.slow
     def test_large_b_stability(self, fitted):
         # Under the null the p-value stabilizes as B grows; two seeds with
@@ -131,8 +252,9 @@ class TestAdditionalThresholdTest:
 
     def test_k_null_validation(self, fitted):
         panel, _, spec, _ = fitted
-        with pytest.raises(ConfigError):
-            additional_threshold_test(panel, spec, k_null=3, B=99, seed=0)
+        for k_null in (0, 3):
+            with pytest.raises(ConfigError, match="k_null must be 1 or 2"):
+                additional_threshold_test(panel, spec, k_null=k_null, B=99, seed=0)
 
     def test_deterministic(self, fitted):
         panel, _, spec, _ = fitted
@@ -146,11 +268,6 @@ class TestAdditionalThresholdTest:
         # no room for a third. Those score F* = 0 and are counted. The
         # reference re-runs every replication through the pivoted profile
         # path with the sequential estimator written out.
-        from panelthresh.inference import _rep_rng
-        from panelthresh.threshold import (
-            _argmin, _conditional_profile, _demean_rows, _fit_ws, _Workspace,
-        )
-
         rng = np.random.default_rng(0)
         n, t = 4, 10
         panel = make_panel({
@@ -164,44 +281,19 @@ class TestAdditionalThresholdTest:
 
         ws = _Workspace(panel, spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+        (null_gammas, s_null), (alt_gammas, s_alt) = reference_stages(ws, grid, None)[1:]
+        assert res.f_statistic == (s_null - s_alt) / (s_alt / (n * (t - 1)))
 
-        def stages(y):
-            out = []
-            profile = _conditional_profile(ws, grid, (), y)
-            g1, s = _argmin(profile)
-            out.append(((g1,), s))
-            profile = _conditional_profile(ws, grid, (g1,), y)
-            if not profile:
-                return out
-            g2, s = _argmin(profile)
-            profile = _conditional_profile(ws, grid, (g2,), y)
-            if profile:
-                g1, s = _argmin(profile)
-            out.append((tuple(sorted((g1, g2))), s))
-            profile = _conditional_profile(ws, grid, out[-1][0], y)
-            if profile:
-                g3, s = _argmin(profile)
-                out.append((tuple(sorted((*out[-1][0], g3))), s))
-            return out
+        def ssr_pair(ystar):
+            found = reference_stages(ws, grid, ystar)
+            return None if len(found) < 3 else (found[1][1], found[2][1])
 
-        (null_gammas, s_null), (alt_gammas, s_alt) = stages(None)[1:]
-        dof = n * (t - 1)
-        assert res.f_statistic == (s_null - s_alt) / (s_alt / dof)
-        fitted_null = ws.y.reshape(n, t) - _fit_ws(ws, null_gammas).residuals
-        resid_alt = _fit_ws(ws, alt_gammas).residuals
-        f_boot, degenerate = [], 0
-        for rep in range(99):
-            draw = _rep_rng(1, rep).integers(0, n, size=n)
-            found = stages(_demean_rows(fitted_null + resid_alt[draw]).ravel())
-            if len(found) < 3 or found[2][1] <= 0:
-                degenerate += 1
-                f_boot.append(0.0)
-            else:
-                f_boot.append((found[1][1] - found[2][1]) / (found[2][1] / dof))
+        f_boot, degenerate = reference_bootstrap(
+            ws, _fit_ws(ws, null_gammas).residuals, _fit_ws(ws, alt_gammas).residuals,
+            ssr_pair, 99, 1,
+        )
         assert 0 < res.degenerate_replications == degenerate < 99
-        assert res.bootstrap_p == np.mean(np.array(f_boot) >= res.f_statistic)
-        for a, cv in res.critical_values.items():
-            assert cv == pytest.approx(np.quantile(f_boot, 1.0 - a), rel=1e-9)
+        assert_matches_reference(res, f_boot)
 
     def test_no_degenerate_replications_on_regular_panel(self, fitted):
         panel, _, spec, _ = fitted
