@@ -33,6 +33,8 @@ from .threshold import (
     ThresholdSpec,
     _demean_rows,
     _fit_ws,
+    _ssr_ws,
+    _Workspace,
     build_scan,
     estimation_panel,
     no_split_message,
@@ -70,7 +72,11 @@ class ThresholdCI:
 
     ``lower`` and ``upper`` are the interval hull of the non-rejection set;
     ``lr_profile`` exposes the full (gamma, LR) profile so callers can see
-    disconnected non-rejection regions.
+    disconnected non-rejection regions. Its entries are exact (pivoted QR)
+    wherever the fit's profile is exact and wherever the side of the
+    critical value was in doubt; each other entry is screened, within its
+    profile slack divided by sigma2_hat of the exact LR, and on the same
+    side of the critical value.
     """
 
     level: float
@@ -229,6 +235,10 @@ def threshold_ci(
     values, every accepted candidate's non-rejection region extends up to
     the next observed value; the upper endpoint accounts for that, so a
     sharply identified fit still yields an interval of positive width.
+
+    The profile's screened entries are re-evaluated by pivoted QR only where
+    their slack leaves the side of c(alpha) in doubt, so ``lower`` and
+    ``upper`` are those of the full pivoted profile for any alpha.
     """
     c_alpha = critical_value(alpha)
     if not fit.ssr_profiles:
@@ -239,7 +249,23 @@ def threshold_ci(
         )
     profile = fit.ssr_profiles[threshold_index]
     gamma_hat = fit.gammas[threshold_index]
-    lr_profile = tuple((g, (s - fit.ssr) / fit.sigma2) for g, s in profile)
+    ssrs = [s for _, s in profile]
+    if fit.ssr_profile_slacks:
+        # A screened entry is unclear when the LR of any SSR within its slack
+        # (padded by a few ulps for the rounding of s +- slack) could fall on
+        # either side of c(alpha); only those are re-evaluated exactly.
+        values = np.array(ssrs)
+        slack = np.array(fit.ssr_profile_slacks[threshold_index])
+        pad = slack + 4.0 * np.finfo(float).eps * (np.abs(values) + slack)
+        clear = ((values + pad - fit.ssr) / fit.sigma2 <= c_alpha) | (
+            (values - pad - fit.ssr) / fit.sigma2 > c_alpha)
+        unclear = np.nonzero((slack > 0) & ~clear)[0]
+        if unclear.size:
+            ws = _Workspace(panel, spec)
+            fixed = fit.gammas[:threshold_index] + fit.gammas[threshold_index + 1:]
+            for i in unclear:
+                ssrs[i] = _ssr_ws(ws, tuple(sorted((*fixed, profile[i][0]))))
+    lr_profile = tuple((g, (s - fit.ssr) / fit.sigma2) for (g, _), s in zip(profile, ssrs))
     accepted = [g for g, v in lr_profile if v <= c_alpha]
     accepted.append(gamma_hat)
     hi = max(accepted)

@@ -79,7 +79,13 @@ class ThresholdFit:
     segment upward. ``delta`` holds the intercept-shift coefficients on the
     cumulative indicators I(q <= gamma_k), ``None`` when disabled.
     ``ssr_profiles[j]`` is the (candidate, SSR) profile for threshold ``j``
-    conditional on the other thresholds at their estimates.
+    conditional on the other thresholds at their estimates, taken from the
+    screened scan (``SSRScan.profile``). Its entries at the minimum, at the
+    fitted threshold and wherever the screen could not be trusted are the
+    exact pivoted-QR SSRs, with slack 0 in ``ssr_profile_slacks[j]``. Every
+    other entry is a screened SSR: it differs from the pivoted one by at most
+    its slack, a conditioning-based bound on the screen's rounding error,
+    and lies strictly above the minimum.
     """
 
     gammas: tuple[float, ...]
@@ -94,6 +100,7 @@ class ThresholdFit:
     n_units: int
     n_periods_used: int
     ssr_profiles: tuple[tuple[tuple[float, float], ...], ...] = field(default=())
+    ssr_profile_slacks: tuple[tuple[float, ...], ...] = field(default=())
 
     @property
     def ssr_profile(self) -> tuple[tuple[float, float], ...]:
@@ -287,7 +294,9 @@ def _conditional_profile(
     fixed: tuple[float, ...],
     y: np.ndarray | None = None,
 ) -> list[tuple[float, float]]:
-    """(candidate, SSR) over grid candidates admissible jointly with ``fixed``."""
+    """(candidate, SSR) over grid candidates admissible jointly with ``fixed``,
+    each by pivoted QR: the exact reference the tests hold ``SSRScan.scan``
+    and ``SSRScan.profile`` to. No estimator calls it."""
     profile: list[tuple[float, float]] = []
     for c in grid:
         c = float(c)
@@ -301,7 +310,8 @@ def _conditional_profile(
 
 
 def _argmin(profile: list[tuple[float, float]]) -> tuple[float, float]:
-    """First minimum of a profile: the reference search ``SSRScan`` reproduces."""
+    """First minimum of a profile: the exact test reference for the search
+    ``SSRScan.scan`` reproduces. No estimator calls it."""
     best = profile[0]
     for entry in profile[1:]:
         if entry[1] < best[1]:
@@ -367,18 +377,21 @@ def estimate_on(scan: SSRScan) -> ThresholdFit:
     the second threshold is located, the first is re-estimated once holding
     the second fixed. The profile of each threshold conditional on the
     others at their estimates (sorted order; the full profile for a single
-    threshold) is attached for confidence-set construction.
+    threshold) is attached for confidence-set construction. Each comes from
+    the scan: exact at its minimum and at the fitted threshold, screened
+    within the slack attached beside it elsewhere (see ``ThresholdFit``).
     """
-    ws, k = scan.ws, scan.ws.spec.num_thresholds
+    k = scan.ws.spec.num_thresholds
     stages = sequential_estimates(scan, k)
     if len(stages) < k:
         raise EstimationError(no_split_message(len(stages)))
     gammas, _ = stages[-1]
-    profiles = tuple(
-        tuple(_conditional_profile(ws, scan.grid, gammas[:j] + gammas[j + 1:]))
-        for j in range(k)
+    profiles = [scan.profile(gammas[:j] + gammas[j + 1:], gammas[j:j + 1]) for j in range(k)]
+    return replace(
+        _fit_ws(scan.ws, gammas),
+        ssr_profiles=tuple(p for p, _ in profiles),
+        ssr_profile_slacks=tuple(s for _, s in profiles),
     )
-    return replace(_fit_ws(ws, gammas), ssr_profiles=profiles)
 
 
 def no_split_message(found: int) -> str:
@@ -446,7 +459,10 @@ class SSRScan:
     minimum, and every candidate whose Gram matrix is too ill-conditioned to
     bound, is re-evaluated by the pivoted-QR path, so the returned argmin,
     its tie-break (first, i.e. smallest, candidate) and its SSR are bitwise
-    those of ``_argmin(_conditional_profile(ws, grid, fixed, y))``.
+    those of ``_argmin(_conditional_profile(ws, grid, fixed, y))``. The
+    same screen gives ``profile``: every admissible candidate's SSR, exact
+    where ``scan`` re-evaluates and at requested candidates, screened with
+    its slack elsewhere.
 
     Read-only after construction, so threads may share one instance.
     """
@@ -545,6 +561,22 @@ class SSRScan:
         P = (Z * dz) @ lz_inv.T
         return rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf)
 
+    def _screen(
+        self, fixed: tuple[float, ...], y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Admissible rows, their screened SSRs for response ``y`` and the
+        slack bounding |screened - pivoted| (infinite where untrusted)."""
+        ws = self.ws
+        rows, P, R, K, bound = self._factor(fixed) if fixed else self._unconditional
+        sums = y.reshape(ws.n_units, ws.n_periods).sum(axis=1)
+        rc = self._cumulative(self._u_sorted * y[self._order, None])
+        rc -= sums @ self._S / ws.n_periods
+        sz = P.T @ y
+        sc = R @ rc[rows, :, None] - K @ sz[:, None]
+        yy = float(y @ y)
+        screened = yy - sz @ sz - np.einsum("cij,cij->c", sc, sc)
+        return rows, screened, bound * yy
+
     def scan(
         self, fixed: tuple[float, ...], y: np.ndarray | None = None
     ) -> tuple[float, float] | None:
@@ -553,29 +585,50 @@ class SSRScan:
         ``fixed`` holds threshold values; ``y`` defaults to the workspace
         response. None when no candidate is admissible.
         """
-        ws = self.ws
-        y = ws.y if y is None else y
-        rows, P, R, K, bound = self._factor(fixed) if fixed else self._unconditional
+        y = self.ws.y if y is None else y
+        rows, screened, slack = self._screen(fixed, y)
         if not rows.size:
             return None
-        sums = y.reshape(ws.n_units, ws.n_periods).sum(axis=1)
-        rc = self._cumulative(self._u_sorted * y[self._order, None])
-        rc -= sums @ self._S / ws.n_periods
-        sz = P.T @ y
-        sc = R @ rc[rows, :, None] - K @ sz[:, None]
-        yy = float(y @ y)
-        screened = yy - sz @ sz - np.einsum("cij,cij->c", sc, sc)
-        slack = bound * yy
-        trusted = np.isfinite(screened + slack)
-        ceiling = np.min(np.where(trusted, screened + slack, np.inf))
-        floor = np.where(trusted, screened - slack, -np.inf)
         best = None
-        for c in rows[floor <= ceiling]:
+        for c in rows[_near_minimum(screened, slack)]:
             cand = float(self.grid[c])
-            ssr = _ssr_ws(ws, tuple(sorted((*fixed, cand))), y)
+            ssr = _ssr_ws(self.ws, tuple(sorted((*fixed, cand))), y)
             if best is None or ssr < best[1]:
                 best = (cand, ssr)
         return best
+
+    def profile(
+        self, fixed: tuple[float, ...], keep: Sequence[float] = ()
+    ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+        """(candidate, SSR) of every candidate admissible jointly with
+        ``fixed``, in grid order, and each entry's slack.
+
+        The entries a scan re-evaluates (those whose screened SSR lies within
+        the error bound of the minimum, and the untrusted ones) and the
+        entries at the candidates in ``keep`` are the pivoted-QR values of
+        ``_conditional_profile`` bitwise, with slack 0. Every other entry is
+        the screened SSR, within its slack of the pivoted value, and lies
+        strictly above the minimum.
+        """
+        ws = self.ws
+        rows, screened, slack = self._screen(fixed, ws.y)
+        if not rows.size:
+            return (), ()
+        cands = self.grid[rows]
+        exact = np.nonzero(_near_minimum(screened, slack) | np.isin(cands, keep))[0]
+        for i in exact:
+            screened[i] = _ssr_ws(ws, tuple(sorted((*fixed, float(cands[i])))))
+        slack[exact] = 0.0
+        return tuple(zip(cands.tolist(), screened.tolist())), tuple(slack.tolist())
+
+
+def _near_minimum(screened: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Mask of the screened entries that may hold the minimum: each one whose
+    interval screened +- slack reaches the lowest upper end, and each
+    untrusted one (infinite or non-finite slack)."""
+    trusted = np.isfinite(screened + slack)
+    ceiling = np.min(np.where(trusted, screened + slack, np.inf))
+    return np.where(trusted, screened - slack, -np.inf) <= ceiling
 
 
 def _cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -424,7 +424,7 @@ class TestSubcommandsAreStageSubsets:
         def estimator_ran(*args, **kwargs):
             raise AssertionError("the estimator ran")
 
-        monkeypatch.setattr(threshold, "_conditional_profile", estimator_ran)
+        monkeypatch.setattr(threshold.SSRScan, "profile", estimator_ran)
         payload = json.loads(_main_stdout(["--config", str(stage_config), "test"]))
         assert set(payload) == {"linearity", "regime_count"}
         with pytest.raises(AssertionError, match="estimator ran"):

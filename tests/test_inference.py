@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,6 +415,44 @@ class TestThresholdCI:
         assert ci.level == 0.95
         assert np.isfinite(ci.lower) and np.isfinite(ci.upper) and ci.lower < ci.upper
         assert abs(ci.critical_value - CRIT_005) < 1e-12
+
+    def test_forced_straddle_reevaluates_only_unclear_entries(self, fitted, monkeypatch):
+        # c(alpha) is set to the LR of a screened entry, so that entry's slack
+        # interval straddles the cut point and the side it falls on is
+        # unknown until it is re-evaluated by pivoted QR. Only such entries
+        # are, and the endpoints are those of the full pivoted profile.
+        from panelthresh import inference
+
+        panel, _, spec, fit = fitted
+        profile, slacks = fit.ssr_profiles[0], fit.ssr_profile_slacks[0]
+        def lr(s):
+            return (s - fit.ssr) / fit.sigma2
+
+        screened = [i for i, slack in enumerate(slacks) if slack > 0.0]
+        i = min(screened, key=lambda k: abs(lr(profile[k][1]) - CRIT_005))
+        alpha = 1.0 - (1.0 - math.exp(-lr(profile[i][1]) / 2.0)) ** 2
+        cut = critical_value(alpha)
+        unclear = {
+            g for (g, s), slack in zip(profile, slacks)
+            if slack > 0.0 and lr(s - slack) <= cut < lr(s + slack)
+        }
+        assert profile[i][0] in unclear and len(unclear) < len(screened) // 10
+        called = []
+        exact = inference._ssr_ws
+        monkeypatch.setattr(
+            inference, "_ssr_ws",
+            lambda ws, gammas, *a: called.append(gammas) or exact(ws, gammas, *a),
+        )
+        ci = threshold_ci(panel, spec, fit, alpha)
+        assert sorted(g for (g,) in called) == sorted(unclear)
+        ws = _Workspace(panel, spec)
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+        pivoted = replace(
+            fit, ssr_profiles=(tuple(_conditional_profile(ws, grid, ())),), ssr_profile_slacks=(),
+        )
+        ref = threshold_ci(panel, spec, pivoted, alpha)
+        assert (ci.lower, ci.upper) == (ref.lower, ref.upper)
+        assert dict(ci.lr_profile)[profile[i][0]] == dict(ref.lr_profile)[profile[i][0]]
 
     def test_conditional_ci_per_threshold_in_multi_fit(self):
         from panelthresh import estimate_multiple

@@ -12,6 +12,7 @@ from panelthresh import (
     ConfigError,
     EstimationError,
     ThresholdDGP,
+    ThresholdFit,
     ThresholdSpec,
     VariableRole,
     candidate_grid,
@@ -23,6 +24,7 @@ from panelthresh import (
     ols,
     simulate_threshold_panel,
     ssr_at,
+    threshold_ci,
     within_transform,
 )
 
@@ -369,6 +371,82 @@ def _reference(ws, grid, fixed, y):
     return _argmin(profile) if profile else None
 
 
+_scan_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    t=st.integers(5, 12),
+    n_rv=st.integers(1, 2),
+    with_control=st.booleans(),
+    shift=st.booleans(),
+    log_scale=st.integers(-3, 6),
+    n_fixed=st.integers(0, 2),
+    offset=st.sampled_from([0.0, 1e2, 1e4]),
+    tied_q=st.booleans(),
+    collinear_control=st.booleans(),
+)
+
+
+def _random_scan(
+    seed, n, t, n_rv, with_control, shift, log_scale, n_fixed, offset, tied_q,
+    collinear_control,
+):
+    """A drawn panel's workspace, grid and scan, up to two fixed thresholds
+    from the grid and the seeded generator that drew them.
+
+    A large regressor offset makes the cumulative columns x * I(q <= b) and
+    I(q <= b) nearly collinear, tied q values put several observations on
+    one boundary, and a control within 1e-5 of x1 leaves the shared columns
+    nearly singular.
+    """
+    from panelthresh.threshold import SSRScan, _Workspace
+
+    rng = np.random.default_rng(seed)
+    x1 = (rng.standard_normal((n, t)) + offset) * 10.0**log_scale
+    q = rng.uniform(0.0, 1.0, (n, t))
+    variables = {
+        "y": rng.standard_normal((n, t)),
+        "q": np.round(q, 1) if tied_q else q,
+        "x1": x1,
+        "x2": rng.standard_normal((n, t)),
+        "c": x1 + 1e-5 * rng.standard_normal((n, t))
+        if collinear_control else rng.standard_normal((n, t)),
+    }
+    rv = ["x1", "x2"][:n_rv]
+    spec = ThresholdSpec(
+        VariableRole("y", "q", rv, ["c"] if with_control else []),
+        include_intercept_shift=shift,
+        trim_fraction=0.1,
+    )
+    panel = make_panel(variables)
+    ws = _Workspace(panel, spec)
+    try:
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+    except EstimationError:
+        # rounding can leave a tiny panel with no grid
+        assume(not tied_q)
+        raise
+    fixed = tuple(float(g) for g in rng.choice(grid, size=min(n_fixed, grid.size), replace=False))
+    return panel, ws, grid, SSRScan(ws, grid), fixed, rng
+
+
+def _profile_fit(fixed, profile, slacks, dof):
+    """A fit whose threshold at the profile's first minimum carries
+    ``profile``, the others held at ``fixed``; only the fields
+    ``threshold_ci`` reads are filled in."""
+    gamma, ssr = min(profile, key=lambda entry: entry[1])
+    gammas = tuple(sorted((*fixed, gamma)))
+    j = gammas.index(gamma)
+    fit = ThresholdFit(
+        gammas=gammas, regime_varying=(), betas_by_regime=(), delta=None, control_betas={},
+        ssr=ssr, sigma2=ssr / dof, residuals=np.empty((0, 0)), regime_counts=(),
+        n_units=0, n_periods_used=0,
+        ssr_profiles=tuple(profile if i == j else () for i in range(len(gammas))),
+        ssr_profile_slacks=tuple(slacks if i == j else () for i in range(len(gammas)))
+        if slacks else (),
+    )
+    return fit, j
+
+
 class TestSSRScan:
     """The screened scan returns the pivoted reference's (argmin, SSR) bitwise."""
 
@@ -470,56 +548,59 @@ class TestSSRScan:
         scan.scan(tuple(sorted((g1, g2))))
         assert grid.size > 250 and len(calls) <= 6
 
+    @settings(max_examples=40, deadline=None)
+    @_scan_cases
+    def test_profile_matches_pivoted_reference_property(self, **case):
+        # The scan's profile has the reference's candidates in order, every
+        # entry within its slack, the minimum and the kept candidate
+        # bitwise, and the same LR confidence-set endpoints at any alpha.
+        from panelthresh.threshold import _conditional_profile
+
+        panel, ws, grid, scan, fixed, rng = _random_scan(**case)
+        keep = (float(rng.choice(grid)),)
+        profile, slacks = scan.profile(fixed, keep)
+        reference = _conditional_profile(ws, grid, fixed)
+        assert [g for g, _ in profile] == [g for g, _ in reference]
+        assert len(slacks) == len(profile)
+        if not reference:
+            return
+        best = min(s for _, s in reference)
+        for (g, s), slack, (_, r) in zip(profile, slacks, reference):
+            assert abs(s - r) <= slack
+            if r == best or g in keep:
+                assert s == r and slack == 0.0
+        assume(best > 0.0)
+        dof = ws.n_units * (ws.n_periods - 1)
+        fit, j = _profile_fit(fixed, profile, slacks, dof)
+        exact, _ = _profile_fit(fixed, tuple(reference), (), dof)
+        for alpha in (0.01, 0.05, 0.10, 0.5):
+            ci = threshold_ci(panel, ws.spec, fit, alpha, threshold_index=j)
+            ref = threshold_ci(panel, ws.spec, exact, alpha, threshold_index=j)
+            assert (ci.lower, ci.upper) == (ref.lower, ref.upper)
+
+    def test_screened_profile_entries_match_oracle(self, rng):
+        # Screened entries against normal equations solved longhand, to a
+        # relative 1e-12 (both sides agree to about 4e-15 on this panel),
+        # far inside the slack, which is about 2e-8 of the SSR here.
+        from panelthresh.threshold import SSRScan, _Workspace
+
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
+        ws = _Workspace(_scan_panel(rng, n=8, t=40), spec)
+        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+        profile, slacks = SSRScan(ws, grid).profile(())
+        screened = [(g, s) for (g, s), slack in zip(profile, slacks) if slack > 0.0]
+        assert len(screened) > 250
+        for g, s in screened:
+            X, _ = ws.design((g,))
+            _, oracle_ssr = dummy_ols_oracle(ws.y, X / np.linalg.norm(X, axis=0))
+            assert s == pytest.approx(oracle_ssr, rel=1e-12)
+
 
 @settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 5),
-    t=st.integers(5, 12),
-    n_rv=st.integers(1, 2),
-    with_control=st.booleans(),
-    shift=st.booleans(),
-    log_scale=st.integers(-3, 6),
-    n_fixed=st.integers(0, 2),
-    offset=st.sampled_from([0.0, 1e2, 1e4]),
-    tied_q=st.booleans(),
-    collinear_control=st.booleans(),
-)
-def test_scan_matches_pivoted_reference_property(
-    seed, n, t, n_rv, with_control, shift, log_scale, n_fixed, offset, tied_q,
-    collinear_control,
-):
-    # A large regressor offset makes the cumulative columns x * I(q <= b) and
-    # I(q <= b) nearly collinear, tied q values put several observations on
-    # one boundary, and a control within 1e-5 of x1 leaves the shared columns
-    # nearly singular.
-    from panelthresh.threshold import SSRScan, _Workspace
-
-    rng = np.random.default_rng(seed)
-    x1 = (rng.standard_normal((n, t)) + offset) * 10.0**log_scale
-    q = rng.uniform(0.0, 1.0, (n, t))
-    variables = {
-        "y": rng.standard_normal((n, t)),
-        "q": np.round(q, 1) if tied_q else q,
-        "x1": x1,
-        "x2": rng.standard_normal((n, t)),
-        "c": x1 + 1e-5 * rng.standard_normal((n, t))
-        if collinear_control else rng.standard_normal((n, t)),
-    }
-    rv = ["x1", "x2"][:n_rv]
-    spec = ThresholdSpec(
-        VariableRole("y", "q", rv, ["c"] if with_control else []),
-        include_intercept_shift=shift,
-        trim_fraction=0.1,
-    )
-    ws = _Workspace(make_panel(variables), spec)
-    try:
-        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
-    except EstimationError:
-        assume(not tied_q)
-        raise
-    scan = SSRScan(ws, grid)
-    fixed = tuple(float(g) for g in rng.choice(grid, size=min(n_fixed, grid.size), replace=False))
+@_scan_cases
+def test_scan_matches_pivoted_reference_property(**case):
+    _, ws, _, scan, fixed, rng = _random_scan(**case)
+    grid = scan.grid
     y = rng.standard_normal((ws.n_units, ws.n_periods)) * 10.0 ** rng.integers(-2, 3)
     y = (y - y.mean(axis=1, keepdims=True)).ravel()
     assert scan.scan(fixed, y) == _reference(ws, grid, fixed, y)
