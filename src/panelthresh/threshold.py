@@ -80,12 +80,13 @@ class ThresholdFit:
     cumulative indicators I(q <= gamma_k), ``None`` when disabled.
     ``ssr_profiles[j]`` is the (candidate, SSR) profile for threshold ``j``
     conditional on the other thresholds at their estimates, taken from the
-    screened scan (``SSRScan.profile``). Its entries at the minimum, at the
-    fitted threshold and wherever the screen could not be trusted are the
-    exact pivoted-QR SSRs, with slack 0 in ``ssr_profile_slacks[j]``. Every
-    other entry is a screened SSR: it differs from the pivoted one by at most
-    its slack, a conditioning-based bound on the screen's rounding error,
-    and lies strictly above the minimum.
+    screened scan (``SSRScan.profile``). Its entries within the screen's
+    error bound of the minimum, at the fitted threshold and wherever the
+    screen could not be trusted are the exact pivoted-QR SSRs, with slack 0
+    in ``ssr_profile_slacks[j]``. Every other entry is a screened SSR: it
+    differs from the pivoted one by at most its slack, a conditioning-based
+    bound on the screen's rounding error, and lies strictly above the
+    minimum.
     """
 
     gammas: tuple[float, ...]

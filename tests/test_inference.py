@@ -425,6 +425,7 @@ class TestThresholdCI:
 
         panel, _, spec, fit = fitted
         profile, slacks = fit.ssr_profiles[0], fit.ssr_profile_slacks[0]
+
         def lr(s):
             return (s - fit.ssr) / fit.sigma2
 

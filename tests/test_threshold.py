@@ -390,8 +390,8 @@ def _random_scan(
     seed, n, t, n_rv, with_control, shift, log_scale, n_fixed, offset, tied_q,
     collinear_control,
 ):
-    """A drawn panel's workspace, grid and scan, up to two fixed thresholds
-    from the grid and the seeded generator that drew them.
+    """The drawn panel with its workspace, grid and scan, ``n_fixed``
+    thresholds drawn from the grid, and the generator for further draws.
 
     A large regressor offset makes the cumulative columns x * I(q <= b) and
     I(q <= b) nearly collinear, tied q values put several observations on
