@@ -4,8 +4,9 @@ The ``report`` subcommand runs the full pipeline and emits a deterministic,
 schema-versioned JSON report plus a markdown report with five table blocks
 (regime descriptives, correlations, panel unit roots, threshold inference,
 regime regression). Given the same config and seed the JSON output is byte
-identical regardless of the thread budget; per-stage wall times, which are
-inherently non-reproducible, go to a ``*.timings.json`` sidecar.
+identical regardless of the thread budget; per-stage wall times and the
+scan's factor memo counts, which depend on timing, go to a
+``*.timings.json`` sidecar.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 estimation error.
 """
@@ -521,7 +522,7 @@ _COMMAND_STAGES = {
 
 def _run_stages(config: RunConfig, stages: Sequence[str], *, threads: int = 1):
     """Ingest, transform, build the estimation scan once, then run ``stages``
-    in order; returns (panel, {stage: block}, stage clock)."""
+    in order; returns (session, {stage: block}, stage clock)."""
     clock = _StageClock()
     panel = ingest_csv(config.input_path, config.unit_col, config.time_col)
     clock.lap("ingest")
@@ -534,7 +535,7 @@ def _run_stages(config: RunConfig, stages: Sequence[str], *, threads: int = 1):
     for stage in stages:
         blocks[stage] = _STAGES[stage](session)
         clock.lap(stage)
-    return panel, blocks, clock
+    return session, blocks, clock
 
 
 def run_pipeline(config: RunConfig, *, threads: int = 1):
@@ -545,8 +546,16 @@ def run_pipeline(config: RunConfig, *, threads: int = 1):
     sets, regime descriptives, correlations, panel unit roots, regime
     regression.
     """
-    panel, blocks, clock = _run_stages(config, _COMMAND_STAGES["report"], threads=threads)
-    fit = blocks["threshold_estimation"]
+    report, markdown, sidecar = _pipeline(config, threads)
+    return report, markdown, sidecar["timings_ms"]
+
+
+def _pipeline(config: RunConfig, threads: int):
+    """``run_pipeline``, with its timings sidecar in place of the timings:
+    the per-stage wall times and the scan's factor memo counts, which
+    depend on thread timing and so stay out of the report."""
+    session, blocks, clock = _run_stages(config, _COMMAND_STAGES["report"], threads=threads)
+    panel, fit = session.panel, blocks["threshold_estimation"]
     report = {
         "schema_version": SCHEMA_VERSION,
         "generator": {"package": "panelthresh", "version": __version__, "rng": RNG_DESCRIPTOR},
@@ -575,7 +584,10 @@ def run_pipeline(config: RunConfig, *, threads: int = 1):
     }
     markdown = render_markdown(report)
     clock.lap("render")
-    return report, markdown, clock.timings_ms
+    return report, markdown, {
+        "timings_ms": clock.timings_ms,
+        "factor_memo": session.scan.factor_memo_info(),
+    }
 
 
 def _command_payload(command: str, blocks: Mapping[str, Any]) -> dict[str, Any]:
@@ -730,13 +742,13 @@ def _resolve(output_dir: str | None, path: str) -> Path:
 
 
 def _cmd_report(config: RunConfig, args) -> int:
-    report, markdown, timings = run_pipeline(config, threads=args.threads)
+    report, markdown, sidecar = _pipeline(config, args.threads)
     json_path = _resolve(args.output_dir, config.output_json)
     md_path = _resolve(args.output_dir, config.output_markdown)
     json_path.write_text(dumps_report(report), encoding="utf-8")
     md_path.write_text(markdown, encoding="utf-8")
-    sidecar = json_path.with_name(json_path.name + ".timings.json")
-    sidecar.write_text(json.dumps({"timings_ms": timings}, indent=2) + "\n", encoding="utf-8")
+    sidecar_path = json_path.with_name(json_path.name + ".timings.json")
+    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     print(f"report written: {json_path} {md_path}")
     return 0
 

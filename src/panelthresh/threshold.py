@@ -22,6 +22,7 @@ Hansen, B. E. (1999). Threshold effects in non-dynamic panels: estimation,
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -33,6 +34,8 @@ from .panel import PanelDataset, VariableRole, make_lag
 
 DEFAULT_TRIM = 0.05
 DEFAULT_MAX_GRID = 400
+# Byte budget of each SSRScan's factor memo (the arrays' nbytes summed).
+FACTOR_MEMO_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -452,8 +455,15 @@ class SSRScan:
     candidate only the m x m Schur complement of its own block is factored;
     with Z's factor it gives the Cholesky factor of the Gram ordered [Z,
     candidate]. A response then costs one cumulative sum of u * y, one
-    product with Z and batched m x m solves. The scan without fixed
-    thresholds (Z = [x, controls]) is factored at construction.
+    product with Z and batched m x m solves.
+
+    Each set of fixed thresholds is factored once and kept in a memo that
+    every scan of this instance shares, so the replications of a bootstrap
+    do not factor the same conditional scan again. The memo holds the scan
+    without fixed thresholds (Z = [x, controls]), factored at construction,
+    and then takes new sets until their arrays fill ``FACTOR_MEMO_BYTES``;
+    later sets are factored on each use. A factor depends only on its fixed
+    tuple, so no result depends on what the memo holds.
 
     The normal-equation SSRs only screen the grid. Every candidate whose
     screened SSR lies within a conditioning-based error bound of the
@@ -465,7 +475,8 @@ class SSRScan:
     where ``scan`` re-evaluates and at requested candidates, screened with
     its slack elsewhere.
 
-    Read-only after construction, so threads may share one instance.
+    Threads may share one instance. The memo is its one mutable part; a
+    lock guards it, and its arrays are read-only.
     """
 
     def __init__(self, ws: _Workspace, grid: np.ndarray):
@@ -491,7 +502,11 @@ class SSRScan:
         M = self._cumulative(us[:, :, None] * us[:, None, :])
         self._Gcc = M - np.einsum("cnj,cnk->cjk", self._S, self._S) / t
         self._raw = np.diagonal(M, axis1=1, axis2=2).copy()
-        self._unconditional = self._factor(())
+        self._memo_lock = threading.Lock()
+        self._memo_hits = self._memo_misses = 0
+        unconditional = _frozen(self._factor(()))
+        self._memo = {(): unconditional}
+        self._memo_bytes = _nbytes(unconditional)
 
     def _cumulative(self, sorted_rows: np.ndarray) -> np.ndarray:
         """Sums of q-sorted rows over q <= each candidate."""
@@ -516,12 +531,39 @@ class SSRScan:
                 blocks.append(ind_cum[:, None])
         return np.hstack([*blocks, ws.rv_full_dem, ws.controls_dem])
 
+    def factor_memo_info(self) -> dict[str, int]:
+        """Entries and bytes of the factor memo, and its hits and misses so
+        far. Hits and misses depend on how threads interleave."""
+        with self._memo_lock:
+            return {"entries": len(self._memo), "bytes": self._memo_bytes,
+                    "hits": self._memo_hits, "misses": self._memo_misses}
+
+    def _factored(self, fixed: tuple[float, ...]):
+        """``_factor(fixed)``, from the memo when it holds ``fixed``. A miss
+        factors outside the lock and is kept while the budget allows; two
+        threads missing on one key compute the same bits, and one is kept."""
+        with self._memo_lock:
+            found = self._memo.get(fixed)
+            if found is not None:
+                self._memo_hits += 1
+                return found
+            self._memo_misses += 1
+        factored = _frozen(self._factor(fixed))
+        size = _nbytes(factored)
+        with self._memo_lock:
+            if (self._memo_bytes + size <= FACTOR_MEMO_BYTES
+                    and self._memo.setdefault(fixed, factored) is factored):
+                self._memo_bytes += size
+        return factored
+
     def _factor(self, fixed: tuple[float, ...]):
         """The response-free part of a scan: the admissible candidates and the
         factors giving each one's screened SSR, y'y - |P'y|^2 - |R rc - K P'y|^2
         with rc its cross moments with y, plus a bound on |screened SSR -
         pivoted SSR| per unit of y'y. The bound is infinite where a factor
-        fails or the conditioning leaves the first-order bound meaningless."""
+        fails or the conditioning leaves the first-order bound meaningless.
+        The result depends only on ``fixed``, in the order given (Z's columns
+        follow it)."""
         ws, t = self.ws, self.ws.n_periods
         rows = self._admissible(fixed)
         Z = self.shared_columns(fixed)
@@ -568,7 +610,7 @@ class SSRScan:
         """Admissible rows, their screened SSRs for response ``y`` and the
         slack bounding |screened - pivoted| (infinite where untrusted)."""
         ws = self.ws
-        rows, P, R, K, bound = self._factor(fixed) if fixed else self._unconditional
+        rows, P, R, K, bound = self._factored(fixed)
         sums = y.reshape(ws.n_units, ws.n_periods).sum(axis=1)
         rc = self._cumulative(self._u_sorted * y[self._order, None])
         rc -= sums @ self._S / ws.n_periods
@@ -621,6 +663,17 @@ class SSRScan:
             screened[i] = _ssr_ws(ws, tuple(sorted((*fixed, float(cands[i])))))
         slack[exact] = 0.0
         return tuple(zip(cands.tolist(), screened.tolist())), tuple(slack.tolist())
+
+
+def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only so that callers sharing them cannot write."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
+    return sum(a.nbytes for a in arrays)
 
 
 def _near_minimum(screened: np.ndarray, slack: np.ndarray) -> np.ndarray:

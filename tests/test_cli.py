@@ -370,6 +370,9 @@ class TestMainExitCodes:
         assert (out_dir / "report.md").exists()
         sidecar = json.loads((out_dir / "report.json.timings.json").read_text())
         assert "timings_ms" in sidecar
+        memo = sidecar["factor_memo"]
+        assert set(memo) == {"entries", "bytes", "hits", "misses"}
+        assert memo["entries"] >= 1 and memo["bytes"] > 0 and memo["hits"] > 0
 
     def test_seed_override_changes_report_seed(self, panel_csv, tmp_path):
         path, _ = panel_csv

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -27,9 +30,10 @@ from panelthresh import (
 )
 
 from panelthresh._linalg import pivoted_lstsq
-from panelthresh.inference import _rep_rng, run_indexed
+from panelthresh import threshold
+from panelthresh.inference import _rep_rng, regime_count_on, run_indexed
 from panelthresh.threshold import (
-    _argmin, _conditional_profile, _demean_rows, _fit_ws, _Workspace,
+    SSRScan, _argmin, _conditional_profile, _demean_rows, _fit_ws, _Workspace, build_scan,
 )
 
 from conftest import make_panel
@@ -472,3 +476,68 @@ class TestThresholdCI:
             assert ci.lower <= fit.gammas[j] <= ci.upper
         with pytest.raises(EstimationError, match="out of range"):
             threshold_ci(panel, spec, fit, 0.05, threshold_index=2)
+
+
+class TestFactorMemo:
+    """The scan's factor memo saves work in the 2-vs-3 bootstrap and changes
+    no result."""
+
+    @staticmethod
+    def _problem():
+        # Replications on this panel scatter over about 95 fixed sets.
+        dgp = ThresholdDGP(
+            n_units=8, n_periods=40, gamma0=(0.3, 0.7),
+            beta_low=(1.0, 0.5), beta_high=(2.0, -0.5),
+            beta_regimes=((1.0, 0.5), (2.0, -0.5), (0.5, 1.0)),
+            control_betas=(0.5,), seed=12,
+        )
+        panel, truth = simulate_threshold_panel(dgp)
+        return panel, default_spec(truth, num_thresholds=2)
+
+    def test_each_fixed_set_factored_once(self, monkeypatch):
+        calls = Counter()
+        factor = SSRScan._factor
+
+        def counted(self, fixed):
+            calls[fixed] += 1
+            return factor(self, fixed)
+
+        monkeypatch.setattr(SSRScan, "_factor", counted)
+        scan = build_scan(*self._problem())
+        regime_count_on(scan, 2, 99, 4)
+        assert len(calls) > 50 and set(calls.values()) == {1}
+        assert scan.factor_memo_info()["entries"] == len(calls)
+
+    def test_results_do_not_depend_on_the_memo(self, monkeypatch):
+        # The default budget, a budget that memoises nothing beyond the
+        # unconditional factor, and a cold scan shared by three threads
+        # switching every microsecond give the same test; the counts stay
+        # consistent under that contention.
+        panel, spec = self._problem()
+        default = regime_count_on(build_scan(panel, spec), 2, 99, 4)
+
+        scan = build_scan(panel, spec)
+        lookups = itertools.count()  # next() on it is atomic under the GIL
+        factored = SSRScan._factored
+
+        def counted(self, fixed):
+            next(lookups)
+            return factored(self, fixed)
+
+        monkeypatch.setattr(SSRScan, "_factored", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = regime_count_on(scan, 2, 99, 4, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        info = scan.factor_memo_info()
+        assert info["hits"] + info["misses"] == next(lookups)
+        assert info["entries"] == len(scan._memo) <= info["misses"] + 1
+        assert info["bytes"] == sum(threshold._nbytes(v) for v in scan._memo.values())
+
+        monkeypatch.setattr(threshold, "FACTOR_MEMO_BYTES", 0)
+        cold = build_scan(panel, spec)
+        uncached = regime_count_on(cold, 2, 99, 4)
+        assert list(cold._memo) == [()]
+        assert default == uncached == threaded
