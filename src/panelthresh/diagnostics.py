@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DataError
 from .panel import PanelDataset
@@ -226,6 +225,8 @@ def ips_test(
     mean, var_ = _ips_moments(t_len, deterministic, max_lag, moment_draws, seed)
     t_bar = float(np.mean(per_unit))
     z = math.sqrt(per_unit.size) * (t_bar - mean) / math.sqrt(var_)
+    from scipy.special import ndtr
+
     return IpsResult(
         t_bar=t_bar,
         statistic=float(z),

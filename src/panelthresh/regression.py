@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from ._linalg import pivoted_lstsq
 from .errors import ConfigError, EstimationError
@@ -65,6 +64,8 @@ def _is_constant(col: np.ndarray) -> bool:
 
 def _chi2_sf(x: float, df: int) -> float:
     """Chi-square survival function; 1 for x < 0, as for a statistic rounded below zero."""
+    from scipy.special import chdtrc
+
     return 1.0 if x < 0 else float(chdtrc(df, x))
 
 
@@ -104,6 +105,8 @@ def _package(
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.inf)
+    from scipy.special import ndtr
+
     pvals = 2.0 * ndtr(-np.abs(z))
     has_const = any(_is_constant(M[:, j]) for j in range(k))
     tss = float(np.sum((y - y.mean()) ** 2)) if has_const else float(y @ y)

@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, EstimationError
 from .inference import linearity_test, run_indexed, threshold_ci
@@ -127,6 +126,8 @@ def _parse_dist(descriptor: str) -> tuple[str, float, float]:
 
 def _from_gaussian(kind: str, a: float, b: float, g: np.ndarray) -> np.ndarray:
     if kind == "uniform":
+        from scipy.special import ndtr
+
         return a + (b - a) * ndtr(g)
     return np.exp(a + b * g)
 

@@ -206,7 +206,11 @@ class _Workspace:
 
     def _demean_cols(self, cols: np.ndarray) -> np.ndarray:
         shaped = cols.reshape(self.n_units, self.n_periods, -1)
-        return (shaped - shaped.mean(axis=1, keepdims=True)).reshape(self.n_obs, -1)
+        dem = shaped - shaped.mean(axis=1, keepdims=True)
+        # A series constant within a unit demeans to exact zeros there, not to
+        # rounding noise that the scale-free rank rule would keep as a column.
+        dem *= np.ptp(shaped, axis=1, keepdims=True) != 0.0
+        return dem.reshape(self.n_obs, -1)
 
     def cum(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Demeaned x * I(q <= gamma) columns and the demeaned indicator."""
@@ -596,8 +600,9 @@ class SSRScan:
         ok = np.all(nc > 0, axis=1) & np.all(nz > 0) & z_factored[0] & factored
         ok &= acc * kappa < 1e-2
         # The pivoted path keeps every column when sigma_min of the design
-        # clears RANK_TOL times its largest column norm by a wide margin;
-        # the design is the basis times a transform with inverse norm <= kb + 1.
+        # clears RANK_TOL times its largest column norm by a wide margin:
+        # then its unit-norm columns, and so every pivot, clear RANK_TOL.
+        # The design is the basis times a transform with inverse norm <= kb + 1.
         sigma_min = np.minimum(nz.min(), nc.min(axis=1)) / np.sqrt(trace) / (kb + 1)
         ok &= sigma_min > 20.0 * RANK_TOL * np.maximum(nz.max(), nc.max(axis=1))
         bound = 8.0 * acc * (kappa + 4.0 * kb * p * np.sqrt(kappa))

@@ -497,3 +497,32 @@ def test_cli_import_skips_scipy_stats():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_fit_test_and_ci_load_no_scipy(stage_config):
+    # The least-squares kernel is numpy only and scipy.special is imported
+    # where a p-value is computed, so these three subcommands never load
+    # scipy; diagnose then loads scipy.special and nothing else of it.
+    import panelthresh
+
+    src = str(Path(panelthresh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from panelthresh.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})\n"
+        "for command in ('fit', 'test', 'ci', 'diagnose'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['--config', sys.argv[1], command]) == 0\n"
+        "    print(command, 'scipy' in sys.modules, scipy_modules())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(stage_config)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    lines = out.stdout.strip().splitlines()
+    assert lines[:3] == ["fit False []", "test False []", "ci False []"]
+    loaded = lines[3].split(" ", 2)
+    assert loaded[:2] == ["diagnose", "True"] and "special" in loaded[2]
+    assert "linalg" not in loaded[2] and "stats" not in loaded[2]

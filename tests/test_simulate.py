@@ -115,6 +115,43 @@ class TestSimulateThresholdPanel:
         assert 5.0 <= low.mean() <= 11.0
         assert 18.0 <= high.mean() <= 34.0
 
+    @pytest.mark.parametrize("which", ["benchmark", "test_mid", "endogenous"])
+    def test_threshold_variable_bitwise_equals_scipy_ndtr_build(self, which):
+        # The threshold variable rebuilt from the DGP's own stream, with
+        # scipy.special.ndtr on the endogenous path: simulated panels (and so
+        # the benchmark's inputs) stay bit for bit what they were.
+        import math
+
+        from scipy.special import ndtr
+
+        dgp = {
+            "benchmark": benchmark_dgp(seed=42),
+            # the two-threshold 8x40 panel of the benchmark's test-mid workload
+            "test_mid": ThresholdDGP(
+                n_units=8, n_periods=40, gamma0=(0.3, 0.7), beta_low=(1.0, 0.5),
+                beta_high=(2.0, -0.5), beta_regimes=((1.0, 0.5), (2.0, -0.5), (0.5, 1.0)),
+                control_betas=(0.5,), seed=2,
+            ),
+            "endogenous": ThresholdDGP(
+                n_units=6, n_periods=30, gamma0=3.0, beta_low=(0.0,), beta_high=(1.0,),
+                threshold_dist="uniform(1,5)", endogeneity_rho=0.6, seed=13,
+            ),
+        }[which]
+        rng = np.random.default_rng(np.random.SeedSequence([dgp.seed]))
+        shape = (dgp.n_units, dgp.n_periods)
+        rng.normal(0.0, dgp.fixed_effect_sd, size=dgp.n_units)
+        eta = rng.standard_normal(shape)
+        if which == "endogenous":
+            v, z1, z2 = (rng.standard_normal(shape) for _ in range(3))
+            u_q = 0.6 * eta + math.sqrt(1.0 - 0.36) * v
+            expected = 1.0 + 4.0 * ndtr((z1 + z2 + u_q) / math.sqrt(3.0))
+        elif which == "benchmark":
+            expected = rng.lognormal(2.45, 0.75, size=shape)
+        else:
+            expected = rng.uniform(0.0, 1.0, size=shape)
+        panel, _ = simulate_threshold_panel(dgp)
+        assert panel.values("q").tobytes() == expected.tobytes()
+
     def test_rng_metadata_recorded(self):
         panel, truth = simulate_threshold_panel(benchmark_dgp(seed=3))
         assert "PCG64" in panel.metadata["generator"] or "PCG64" in truth.rng["generator"]
