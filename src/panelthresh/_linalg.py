@@ -43,11 +43,12 @@ class LstsqResult(NamedTuple):
 def _keeps_every_column(T: np.ndarray) -> bool:
     """Whether the pivoted rank rule provably keeps every column of ``T``.
 
-    With σ_min and σ_max the extreme singular values of the triangle (its
-    leading k×k block: any row below is zero), every pivoted diagonal satisfies |r_ii| ≥ σ_min: |r_ii|
-    is the distance from the i-th pivot column to the span of the earlier
-    ones, which is at least the smallest singular value of those columns,
-    and that is at least σ_min. The first pivot |r_00| is the largest
+    With σ_min and σ_max the extreme singular values of the triangle (of
+    its leading k×k block: any row below is zero), every pivoted diagonal
+    satisfies |r_ii| ≥ σ_min: |r_ii| is the distance from the i-th pivot
+    column to the span of the earlier ones, which is at least the smallest
+    singular value of those columns, and that is at least σ_min (a subset
+    of columns has no smaller σ_min). The first pivot |r_00| is the largest
     column norm, which is at most σ_max. So σ_min > RANK_TOL · σ_max
     implies |r_ii| > RANK_TOL · |r_00| for every i, and the pivot search
     would keep every column. The factor 20 covers rounding in both

@@ -195,21 +195,25 @@ class _Workspace:
         self.q = est_panel.values(roles.threshold).ravel()
         self.rv_names = roles.regime_varying
         self.rv_raw = np.column_stack([est_panel.values(v).ravel() for v in self.rv_names])
-        self.rv_full_dem = self._demean_cols(self.rv_raw)
+        self.rv_full_dem = self._demean_cols(self.rv_raw, exact_constants=True)
         self.control_names = tuple(controls)
         if controls:
             self.controls_dem = self._demean_cols(
-                np.column_stack([est_panel.values(v).ravel() for v in controls])
+                np.column_stack([est_panel.values(v).ravel() for v in controls]),
+                exact_constants=True,
             )
         else:
             self.controls_dem = np.empty((self.n_obs, 0))
 
-    def _demean_cols(self, cols: np.ndarray) -> np.ndarray:
+    def _demean_cols(self, cols: np.ndarray, exact_constants: bool = False) -> np.ndarray:
+        """Within-demeaned columns. With ``exact_constants``, a series that
+        is constant over a unit's periods demeans to exact zeros there, not
+        to the rounding noise of its mean, which the scale-free rank rule
+        would keep as a column."""
         shaped = cols.reshape(self.n_units, self.n_periods, -1)
         dem = shaped - shaped.mean(axis=1, keepdims=True)
-        # A series constant within a unit demeans to exact zeros there, not to
-        # rounding noise that the scale-free rank rule would keep as a column.
-        dem *= np.ptp(shaped, axis=1, keepdims=True) != 0.0
+        if exact_constants:
+            dem.transpose(0, 2, 1)[np.all(shaped == shaped[:, :1], axis=1)] = 0.0
         return dem.reshape(self.n_obs, -1)
 
     def cum(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
