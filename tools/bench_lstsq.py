@@ -121,7 +121,8 @@ def pipeline(spec: str, repeats: int) -> None:
     workload = WORKLOADS[name]
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(workload, int(seed), Path(tmp))
-        argv = ["--config", str(Path(tmp) / "config.json"), "--threads", str(workload.threads),
+        # The config names its panel relative to the run directory.
+        argv = ["--config", "config.json", "--threads", str(workload.threads),
                 "--output-dir", tmp, workload.command]
         calls = {}
 
@@ -150,7 +151,12 @@ def pipeline(spec: str, repeats: int) -> None:
             calls[kernel_name] = count[0]
             return spent[0]
 
-        totals = _alternate(repeats, run)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            totals = _alternate(repeats, run)
+        finally:
+            os.chdir(cwd)
     print(json.dumps({"pipeline": spec, "threads": workload.threads, "calls": calls,
                       **{f"{name}_s": round(statistics.median(t), 4) for name, t in totals.items()},
                       "runs": {name: [round(v, 4) for v in t] for name, t in totals.items()}}),
