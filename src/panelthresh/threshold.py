@@ -222,8 +222,8 @@ class _Workspace:
         return self._demean_cols(self.rv_raw * mask), self._demean_cols(mask)[:, 0]
 
     def regime_counts(self, gammas: Sequence[float]) -> np.ndarray:
-        regime = np.sum(self.q[:, None] > np.asarray(gammas)[None, :], axis=1)
-        return np.bincount(regime, minlength=len(gammas) + 1)
+        n_le = np.sum(self.q[:, None] <= np.sort(gammas), axis=0)
+        return np.diff(n_le, prepend=0, append=self.n_obs)
 
     def design(self, gammas: Sequence[float]) -> tuple[np.ndarray, list[str]]:
         """Regressor matrix at the given strictly-sorted thresholds.
@@ -457,13 +457,15 @@ class SSRScan:
     the candidate's own m columns, and factors the equilibrated Gram of Z
     once. Because sum demean(a) * demean(b) = sum a * b - sum_i S_a,i *
     S_b,i / T, with S_i the per-unit sums, each candidate's block and its
-    cross moments with Z follow from q-sorted cumulative sums and per-unit
-    partial sums S(gamma), built once here (C x N x m floats): the
-    cumulative-moment device of Bai and Perron (2003) for break dates. Per
-    candidate only the m x m Schur complement of its own block is factored;
-    with Z's factor it gives the Cholesky factor of the Gram ordered [Z,
-    candidate]. A response then costs one cumulative sum of u * y, one
-    product with Z and batched m x m solves.
+    cross moments with Z are cumulative sums over the q-sorted observations
+    (the cumulative-moment device of Bai and Perron (2003) for break dates):
+    an entering observation adds u s' + s u' + u u' to sum_i S_i S_i', with
+    s its unit's sum of u before it, and u z' to a cross moment, with z
+    demeaned. So a scan holds O(N*T*m^2 + C*m*p) floats for C candidates and
+    p columns. Per candidate only the m x m Schur complement of its own
+    block is factored; with Z's factor it gives the Cholesky factor of the
+    Gram ordered [Z, candidate]. A response then costs one cumulative sum of
+    u * demeaned y, one product with Z and batched m x m solves.
 
     Each set of fixed thresholds is factored once and kept in a memo that
     every scan of this instance shares, so the replications of a bootstrap
@@ -497,18 +499,17 @@ class SSRScan:
         self._order = np.argsort(ws.q, kind="stable")
         self._q_sorted = ws.q[self._order]
         self._n_le = np.searchsorted(self._q_sorted, self.grid, side="right")
-        self._u_sorted = u[self._order]
-        # S(gamma): an observation enters from the first candidate >= its q on
-        C, m = self.grid.size, u.shape[1]
-        cell = np.searchsorted(self.grid, ws.q) * n_units + np.repeat(np.arange(n_units), t)
-        S = np.stack(
-            [np.bincount(cell, weights=u[:, j], minlength=(C + 1) * n_units) for j in range(m)],
-            axis=-1,
-        )
-        self._S = np.cumsum(S.reshape(C + 1, n_units, m)[:C], axis=0)
-        us = self._u_sorted
-        M = self._cumulative(us[:, :, None] * us[:, None, :])
-        self._Gcc = M - np.einsum("cnj,cnk->cjk", self._S, self._S) / t
+        self._u_sorted = us = u[self._order]
+        # s: each observation's unit sum of u over the observations sorted
+        # before it. Entering it grows sum_i S_i S_i' by u s' + s u' + u u'.
+        by_unit = np.argsort(self._order // t, kind="stable")
+        within = us[by_unit].reshape(n_units, t, -1)
+        s = np.empty_like(us)
+        s[by_unit] = (np.cumsum(within, axis=1) - within).reshape(us.shape)
+        uu, ub = us[:, :, None] * us[:, None, :], us[:, :, None] * s[:, None, :]
+        sums = self._cumulative(np.stack([uu, uu + ub + ub.transpose(0, 2, 1)], axis=1))
+        M = sums[:, 0]
+        self._Gcc = M - sums[:, 1] / t
         self._raw = np.diagonal(M, axis1=1, axis2=2).copy()
         self._memo_lock = threading.Lock()
         self._memo_hits = self._memo_misses = 0
@@ -572,12 +573,11 @@ class SSRScan:
         fails or the conditioning leaves the first-order bound meaningless.
         The result depends only on ``fixed``, in the order given (Z's columns
         follow it)."""
-        ws, t = self.ws, self.ws.n_periods
+        ws = self.ws
         rows = self._admissible(fixed)
         Z = self.shared_columns(fixed)
-        z_sums = Z.reshape(ws.n_units, t, -1).sum(axis=1)
-        cross = self._cumulative(self._u_sorted[:, :, None] * Z[self._order][:, None, :])
-        cross = (cross - np.swapaxes(self._S, 1, 2) @ z_sums / t)[rows]
+        z_dem = ws._demean_cols(Z)[self._order]
+        cross = self._cumulative(self._u_sorted[:, :, None] * z_dem[:, None, :])[rows]
         Gzz, Gcc = Z.T @ Z, self._Gcc[rows]
         nz = np.sqrt(np.diag(Gzz))
         nc = np.sqrt(np.maximum(np.diagonal(Gcc, axis1=1, axis2=2), 0.0))
@@ -592,14 +592,16 @@ class SSRScan:
         # trace(G^-1) = ||L^-1||_F^2 >= ||G^-1||, from the blocks of L^-1
         trace = (np.sum(lz_inv * lz_inv) + np.einsum("cij,cij->c", K @ lz_inv, K @ lz_inv)
                  + np.einsum("cij,cij->c", lh_inv, lh_inv))
-        # First-order bound: the cumulative sums and unit-sum corrections
-        # carry absolute errors of about acc * sqrt(raw_a * raw_b), so the
-        # equilibrated Gram is off by about acc * p * rho in norm, amplified
-        # by ||G^-1||; the pivoted reference adds its own error of order
-        # acc * sqrt(condition). Z'Z comes from Z itself (raw = its
-        # diagonal), the candidate blocks from uncentered cumulative sums.
+        # First-order bound: each moment is a running sum over at most N*T
+        # observations of terms made in at most T + 4 rounded steps, whose
+        # absolute values sum to at most 2 sqrt(raw_a * raw_b) (those of
+        # u s' + s u' + u u' to sum_i A_i B_i / T, A_i unit i's sum of |a|,
+        # by Cauchy-Schwarz within and across units). So each entry is off
+        # by acc * sqrt(raw_a * raw_b), the equilibrated Gram by acc * p * rho
+        # in norm, amplified by ||G^-1||; the pivoted reference adds acc *
+        # sqrt(condition). Z'Z comes from Z itself (raw = its diagonal).
         kb, p = len(fixed) + 1, Z.shape[1] + nc.shape[1]
-        acc = (ws.n_obs + ws.n_units + t + p**3) * np.finfo(float).eps
+        acc = (2 * (ws.n_obs + ws.n_periods + 4) + p**3) * np.finfo(float).eps
         kappa = p * np.maximum(1.0, np.max(self._raw[rows] * dc * dc, axis=1)) * trace
         ok = np.all(nc > 0, axis=1) & np.all(nz > 0) & z_factored[0] & factored
         ok &= acc * kappa < 1e-2
@@ -618,11 +620,8 @@ class SSRScan:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Admissible rows, their screened SSRs for response ``y`` and the
         slack bounding |screened - pivoted| (infinite where untrusted)."""
-        ws = self.ws
         rows, P, R, K, bound = self._factored(fixed)
-        sums = y.reshape(ws.n_units, ws.n_periods).sum(axis=1)
-        rc = self._cumulative(self._u_sorted * y[self._order, None])
-        rc -= sums @ self._S / ws.n_periods
+        rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self._order])
         sz = P.T @ y
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
         yy = float(y @ y)

@@ -578,6 +578,19 @@ class TestSSRScan:
             ref = threshold_ci(panel, ws.spec, exact, alpha, threshold_index=j)
             assert (ci.lower, ci.upper) == (ref.lower, ref.upper)
 
+    @settings(max_examples=40, deadline=None)
+    @_scan_cases
+    def test_candidate_gram_matches_explicit_columns_property(self, **case):
+        # Each candidate's Gram block, built from cumulative sums over the
+        # q-sorted observations, is the Gram of its demeaned cumulative
+        # columns u * I(q <= c) built explicitly, at every candidate.
+        _, ws, grid, scan, _, _ = _random_scan(**case)
+        tol = 1e-12 * scan._raw.max()
+        for c, gamma in enumerate(grid):
+            rv_cum, ind_cum = ws.cum(gamma)
+            cols = np.column_stack([rv_cum, ind_cum]) if ws.spec.include_intercept_shift else rv_cum
+            np.testing.assert_allclose(scan._Gcc[c], cols.T @ cols, rtol=0.0, atol=tol)
+
     def test_screened_profile_entries_match_oracle(self, rng):
         # Screened entries against normal equations solved longhand, to a
         # relative 1e-12 (both sides agree to about 4e-15 on this panel),
@@ -693,3 +706,25 @@ def test_conditional_scan_memory_does_not_grow_with_the_grid():
         tracemalloc.stop()
     assert hit is not None
     assert peak < 8 * 2**20
+
+
+def test_full_grid_fit_memory_grows_with_the_panel_not_the_grid():
+    # Every unit-sum correction is a cumulative sum over the N*T q-sorted
+    # observations, so a full-grid build and fit hold O(N*T*m^2 + C*m*p)
+    # floats. Per-unit partial sums at each candidate (C x N x m) peak at
+    # about 120 MB over this panel's ~8 100-point grid.
+    from panelthresh.threshold import build_scan, estimate_on
+
+    panel, truth = simulate_threshold_panel(ThresholdDGP(
+        n_units=300, n_periods=30, gamma0=0.5, beta_low=(1.0, 0.5), beta_high=(2.0, -0.5),
+        delta0=0.3, control_betas=(0.5,), seed=1,
+    ))
+    spec = default_spec(truth, max_grid_points=300 * 30)
+    tracemalloc.start()
+    try:
+        fit = estimate_on(build_scan(panel, spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fit.ssr_profile) > 8000
+    assert peak < 32 * 2**20
