@@ -665,6 +665,9 @@ def test_scan_matches_pivoted_reference_property(**case):
     y = (y - y.mean(axis=1, keepdims=True)).ravel()
     assert scan.scan(fixed, y) == _reference(ws, grid, fixed, y)
     assert scan.scan(fixed) == _reference(ws, grid, fixed, None)
+    # unit means in the response leave the screen's unit-sum correction to remove
+    y_raw = y + np.repeat(10.0 * rng.standard_normal(ws.n_units), ws.n_periods)
+    assert scan.scan(fixed, y_raw) == _reference(ws, grid, fixed, y_raw)
 
 
 def test_estimate_single_memory_does_not_grow_with_the_grid():
@@ -711,8 +714,8 @@ def test_conditional_scan_memory_does_not_grow_with_the_grid():
 def test_full_grid_fit_memory_grows_with_the_panel_not_the_grid():
     # Every unit-sum correction is a cumulative sum over the N*T q-sorted
     # observations, so a full-grid build and fit hold O(N*T*m^2 + C*m*p)
-    # floats. Per-unit partial sums at each candidate (C x N x m) peak at
-    # about 120 MB over this panel's ~8 100-point grid.
+    # floats. Keeping per-unit partial sums at each candidate (C x N x m)
+    # would peak at about 120 MB over this panel's ~8 100-point grid.
     from panelthresh.threshold import build_scan, estimate_on
 
     panel, truth = simulate_threshold_panel(ThresholdDGP(
