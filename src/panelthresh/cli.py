@@ -386,6 +386,7 @@ def _linearity(s: _Session) -> dict[str, Any]:
         "bootstrap_p": lin.bootstrap_p,
         "critical_values": {f"{int(a * 100)}%": v for a, v in lin.critical_values.items()},
         "replications": lin.replications,
+        "degenerate_replications": lin.degenerate_replications,
         "seed": lin.seed,
     }
 
@@ -411,6 +412,7 @@ def _regime_count(s: _Session) -> dict[str, Any] | None:
         "null_model": extra.null_model,
         "alt_model": extra.alt_model,
         "replications": extra.replications,
+        "degenerate_replications": extra.degenerate_replications,
     }
 
 

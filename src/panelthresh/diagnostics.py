@@ -200,7 +200,8 @@ def ips_test(
     """Im-Pesaran-Shin panel unit-root test for one variable.
 
     Small standardized statistics (large negative) reject the unit-root
-    null; the p-value is the one-sided normal left tail.
+    null; the p-value is the one-sided normal left tail,
+    Phi(z) = erfc(-z / sqrt(2)) / 2, computed with ``math``.
     """
     if deterministic not in DETERMINISTIC_CHOICES:
         raise ConfigError(
@@ -225,12 +226,10 @@ def ips_test(
     mean, var_ = _ips_moments(t_len, deterministic, max_lag, moment_draws, seed)
     t_bar = float(np.mean(per_unit))
     z = math.sqrt(per_unit.size) * (t_bar - mean) / math.sqrt(var_)
-    from scipy.special import ndtr
-
     return IpsResult(
         t_bar=t_bar,
-        statistic=float(z),
-        p_value=float(ndtr(z)),
+        statistic=z,
+        p_value=0.5 * math.erfc(-z / math.sqrt(2.0)),
         per_unit_t=tuple(per_unit.tolist()),
         lags=tuple(lags.tolist()),
         deterministic=deterministic,

@@ -2,11 +2,12 @@
 
 Standard errors are homoskedastic by default (a heteroskedasticity-robust
 HC0 option sits behind a flag); p-values use the large-sample normal and
-chi-square reference distributions.
+chi-square reference distributions, computed with ``math`` (no scipy).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -63,10 +64,29 @@ def _is_constant(col: np.ndarray) -> bool:
 
 
 def _chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function; 1 for x < 0, as for a statistic rounded below zero."""
-    from scipy.special import chdtrc
+    """Upper tail P(X > x) of a chi-square with integer ``df`` >= 1 degrees
+    of freedom; 1 for x < 0, as for a statistic rounded below zero, 0 at
+    +inf, and NaN for NaN.
 
-    return 1.0 if x < 0 else float(chdtrc(df, x))
+    Closed forms in h = x/2: for even df, e^-h * sum_{k < df/2} h^k / k!;
+    for odd df, erfc(sqrt(h)) + sum_{k=1}^{(df-1)/2} e^-h h^(k-1/2) / G(k+1/2).
+    Each term is formed in log space, so a tail a double can hold does not
+    underflow with e^-h (past x of about 1490). df = 2 gives exp(-x/2) and
+    df = 1 gives erfc(sqrt(x/2)) exactly.
+    """
+    h = 0.5 * float(x)
+    if h <= 0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
+    if df % 2:
+        tail, powers = math.erfc(math.sqrt(h)), [k - 0.5 for k in range(1, df // 2 + 1)]
+    else:
+        tail, powers = math.exp(-h), range(1, df // 2)
+    for a in powers:
+        tail += math.exp(a * log_h - h - math.lgamma(a + 1.0))
+    return tail
 
 
 def _wald_all_slopes(beta: np.ndarray, cov: np.ndarray, M: np.ndarray) -> WaldTest:
@@ -105,9 +125,7 @@ def _package(
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.inf)
-    from scipy.special import ndtr
-
-    pvals = 2.0 * ndtr(-np.abs(z))
+    pvals = [math.erfc(abs(v) / math.sqrt(2.0)) for v in z.tolist()]
     has_const = any(_is_constant(M[:, j]) for j in range(k))
     tss = float(np.sum((y - y.mean()) ** 2)) if has_const else float(y @ y)
     r2 = 1.0 - ssr / tss if tss > 0 else float("nan")

@@ -300,37 +300,6 @@ def _ssr_ws(ws: _Workspace, gammas: Sequence[float], y: np.ndarray | None = None
     return pivoted_lstsq(X, ws.y if y is None else y, on_deficient="drop").ssr
 
 
-def _conditional_profile(
-    ws: _Workspace,
-    grid: np.ndarray,
-    fixed: tuple[float, ...],
-    y: np.ndarray | None = None,
-) -> list[tuple[float, float]]:
-    """(candidate, SSR) over grid candidates admissible jointly with ``fixed``,
-    each by pivoted QR: the exact reference the tests hold ``SSRScan.scan``
-    and ``SSRScan.profile`` to. No estimator calls it."""
-    profile: list[tuple[float, float]] = []
-    for c in grid:
-        c = float(c)
-        if c in fixed:
-            continue
-        gammas = tuple(sorted((*fixed, c)))
-        if np.min(ws.regime_counts(gammas)) < ws.floor:
-            continue
-        profile.append((c, _ssr_ws(ws, gammas, y)))
-    return profile
-
-
-def _argmin(profile: list[tuple[float, float]]) -> tuple[float, float]:
-    """First minimum of a profile: the exact test reference for the search
-    ``SSRScan.scan`` reproduces. No estimator calls it."""
-    best = profile[0]
-    for entry in profile[1:]:
-        if entry[1] < best[1]:
-            best = entry
-    return best
-
-
 def fit_at(panel: PanelDataset, spec: ThresholdSpec, gammas: Sequence[float]) -> ThresholdFit:
     """Fit the regime regression at pinned threshold values.
 
@@ -480,7 +449,8 @@ class SSRScan:
     minimum, and every candidate whose Gram matrix is too ill-conditioned to
     bound, is re-evaluated by the pivoted-QR path, so the returned argmin,
     its tie-break (first, i.e. smallest, candidate) and its SSR are bitwise
-    those of ``_argmin(_conditional_profile(ws, grid, fixed, y))``. The
+    those of the pivoted-QR reference that ``tests/conftest.py`` keeps,
+    ``profile_argmin(conditional_profile(ws, grid, fixed, y))``. The
     same screen gives ``profile``: every admissible candidate's SSR, exact
     where ``scan`` re-evaluates and at requested candidates, screened with
     its slack elsewhere.
@@ -656,9 +626,10 @@ class SSRScan:
 
         The entries a scan re-evaluates (those whose screened SSR lies within
         the error bound of the minimum, and the untrusted ones) and the
-        entries at the candidates in ``keep`` are the pivoted-QR values of
-        ``_conditional_profile`` bitwise, with slack 0. Every other entry is
-        the screened SSR, within its slack of the pivoted value, and lies
+        entries at the candidates in ``keep`` are bitwise the pivoted-QR
+        values of ``conditional_profile``, the test reference in
+        ``tests/conftest.py``, with slack 0. Every other entry is the
+        screened SSR, within its slack of the pivoted value, and lies
         strictly above the minimum.
         """
         ws = self.ws

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from panelthresh import PanelDataset
+from panelthresh.threshold import _ssr_ws
 
 
 def make_panel(variables: dict, metadata=None) -> PanelDataset:
@@ -33,3 +34,29 @@ def random_panel(rng, n=4, t=8, extra_vars=()) -> PanelDataset:
     for name in extra_vars:
         variables[name] = rng.standard_normal((n, t))
     return make_panel(variables)
+
+
+def conditional_profile(ws, grid, fixed, y=None) -> list[tuple[float, float]]:
+    """(candidate, SSR) over grid candidates admissible jointly with ``fixed``,
+    each by pivoted QR: the exact reference for ``SSRScan.scan`` and
+    ``SSRScan.profile``."""
+    profile: list[tuple[float, float]] = []
+    for c in grid:
+        c = float(c)
+        if c in fixed:
+            continue
+        gammas = tuple(sorted((*fixed, c)))
+        if np.min(ws.regime_counts(gammas)) < ws.floor:
+            continue
+        profile.append((c, _ssr_ws(ws, gammas, y)))
+    return profile
+
+
+def profile_argmin(profile: list[tuple[float, float]]) -> tuple[float, float]:
+    """First minimum of a profile: the reference for the search
+    ``SSRScan.scan`` reproduces."""
+    best = profile[0]
+    for entry in profile[1:]:
+        if entry[1] < best[1]:
+            best = entry
+    return best

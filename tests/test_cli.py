@@ -499,30 +499,81 @@ def test_cli_import_skips_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-def test_fit_test_and_ci_load_no_scipy(stage_config):
-    # The least-squares kernel is numpy only and scipy.special is imported
-    # where a p-value is computed, so these three subcommands never load
-    # scipy; diagnose then loads scipy.special and nothing else of it.
+def test_fit_test_and_ci_load_no_scipy(stage_config, tmp_path):
+    # The least-squares kernel is numpy only and every p-value comes from
+    # math, so no analysis subcommand loads scipy. Only simulate's uniform
+    # threshold draws on the endogenous path (endogeneity_rho != 0) use it:
+    # they load scipy.special and no other subpackage.
     import panelthresh
 
     src = str(Path(panelthresh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    sim_configs = []
+    for rho in (0.0, 0.5):
+        sim_configs.append(tmp_path / f"simulate{rho}.json")
+        sim_configs[-1].write_text(json.dumps({"simulate": {
+            "experiment": "recovery", "trials": 50, "master_seed": 1,
+            "dgp": {"n_units": 4, "n_periods": 20, "gamma0": 0.5, "beta_low": [0.2],
+                    "beta_high": [0.7], "endogeneity_rho": rho},
+        }}))
     code = (
         "import contextlib, io, sys\n"
         "from panelthresh.cli import main\n"
-        "def scipy_modules():\n"
-        "    return sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})\n"
-        "for command in ('fit', 'test', 'ci', 'diagnose'):\n"
+        "def scipy_subpackages():\n"
+        "    return sorted(m[6:] for m, mod in sys.modules.items() if m.startswith('scipy.')\n"
+        "                  and m.count('.') == 1 and hasattr(mod, '__path__') and m[6] != '_')\n"
+        "runs = [(c, sys.argv[1], []) for c in ('fit', 'test', 'ci', 'diagnose')]\n"
+        "runs += [('report', sys.argv[1], ['--output-dir', sys.argv[2]]),\n"
+        "         ('simulate', sys.argv[3], []), ('simulate', sys.argv[4], [])]\n"
+        "for command, config, extra in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(['--config', sys.argv[1], command]) == 0\n"
-        "    print(command, 'scipy' in sys.modules, scipy_modules())\n"
+        "        assert main(['--config', config, *extra, command]) == 0\n"
+        "    print(command, 'scipy' in sys.modules, scipy_subpackages())\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, str(stage_config)],
+        [sys.executable, "-c", code, str(stage_config), str(tmp_path), *map(str, sim_configs)],
         capture_output=True, text=True, env=env, check=True,
     )
-    lines = out.stdout.strip().splitlines()
-    assert lines[:3] == ["fit False []", "test False []", "ci False []"]
-    loaded = lines[3].split(" ", 2)
-    assert loaded[:2] == ["diagnose", "True"] and "special" in loaded[2]
-    assert "linalg" not in loaded[2] and "stats" not in loaded[2]
+    assert out.stdout.strip().splitlines() == [
+        "fit False []", "test False []", "ci False []", "diagnose False []",
+        "report False []", "simulate False []", "simulate True ['special']",
+    ]
+
+
+def test_degenerate_replications_reported(tmp_path):
+    # The 4x10, trim-0.2 noise panel of the inference tests: many 2-vs-3
+    # replications leave no room for a third threshold and score F* = 0.
+    # Both test blocks carry that count, and the report's bytes do not
+    # depend on the thread count.
+    from panelthresh import ThresholdSpec, VariableRole, additional_threshold_test, linearity_test
+
+    rng = np.random.default_rng(0)
+    n, t = 4, 10
+    panel = make_panel({
+        "y": rng.standard_normal((n, t)),
+        "q": rng.uniform(0.0, 1.0, (n, t)),
+        "x": rng.standard_normal((n, t)),
+    })
+    write_csv(panel, tmp_path / "panel.csv")
+    cfg = base_config(tmp_path / "panel.csv")
+    cfg["roles"]["regime_varying"] = ["x"]
+    cfg["spec"] = {"num_thresholds": 2, "trim_fraction": 0.2}
+    cfg["inference"] = {"replications": 99, "seed": 1}
+    cfg["diagnostics"] = {"ips_moment_draws": 200, "max_lag": 1}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    spec = ThresholdSpec(VariableRole("y", "q", ["x"]), num_thresholds=2, trim_fraction=0.2)
+    extra = additional_threshold_test(panel, spec, k_null=2, B=99, seed=1)
+    lin = linearity_test(panel, spec, B=99, seed=1)
+    assert extra.degenerate_replications > 0
+
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        _main_stdout(["--config", str(cfg_path), "--threads", threads, "--output-dir", str(out),
+                      "report"])
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    th = json.loads(reports[0])["blocks"]["threshold"]
+    assert th["regime_count_test"]["degenerate_replications"] == extra.degenerate_replications
+    assert th["linearity"]["degenerate_replications"] == lin.degenerate_replications

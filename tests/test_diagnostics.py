@@ -124,6 +124,22 @@ class TestIpsTest:
         assert np.isfinite(res.statistic)
         assert 0.0 <= res.p_value <= 1.0
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 1.0])
+    def test_p_value_matches_scipy_ndtr(self, rho, rng):
+        # The p-value is erfc(-z / sqrt(2)) / 2 from math. It agrees with
+        # scipy's ndtr of the same statistic within 1e-12 relative, out to
+        # the far left tail that 40 units of white noise reach.
+        from scipy.special import ndtr
+
+        shocks = rng.standard_normal((40, 36))
+        data = np.empty_like(shocks)
+        data[:, 0] = shocks[:, 0]
+        for j in range(1, data.shape[1]):
+            data[:, j] = rho * data[:, j - 1] + shocks[:, j]
+        res = ips_test(_series_panel(data), "v", "intercept", moment_draws=MOMENT_DRAWS)
+        ref = float(ndtr(res.statistic))
+        assert ref > 0.0 and abs(res.p_value - ref) <= 1e-12 * ref
+
     def test_t_too_small(self, rng):
         panel = _series_panel(rng.standard_normal((4, 7)))
         with pytest.raises(DataError, match="too small"):

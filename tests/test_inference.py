@@ -32,11 +32,9 @@ from panelthresh import (
 from panelthresh._linalg import pivoted_lstsq
 from panelthresh import threshold
 from panelthresh.inference import _rep_rng, regime_count_on, run_indexed
-from panelthresh.threshold import (
-    SSRScan, _argmin, _conditional_profile, _demean_rows, _fit_ws, _Workspace, build_scan,
-)
+from panelthresh.threshold import SSRScan, _demean_rows, _fit_ws, _Workspace, build_scan
 
-from conftest import make_panel
+from conftest import conditional_profile, make_panel, profile_argmin
 
 # Frozen oracle values for -2 log(1 - sqrt(1 - alpha)), computed with
 # 30-digit mpmath arithmetic.
@@ -74,20 +72,20 @@ def reference_stages(ws, grid, y):
     (sorted thresholds, SSR) for 1 up to 3 thresholds, stopping at the first
     stage without an admissible split."""
     out = []
-    profile = _conditional_profile(ws, grid, (), y)
-    g1, s = _argmin(profile)
+    profile = conditional_profile(ws, grid, (), y)
+    g1, s = profile_argmin(profile)
     out.append(((g1,), s))
-    profile = _conditional_profile(ws, grid, (g1,), y)
+    profile = conditional_profile(ws, grid, (g1,), y)
     if not profile:
         return out
-    g2, s = _argmin(profile)
-    profile = _conditional_profile(ws, grid, (g2,), y)
+    g2, s = profile_argmin(profile)
+    profile = conditional_profile(ws, grid, (g2,), y)
     if profile:
-        g1, s = _argmin(profile)
+        g1, s = profile_argmin(profile)
     out.append((tuple(sorted((g1, g2))), s))
-    profile = _conditional_profile(ws, grid, out[-1][0], y)
+    profile = conditional_profile(ws, grid, out[-1][0], y)
     if profile:
-        g3, s = _argmin(profile)
+        g3, s = profile_argmin(profile)
         out.append((tuple(sorted((*out[-1][0], g3))), s))
     return out
 
@@ -453,7 +451,7 @@ class TestThresholdCI:
         ws = _Workspace(panel, spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
         pivoted = replace(
-            fit, ssr_profiles=(tuple(_conditional_profile(ws, grid, ())),), ssr_profile_slacks=(),
+            fit, ssr_profiles=(tuple(conditional_profile(ws, grid, ())),), ssr_profile_slacks=(),
         )
         ref = threshold_ci(panel, spec, pivoted, alpha)
         assert (ci.lower, ci.upper) == (ref.lower, ref.upper)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -243,12 +245,48 @@ class TestEstimateRegimeEquation:
         assert res.p_values["q (beta1)"] > res.p_values["q (beta2)"]
 
 
+def _check_chi2_sf(x: float, df: int, got: float, ref: float) -> None:
+    """Exact at the edges and where the tail is one libm call (df = 1 and 2);
+    elsewhere within 1e-12 relative of scipy wherever scipy's value is at
+    least 1e-300. scipy is not correctly rounded itself: at x = 41.5, df = 2
+    it differs from exp(-20.75) by 2e-15 relative."""
+    if x <= 0:
+        assert got == 1.0
+    elif x == math.inf:
+        assert got == 0.0
+    elif df == 1:
+        assert got == math.erfc(math.sqrt(x / 2))
+    elif df == 2:
+        assert got == math.exp(-x / 2)
+    elif ref >= 1e-300:
+        assert abs(got - ref) <= 1e-12 * ref
+    else:
+        assert 0.0 <= got < 1e-299
+
+
 @pytest.mark.parametrize("x", [-1e-12, -0.0, 0.0, 0.37, 3.0, 41.5, np.inf])
 @pytest.mark.parametrize("df", [1, 2, 7])
 def test_chi2_sf_matches_scipy_stats(x, df):
     from panelthresh.regression import _chi2_sf
 
-    assert _chi2_sf(x, df) == float(stats.chi2.sf(x, df))
+    _check_chi2_sf(x, df, _chi2_sf(x, df), float(stats.chi2.sf(x, df)))
+
+
+def test_chi2_sf_matches_scipy_stats_on_grid():
+    # df 1..40 and x up to 2000, where e^(-x/2) alone underflows past
+    # x of about 1490: the log-space terms keep every representable tail.
+    from panelthresh.regression import _chi2_sf
+
+    xs = np.concatenate([np.geomspace(1e-10, 1.0, 11), np.linspace(0.0, 2000.0, 4001)])
+    for df in range(1, 41):
+        for x, ref in zip(xs.tolist(), stats.chi2.sf(xs, df).tolist()):
+            _check_chi2_sf(x, df, _chi2_sf(x, df), ref)
+
+
+def test_chi2_sf_passes_nan_through():
+    from panelthresh.regression import _chi2_sf
+
+    assert all(math.isnan(_chi2_sf(math.nan, df)) for df in (1, 2, 7))
 
 
 class TestDummyOracle:

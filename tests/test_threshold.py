@@ -28,7 +28,7 @@ from panelthresh import (
     within_transform,
 )
 
-from conftest import make_panel
+from conftest import conditional_profile, make_panel, profile_argmin
 
 
 def _quantile_oracle(sorted_vals, p):
@@ -291,14 +291,14 @@ class TestEstimateMultiple:
         assert fit2.ssr <= fit1.ssr + 1e-9 * (1.0 + fit1.ssr)
 
     def test_refinement_never_increases_ssr(self):
-        from panelthresh.threshold import _argmin, _conditional_profile, _Workspace
+        from panelthresh.threshold import _Workspace
 
         panel, truth = _two_threshold_panel(seed=8)
         spec = default_spec(truth, num_thresholds=2)
         ws = _Workspace(panel, spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
-        g1, _ = _argmin(_conditional_profile(ws, grid, ()))
-        g2, s_unrefined = _argmin(_conditional_profile(ws, grid, (g1,)))
+        g1, _ = profile_argmin(conditional_profile(ws, grid, ()))
+        g2, s_unrefined = profile_argmin(conditional_profile(ws, grid, (g1,)))
         fit = estimate_multiple(panel, spec)
         assert fit.ssr <= s_unrefined + 1e-9 * (1.0 + s_unrefined)
 
@@ -365,10 +365,8 @@ def _scan_panel(rng, n=6, t=30, x_scale=1.0, control=None):
 
 
 def _reference(ws, grid, fixed, y):
-    from panelthresh.threshold import _argmin, _conditional_profile
-
-    profile = _conditional_profile(ws, grid, fixed, y)
-    return _argmin(profile) if profile else None
+    profile = conditional_profile(ws, grid, fixed, y)
+    return profile_argmin(profile) if profile else None
 
 
 _scan_cases = given(
@@ -509,7 +507,7 @@ class TestSSRScan:
         # there the profile varies across the band at the rounding level of
         # either path, so only exact re-evaluation of every near-tied
         # candidate orders it as the reference does.
-        from panelthresh.threshold import SSRScan, _conditional_profile, _Workspace
+        from panelthresh.threshold import SSRScan, _Workspace
 
         n, t = 6, 30
         q = rng.uniform(0.0, 1.0, (n, t))
@@ -519,7 +517,7 @@ class TestSSRScan:
         spec = ThresholdSpec(VariableRole("y", "q", ["x"]), include_intercept_shift=False)
         ws = _Workspace(make_panel({"y": y, "q": q, "x": x}), spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
-        profile = _conditional_profile(ws, grid, (), None)
+        profile = conditional_profile(ws, grid, (), None)
         best = min(s for _, s in profile)
         assert sum(abs(s - best) <= 1e-12 * best for _, s in profile) > 5
         scan = SSRScan(ws, grid)
@@ -554,12 +552,10 @@ class TestSSRScan:
         # The scan's profile has the reference's candidates in order, every
         # entry within its slack, the minimum and the kept candidate
         # bitwise, and the same LR confidence-set endpoints at any alpha.
-        from panelthresh.threshold import _conditional_profile
-
         panel, ws, grid, scan, fixed, rng = _random_scan(**case)
         keep = (float(rng.choice(grid)),)
         profile, slacks = scan.profile(fixed, keep)
-        reference = _conditional_profile(ws, grid, fixed)
+        reference = conditional_profile(ws, grid, fixed)
         assert [g for g, _ in profile] == [g for g, _ in reference]
         assert len(slacks) == len(profile)
         if not reference:
