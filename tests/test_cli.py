@@ -486,7 +486,7 @@ class TestThreeThresholds:
 
 def test_cli_import_skips_scipy_stats():
     # scipy.stats costs most of a second to import; the package needs only
-    # scipy.special's ndtr and chdtrc.
+    # scipy.special's ndtr, in simulate.
     import panelthresh
 
     src = str(Path(panelthresh.__file__).resolve().parents[1])
@@ -559,6 +559,8 @@ def test_degenerate_replications_reported(tmp_path):
     cfg["roles"]["regime_varying"] = ["x"]
     cfg["spec"] = {"num_thresholds": 2, "trim_fraction": 0.2}
     cfg["inference"] = {"replications": 99, "seed": 1}
+    # At T = 10 the default max_lag 3 leaves the trend ADF regression no
+    # residual degrees of freedom.
     cfg["diagnostics"] = {"ips_moment_draws": 200, "max_lag": 1}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
