@@ -759,16 +759,8 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
     sim = config_raw.get("simulate")
     if not sim:
         raise ConfigError("simulate subcommand needs a 'simulate' section in the config")
-    dgp_raw = dict(sim.get("dgp", {}))
-    for tuple_field in ("beta_low", "beta_high", "control_betas"):
-        if tuple_field in dgp_raw:
-            dgp_raw[tuple_field] = tuple(dgp_raw[tuple_field])
-    if "beta_regimes" in dgp_raw and dgp_raw["beta_regimes"] is not None:
-        dgp_raw["beta_regimes"] = tuple(tuple(b) for b in dgp_raw["beta_regimes"])
-    if "gamma0" in dgp_raw and isinstance(dgp_raw["gamma0"], list):
-        dgp_raw["gamma0"] = tuple(dgp_raw["gamma0"])
     try:
-        dgp = ThresholdDGP(**dgp_raw)
+        dgp = ThresholdDGP(**sim.get("dgp", {}))
     except TypeError as exc:
         raise ConfigError(f"invalid dgp section: {exc}") from None
     master_seed = sim.get("master_seed", 0) if args.seed is None else args.seed
@@ -777,7 +769,7 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
         _config_int(sim.get("trials", MIN_TRIALS_DEFAULT), "simulate.trials", 1),
         dgp,
         master_seed=_config_int(master_seed, "simulate.master_seed", 0),
-        alpha=float(sim.get("alpha", 0.05)),
+        alpha=sim.get("alpha", 0.05),
         replications=_config_int(
             sim.get("replications", 199), "simulate.replications", MIN_REPLICATIONS
         ),

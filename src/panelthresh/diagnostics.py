@@ -213,9 +213,12 @@ def ips_test(
         raise ConfigError(f"moment_draws must be at least 2, got {moment_draws}")
     data = panel.values(var)
     t_len = panel.n_periods
-    if t_len - max_lag - 2 < 3:
+    # The max-lag ADF model fits base_k + max_lag regressors to the
+    # T - 1 - max_lag differences and needs a residual degree of freedom.
+    base_k = 3 if deterministic == "intercept+trend" else 2
+    if t_len - max_lag - 2 < 3 or t_len - 1 - 2 * max_lag - base_k < 1:
         raise DataError(
-            f"T={t_len} too small for ADF regressions with max_lag={max_lag}"
+            f"T={t_len} too small for {deterministic} ADF regressions with max_lag={max_lag}"
         )
     flat = np.nonzero(np.ptp(data, axis=1) == 0.0)[0]
     if flat.size:

@@ -8,7 +8,7 @@ chi-square reference distributions, computed with ``math`` (no scipy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -182,10 +182,6 @@ def two_sls(
     if unknown:
         raise EstimationError(f"endogenous names not in design: {', '.join(unknown)}")
     excluded = [z for z in Z if z not in X or z in endog]
-    if not endog:
-        base = ols(yv, X, robust=robust)
-        sargan = _sargan(yv, base.residuals, X, endog, Z) if len(excluded) > 0 else None
-        return replace(base, estimator="2SLS", sargan=sargan)
     if len(excluded) < len(endog):
         raise EstimationError(
             f"under-identified: {len(excluded)} excluded instruments for "
@@ -202,9 +198,8 @@ def two_sls(
         M_hat[:, j] = Zfull @ first.beta
     second = pivoted_lstsq(M_hat, yv, on_deficient="raise", names=names)
     residuals = yv - M @ second.beta
-    sargan = None
-    if len(excluded) > len(endog):
-        sargan = _sargan(yv, residuals, X, endog, Z)
+    df = len(excluded) - len(endog)
+    sargan = _sargan(residuals, Zfull, df) if df > 0 else None
     return _package(yv, M, names, second.beta, residuals, M_hat, "2SLS", sargan, robust)
 
 
@@ -220,13 +215,10 @@ def _instrument_matrix(
     return np.column_stack(list(cols.values())), list(cols)
 
 
-def _sargan(y, residuals, X, endog, Z) -> SarganTest:
-    Zfull, znames = _instrument_matrix(X, endog, Z)
+def _sargan(residuals: np.ndarray, Zfull: np.ndarray, df: int) -> SarganTest:
     aux = pivoted_lstsq(Zfull, residuals, on_deficient="drop")
     rss0 = float(residuals @ residuals)
     stat = len(residuals) * (1.0 - aux.ssr / rss0) if rss0 > 0 else 0.0
-    excluded = [z for z in Z if z not in X or z in endog]
-    df = len(excluded) - len(endog)
     return SarganTest(float(stat), _chi2_sf(stat, df), df)
 
 

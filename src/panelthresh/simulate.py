@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -60,6 +61,16 @@ class ThresholdDGP:
     threshold_in_regressors: bool = True
 
     def __post_init__(self):
+        for name in ("n_units", "n_periods", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("beta_low", "beta_high", "control_betas"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if isinstance(self.gamma0, list):
+            object.__setattr__(self, "gamma0", tuple(self.gamma0))
+        if self.beta_regimes is not None:
+            object.__setattr__(self, "beta_regimes", tuple(tuple(b) for b in self.beta_regimes))
         if self.n_units < 2 or self.n_periods < 3:
             raise ConfigError(
                 f"need n_units >= 2 and n_periods >= 3, got {self.n_units}, {self.n_periods}"
@@ -86,13 +97,13 @@ class ThresholdDGP:
     @property
     def gammas0(self) -> tuple[float, ...]:
         g = self.gamma0
-        return tuple(float(v) for v in g) if isinstance(g, (tuple, list)) else (float(g),)
+        return tuple(float(v) for v in g) if isinstance(g, tuple) else (float(g),)
 
     @property
     def regime_betas(self) -> tuple[tuple[float, ...], ...]:
         if self.beta_regimes is not None:
             return self.beta_regimes
-        return (tuple(self.beta_low), tuple(self.beta_high))
+        return (self.beta_low, self.beta_high)
 
 
 @dataclass(frozen=True)
@@ -165,19 +176,12 @@ def simulate_threshold_panel(dgp: ThresholdDGP) -> tuple[PanelDataset, TruthReco
         else:
             q = rng.lognormal(a, b, size=(n, t_gen))
 
+    rv_names = ["q"] if dgp.threshold_in_regressors else []
     regressors: dict[str, np.ndarray] = {}
-    x = np.empty((n, t_gen, k1))
-    if dgp.threshold_in_regressors:
-        x[:, :, 0] = q
-        rv_names = ["q"] + [f"x{j}" for j in range(2, k1 + 1)]
-        for j in range(1, k1):
-            x[:, :, j] = rng.standard_normal((n, t_gen))
-            regressors[rv_names[j]] = x[:, :, j]
-    else:
-        rv_names = [f"x{j}" for j in range(1, k1 + 1)]
-        for j in range(k1):
-            x[:, :, j] = rng.standard_normal((n, t_gen))
-            regressors[rv_names[j]] = x[:, :, j]
+    for j in range(len(rv_names) + 1, k1 + 1):
+        rv_names.append(f"x{j}")
+        regressors[f"x{j}"] = rng.standard_normal((n, t_gen))
+    x = np.stack([regressors.get(name, q) for name in rv_names], axis=2)
 
     controls: dict[str, np.ndarray] = {}
     kc = len(dgp.control_betas)
@@ -223,7 +227,7 @@ def simulate_threshold_panel(dgp: ThresholdDGP) -> tuple[PanelDataset, TruthReco
     )
     truth = TruthRecord(
         gammas=gammas,
-        betas_by_regime=tuple(tuple(v) for v in dgp.regime_betas),
+        betas_by_regime=dgp.regime_betas,
         delta=dgp.delta0,
         theta=dgp.theta0,
         roles=roles,
@@ -341,76 +345,50 @@ def monte_carlo(
     ``size`` / ``power``: rejection rate of the bootstrap linearity test at
     ``alpha`` (the DGP decides which one it is). ``coverage``: rate at which
     the LR confidence set at ``alpha`` covers the planted threshold.
-    Metrics carry Monte Carlo standard errors.
+    Metrics carry Monte Carlo standard errors. ``spec_overrides`` may set
+    any ``ThresholdSpec`` field; ``num_thresholds`` defaults to 1.
     """
-    if experiment not in ("recovery", "size", "power", "coverage"):
+    rate = {"recovery": "hit_rate", "size": "rejection_rate", "power": "rejection_rate",
+            "coverage": "coverage_rate"}.get(experiment)
+    if rate is None:
         raise ConfigError(f"unknown experiment {experiment!r}")
     if trials < MIN_TRIALS:
         raise ConfigError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    overrides = dict(spec_overrides or {})
+    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    overrides = {"num_thresholds": 1, **(spec_overrides or {})}
 
-    def single_fit(trial: int):
+    def trial_outcome(trial: int) -> tuple[bool, float]:
+        """The trial's indicator and, for recovery, its estimation error."""
         panel_seed, test_seed = _trial_seeds(master_seed, trial)
         panel, truth = simulate_threshold_panel(replace(dgp, seed=panel_seed))
-        spec = default_spec(truth, num_thresholds=1, **overrides)
-        fit = estimate_single(panel, spec)
-        return panel, truth, spec, fit, test_seed
-
-    if experiment == "recovery":
-        def worker(trial: int):
-            _, truth, _, fit, _ = single_fit(trial)
-            grid = np.array([g for g, _ in fit.ssr_profile])
-            below = np.nonzero(grid <= truth.gammas[0])[0]
-            idx0 = int(below[-1]) if below.size else 0
-            idx_hat = int(np.searchsorted(grid, fit.gammas[0]))
-            return abs(idx_hat - idx0) <= 1, fit.gammas[0] - truth.gammas[0]
-
-        results = run_indexed(trials, threads, worker)
-        hits = np.array([r[0] for r in results], dtype=float)
-        errs = np.array([r[1] for r in results])
-        metrics = {
-            "hit_rate": float(hits.mean()),
-            "hit_rate_mc_se": _rate_se(hits),
-            "bias": float(errs.mean()),
-            "rmse": float(np.sqrt(np.mean(errs**2))),
-        }
-    elif experiment in ("size", "power"):
-        def worker(trial: int):
-            panel_seed, test_seed = _trial_seeds(master_seed, trial)
-            panel, truth = simulate_threshold_panel(replace(dgp, seed=panel_seed))
-            spec = default_spec(truth, num_thresholds=1, **overrides)
+        spec = default_spec(truth, **overrides)
+        if rate == "rejection_rate":
             res = linearity_test(panel, spec, B=replications, seed=test_seed)
-            return (res.bootstrap_p <= alpha,)
-
-        results = run_indexed(trials, threads, worker)
-        rejects = np.array([r[0] for r in results], dtype=float)
-        metrics = {
-            "rejection_rate": float(rejects.mean()),
-            "rejection_rate_mc_se": _rate_se(rejects),
-            "alpha": alpha,
-            "replications": float(replications),
-        }
-    else:
-        def worker(trial: int):
-            panel, truth, spec, fit, _ = single_fit(trial)
+            return res.bootstrap_p <= alpha, 0.0
+        fit, gamma0 = estimate_single(panel, spec), truth.gammas[0]
+        if rate == "coverage_rate":
             ci = threshold_ci(panel, spec, fit, alpha)
-            return (ci.lower <= truth.gammas[0] <= ci.upper,)
+            return ci.lower <= gamma0 <= ci.upper, 0.0
+        grid = np.array([g for g, _ in fit.ssr_profile])
+        below = np.nonzero(grid <= gamma0)[0]
+        idx0 = int(below[-1]) if below.size else 0
+        idx_hat = int(np.searchsorted(grid, fit.gammas[0]))
+        return abs(idx_hat - idx0) <= 1, fit.gammas[0] - gamma0
 
-        results = run_indexed(trials, threads, worker)
-        covered = np.array([r[0] for r in results], dtype=float)
-        metrics = {
-            "coverage_rate": float(covered.mean()),
-            "coverage_rate_mc_se": _rate_se(covered),
-            "alpha": alpha,
-        }
+    outcomes = run_indexed(trials, threads, trial_outcome)
+    p = float(np.mean([hit for hit, _ in outcomes]))
+    metrics = {rate: p, f"{rate}_mc_se": math.sqrt(p * (1.0 - p) / trials)}
+    if rate == "hit_rate":
+        errs = np.array([err for _, err in outcomes])
+        metrics.update(bias=float(errs.mean()), rmse=float(np.sqrt(np.mean(errs**2))))
+    else:
+        metrics["alpha"] = alpha
+    if rate == "rejection_rate":
+        metrics["replications"] = float(replications)
     return MonteCarloSummary(
         experiment=experiment,
         trials=trials,
         metrics=metrics,
         master_seed=int(master_seed),
     )
-
-
-def _rate_se(indicator: np.ndarray) -> float:
-    p = float(indicator.mean())
-    return math.sqrt(p * (1.0 - p) / indicator.size)

@@ -351,6 +351,35 @@ class TestMainExitCodes:
         assert main(["--config", str(cfg_path), "simulate"]) == 2
         assert "simulate.master_seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("simulate", "alpha", "abc", "alpha must be a number in (0, 1)"),
+        ("dgp", "n_units", 4.5, "n_units must be an integer"),
+    ])
+    def test_simulate_mistyped_field_exit_two(self, tmp_path, capsys, section, key, value, message):
+        cfg = self._simulate_config(4)
+        (cfg["simulate"] if section == "simulate" else cfg["simulate"]["dgp"])[key] = value
+        cfg_path = self._write_config(tmp_path, cfg)
+        assert main(["--config", str(cfg_path), "simulate"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_diagnose_without_adf_degrees_of_freedom_exit_three(self, tmp_path, capsys):
+        # The 4x10 noise panel of the inference tests under the default
+        # max_lag 3: the trend ADF regression has no residual degree of freedom.
+        rng = np.random.default_rng(0)
+        n, t = 4, 10
+        panel = make_panel({
+            "y": rng.standard_normal((n, t)),
+            "q": rng.uniform(0.0, 1.0, (n, t)),
+            "x": rng.standard_normal((n, t)),
+        })
+        write_csv(panel, tmp_path / "panel.csv")
+        cfg = base_config(tmp_path / "panel.csv")
+        cfg["roles"]["regime_varying"] = ["x"]
+        cfg["spec"] = {"num_thresholds": 2, "trim_fraction": 0.2}
+        cfg_path = self._write_config(tmp_path, cfg)
+        assert main(["--config", str(cfg_path), "diagnose"]) == 3
+        assert "too small for intercept+trend ADF" in capsys.readouterr().err
+
     def test_diagnose_subcommand(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         cfg_path = self._write_config(tmp_path, base_config(path))

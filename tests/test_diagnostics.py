@@ -145,6 +145,24 @@ class TestIpsTest:
         with pytest.raises(DataError, match="too small"):
             ips_test(panel, "v", "intercept", max_lag=3)
 
+    @pytest.mark.parametrize("t_len,deterministic", [
+        (8, "intercept"), (9, "intercept"),
+        (8, "intercept+trend"), (9, "intercept+trend"), (10, "intercept+trend"),
+    ])
+    def test_no_residual_dof_at_max_lag_rejected(self, t_len, deterministic, rng):
+        # The max-lag model has T - 1 - 3 observations for 2 + 3 regressors
+        # (3 + 3 with the trend): none of these leaves a residual degree of
+        # freedom, so the moments would be degenerate.
+        panel = _series_panel(rng.standard_normal((4, t_len)))
+        with pytest.raises(DataError, match="too small"):
+            ips_test(panel, "v", deterministic, moment_draws=MOMENT_DRAWS)
+
+    @pytest.mark.parametrize("t_len,deterministic", [(10, "intercept"), (11, "intercept+trend")])
+    def test_one_residual_dof_at_max_lag_accepted(self, t_len, deterministic, rng):
+        panel = _series_panel(rng.standard_normal((4, t_len)))
+        res = ips_test(panel, "v", deterministic, moment_draws=MOMENT_DRAWS)
+        assert math.isfinite(res.statistic) and res.moment_var > 0
+
     def test_constant_series_rejected(self, rng):
         data = rng.standard_normal((3, 20))
         data[1] = 4.2

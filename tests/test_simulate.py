@@ -47,6 +47,23 @@ class TestDgpValidation:
                 theta0=1.0,
             )
 
+    @pytest.mark.parametrize("field,value", [("n_units", 4.5), ("n_periods", True), ("seed", 1.0)])
+    def test_integer_fields_checked(self, field, value):
+        kwargs = dict(n_units=4, n_periods=10, gamma0=0.5, beta_low=(0.0,), beta_high=(1.0,))
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ThresholdDGP(**{**kwargs, field: value})
+
+    def test_list_fields_stored_as_tuples(self):
+        def dgp(seq):
+            return ThresholdDGP(
+                n_units=4, n_periods=10, gamma0=seq([0.3, 0.6]), beta_low=seq([0.0]),
+                beta_high=seq([1.0]), beta_regimes=seq([seq([0.0]), seq([1.0]), seq([2.0])]),
+                control_betas=seq([0.5]),
+            )
+
+        assert dgp(list) == dgp(tuple)
+        assert dgp(list).regime_betas == ((0.0,), (1.0,), (2.0,))
+
 
 class TestSimulateThresholdPanel:
     def test_same_seed_bit_identical(self):
@@ -152,6 +169,28 @@ class TestSimulateThresholdPanel:
         panel, _ = simulate_threshold_panel(dgp)
         assert panel.values("q").tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("k1", [1, 2, 3])
+    @pytest.mark.parametrize("threshold_in_regressors", [True, False])
+    def test_regressors_after_q_are_the_next_normal_draws(self, k1, threshold_in_regressors):
+        # The replay above, continued past q: each regressor other than q is
+        # the next standard-normal (n, T) block, in name order, then the control.
+        dgp = ThresholdDGP(
+            n_units=5, n_periods=12, gamma0=0.5, beta_low=(0.5,) * k1, beta_high=(1.5,) * k1,
+            control_betas=(0.3,), threshold_in_regressors=threshold_in_regressors, seed=21,
+        )
+        rng = np.random.default_rng(np.random.SeedSequence([dgp.seed]))
+        shape = (dgp.n_units, dgp.n_periods)
+        rng.normal(0.0, dgp.fixed_effect_sd, size=dgp.n_units)
+        rng.standard_normal(shape)
+        q = rng.uniform(0.0, 1.0, size=shape)
+        panel, truth = simulate_threshold_panel(dgp)
+        first = 2 if threshold_in_regressors else 1
+        names = [f"x{j}" for j in range(first, k1 + 1)]
+        assert truth.roles.regime_varying == ("q",) * (first - 1) + tuple(names)
+        assert panel.values("q").tobytes() == q.tobytes()
+        for name in names + ["c1"]:
+            assert panel.values(name).tobytes() == rng.standard_normal(shape).tobytes()
+
     def test_rng_metadata_recorded(self):
         panel, truth = simulate_threshold_panel(benchmark_dgp(seed=3))
         assert "PCG64" in panel.metadata["generator"] or "PCG64" in truth.rng["generator"]
@@ -173,6 +212,22 @@ class TestMonteCarlo:
         assert s1.metrics == s2.metrics
         assert {"hit_rate", "hit_rate_mc_se", "bias", "rmse"} <= set(s1.metrics)
         assert s1.rng["generator"].startswith("numpy PCG64")
+
+    @pytest.mark.parametrize("alpha", ["abc", 0.0, 1.0, True, float("nan")])
+    def test_alpha_validated(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            monte_carlo("size", 50, benchmark_dgp(), alpha=alpha)
+
+    def test_spec_overrides_take_precedence(self):
+        # num_thresholds defaults to 1 but may be overridden: the linearity
+        # test runs on a two-threshold spec, and recovery refuses one.
+        dgp = benchmark_dgp(contrast=0.0)
+        overrides = {"num_thresholds": 2}
+        s = monte_carlo("size", 50, dgp, master_seed=11, replications=99, threads=2,
+                        spec_overrides=overrides)
+        assert 0.0 <= s.metrics["rejection_rate"] <= 1.0
+        with pytest.raises(ConfigError, match="estimate_single"):
+            monte_carlo("recovery", 50, dgp, spec_overrides=overrides)
 
     def test_coverage_experiment_runs(self):
         dgp = benchmark_dgp(contrast=0.5, noise_sd=2.0)
