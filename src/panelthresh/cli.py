@@ -221,6 +221,42 @@ def _config_int(value: Any, name: str, low: int) -> int:
     return value
 
 
+def _section(raw: Mapping[str, Any], name: str, known) -> dict[str, Any]:
+    """``raw[name]`` (empty when absent), every key of it one of ``known``."""
+    section = raw.get(name, {})
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    return dict(section)
+
+
+# Each transform op's required and optional fields besides ``op``.
+_TRANSFORM_FIELDS = {
+    "within": ((), ("vars",)),
+    "lag": (("var",), ("k",)),
+    "period_average": (("k",), ()),
+    "composite_index": (("components", "name"), ("weights",)),
+}
+
+
+def _check_transform(index: int, t: Mapping[str, Any]) -> None:
+    op = t.get("op")
+    if op not in _TRANSFORM_FIELDS:
+        raise ConfigError(f"unknown transform op {op!r}")
+    where = f"transforms[{index}] ({op})"
+    required, optional = _TRANSFORM_FIELDS[op]
+    missing = [name for name in required if name not in t]
+    if missing:
+        raise ConfigError(f"{where} missing fields: {missing}")
+    unknown = set(t) - {"op", *required, *optional}
+    if unknown:
+        raise ConfigError(f"{where} unknown fields: {sorted(unknown)}")
+    if "k" in t:
+        _config_int(t["k"], f"{where} k", 1)
+
+
 def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     def need(section: Mapping, key: str, where: str):
         if key not in section:
@@ -228,25 +264,26 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         return section[key]
 
     input_path = str(need(raw, "input_path", ""))
-    csv_section = raw.get("csv", {})
+    csv_section = _section(raw, "csv", ("unit", "time"))
     unit_col = str(csv_section.get("unit", "unit"))
     time_col = str(csv_section.get("time", "time"))
-    roles_raw = need(raw, "roles", "")
+    need(raw, "roles", "")
+    roles_raw = _section(raw, "roles", (
+        "dependent", "threshold", "regime_varying", "invariant_controls", "instruments"))
     try:
         roles = VariableRole(
             dependent=need(roles_raw, "dependent", "roles."),
             threshold=need(roles_raw, "threshold", "roles."),
             regime_varying=tuple(need(roles_raw, "regime_varying", "roles.")),
             invariant_controls=tuple(roles_raw.get("invariant_controls", ())),
-            instruments=tuple(roles_raw.get("instruments", ())),
+            # a top-level ``instruments`` list overrides the roles' own
+            instruments=tuple(raw.get("instruments", roles_raw.get("instruments", ()))),
         )
     except DataError as exc:
         raise ConfigError(str(exc)) from None
-    spec_raw = dict(raw.get("spec", {}))
-    unknown = set(spec_raw) - {f.name for f in fields(ThresholdSpec)} - {"roles"}
-    if unknown:
-        raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
-    inference_raw = dict(raw.get("inference", {}))
+    spec_raw = _section(raw, "spec", {f.name for f in fields(ThresholdSpec)} - {"roles"})
+    inference_raw = _section(raw, "inference", (
+        "replications", "alphas", "seed", "regime_count_test"))
     replications = _config_int(
         inference_raw.get("replications", DEFAULT_REPLICATIONS), "inference.replications",
         MIN_REPLICATIONS,
@@ -261,10 +298,8 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
             f"inference.regime_count_test must be true or false, got {regime_count_test!r}"
         )
     transforms = tuple(dict(t) for t in raw.get("transforms", ()))
-    for t in transforms:
-        op = t.get("op")
-        if op not in ("within", "lag", "period_average", "composite_index"):
-            raise ConfigError(f"unknown transform op {op!r}")
+    for index, t in enumerate(transforms):
+        _check_transform(index, t)
     estimator = str(raw.get("estimator", "OLS")).upper()
     if estimator in ("SGMM", "GMM", "SYSTEM-GMM"):
         raise ConfigError(
@@ -273,11 +308,10 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         )
     if estimator not in ("OLS", "2SLS"):
         raise ConfigError(f"estimator must be OLS or 2SLS, got {estimator!r}")
-    instruments = tuple(raw.get("instruments", roles.instruments))
-    if estimator == "2SLS" and not instruments:
+    if estimator == "2SLS" and not roles.instruments:
         raise ConfigError("estimator 2SLS requires instruments")
-    output = dict(raw.get("output", {}))
-    diag = dict(raw.get("diagnostics", {}))
+    output = _section(raw, "output", ("json", "markdown"))
+    diag = _section(raw, "diagnostics", ("ips_moment_draws", "max_lag", "variables"))
     ips_moment_draws = _config_int(
         diag.get("ips_moment_draws", DEFAULT_MOMENT_DRAWS), "diagnostics.ips_moment_draws", 2
     )
@@ -298,7 +332,7 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         seed=seed,
         transforms=transforms,
         estimator=estimator,
-        instruments=instruments,
+        instruments=roles.instruments,
         output_json=str(output.get("json", "report.json")),
         output_markdown=str(output.get("markdown", "report.md")),
         regime_count_test=regime_count_test,
@@ -332,23 +366,9 @@ def apply_transforms(panel: PanelDataset, transforms: Sequence[Mapping[str, Any]
 # Report assembly
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def dumps_report(report: Mapping[str, Any]) -> str:
     """Canonical JSON serialization: sorted keys, stable float repr."""
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 class _StageClock:
@@ -449,7 +469,8 @@ def _descriptives(s: _Session) -> dict[str, Any]:
 
 def _correlation(s: _Session) -> dict[str, Any]:
     variables = s.config.diagnostics_vars
-    return {"variables": list(variables), "matrix": correlation_matrix(s.panel, variables)}
+    return {"variables": list(variables),
+            "matrix": correlation_matrix(s.panel, variables).tolist()}
 
 
 def _unit_roots(s: _Session) -> dict[str, dict[str, Any]]:
@@ -756,9 +777,10 @@ def _cmd_report(config: RunConfig, args) -> int:
 
 
 def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
-    sim = config_raw.get("simulate")
-    if not sim:
+    if not config_raw.get("simulate"):
         raise ConfigError("simulate subcommand needs a 'simulate' section in the config")
+    sim = _section(config_raw, "simulate", (
+        "experiment", "trials", "dgp", "master_seed", "alpha", "replications"))
     try:
         dgp = ThresholdDGP(**sim.get("dgp", {}))
     except TypeError as exc:

@@ -24,7 +24,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._linalg import pivoted_lstsq
 from .errors import ConfigError, EstimationError
 from .panel import PanelDataset
 from .threshold import (
@@ -174,11 +173,12 @@ def regime_count_on(
     built scan, for k_null = 0 (linearity), 1 or 2.
 
     F = (S_null - S_alt) / (S_alt / dof) from the sequential stages; the
-    linear SSR (k_null = 0) is a pivoted least-squares fit on the fixed
-    linear design. A replication whose sequential estimate stops short of
-    k_null + 1 thresholds, or whose S_alt is not positive, scores F* = 0
-    and counts as degenerate.
+    linear SSR (k_null = 0) is ``_ssr_ws`` at no thresholds. A replication
+    whose sequential estimate stops short of k_null + 1 thresholds, or whose
+    S_alt is not positive, scores F* = 0 and counts as degenerate.
     """
+    if k_null not in (0, 1, 2):
+        raise ConfigError(f"k_null must be 0, 1 or 2, got {k_null}")
     ws = scan.ws
     n, t = ws.n_units, ws.n_periods
     dof = n * (t - 1)
@@ -194,7 +194,6 @@ def regime_count_on(
         raise ConfigError(f"need at least {MIN_REPLICATIONS} bootstrap replications, got {B}")
     if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-    X0 = None if k_null else ws.design(())[0]
 
     def worker(rep: int) -> float | None:
         draw = _rep_rng(seed, rep).integers(0, n, size=n)
@@ -202,7 +201,7 @@ def regime_count_on(
         found = sequential_estimates(scan, k_null + 1, ystar)
         if len(found) <= k_null or found[k_null][1] <= 0:
             return None
-        s_null = found[k_null - 1][1] if k_null else pivoted_lstsq(X0, ystar).ssr
+        s_null = found[k_null - 1][1] if k_null else _ssr_ws(ws, (), ystar)
         return (s_null - found[k_null][1]) / (found[k_null][1] / dof)
 
     draws = run_indexed(B, threads, worker)
@@ -264,7 +263,7 @@ def threshold_ci(
             ws = _Workspace(panel, spec)
             fixed = fit.gammas[:threshold_index] + fit.gammas[threshold_index + 1:]
             for i in unclear:
-                ssrs[i] = _ssr_ws(ws, tuple(sorted((*fixed, profile[i][0]))))
+                ssrs[i] = _ssr_ws(ws, (*fixed, profile[i][0]))
     lr_profile = tuple((g, (s - fit.ssr) / fit.sigma2) for (g, _), s in zip(profile, ssrs))
     accepted = [g for g, v in lr_profile if v <= c_alpha]
     accepted.append(gamma_hat)

@@ -295,8 +295,9 @@ def _fit_ws(ws: _Workspace, gammas: Sequence[float]) -> ThresholdFit:
 
 
 def _ssr_ws(ws: _Workspace, gammas: Sequence[float], y: np.ndarray | None = None) -> float:
-    """SSR at arbitrary thresholds; collapsed or collinear columns are dropped."""
-    X, _ = ws.design(gammas)
+    """SSR at arbitrary thresholds, in any order (no thresholds: the linear
+    model); collapsed or collinear columns are dropped."""
+    X, _ = ws.design(sorted(gammas))
     return pivoted_lstsq(X, ws.y if y is None else y, on_deficient="drop").ssr
 
 
@@ -320,7 +321,7 @@ def ssr_at(panel: PanelDataset, spec: ThresholdSpec, gammas: Sequence[float]) ->
     are dropped, so the fit degrades gracefully to the nested model instead
     of erroring; useful for profile diagnostics at the grid edges.
     """
-    return _ssr_ws(_Workspace(panel, spec), sorted(float(g) for g in gammas))
+    return _ssr_ws(_Workspace(panel, spec), [float(g) for g in gammas])
 
 
 def estimate_single(panel: PanelDataset, spec: ThresholdSpec) -> ThresholdFit:
@@ -387,31 +388,24 @@ def sequential_estimates(
 ) -> list[tuple[tuple[float, ...], float]]:
     """Sequential (sorted thresholds, SSR) for 1 up to ``k`` thresholds.
 
-    Entry j is the (j + 1)-threshold stage: the unconditional minimizer;
-    then the second threshold given the first, followed by one refinement
-    pass for the first given the second; then the third given both. The
+    Entry j is the (j + 1)-threshold stage: the minimizer given the
+    thresholds of the stage before. The two-threshold stage then makes one
+    refinement pass, re-estimating the first threshold given the second. The
     list stops early at the first stage without an admissible split.
     """
-    hit = scan.scan((), y)
-    if hit is None:
-        return []
-    g1, s = hit
-    stages = [((g1,), s)]
-    if k >= 2:
-        hit = scan.scan((g1,), y)
+    stages: list[tuple[tuple[float, ...], float]] = []
+    fixed: tuple[float, ...] = ()
+    for stage in range(k):
+        hit = scan.scan(fixed, y)
         if hit is None:
-            return stages
-        g2, s = hit
-        rescan = scan.scan((g2,), y)
-        if rescan is not None:
-            g1, s = rescan
-        stages.append((tuple(sorted((g1, g2))), s))
-    if k == 3:
-        hit = scan.scan(stages[-1][0], y)
-        if hit is None:
-            return stages
-        g3, s = hit
-        stages.append((tuple(sorted((*stages[-1][0], g3))), s))
+            break
+        gamma, s = hit
+        if stage == 1:
+            refined = scan.scan((gamma,), y)
+            if refined is not None:
+                fixed, s = refined[:1], refined[1]
+        fixed = tuple(sorted((*fixed, gamma)))
+        stages.append((fixed, s))
     return stages
 
 
@@ -444,16 +438,17 @@ class SSRScan:
     later sets are factored on each use. A factor depends only on its fixed
     tuple, so no result depends on what the memo holds.
 
-    The normal-equation SSRs only screen the grid. Every candidate whose
-    screened SSR lies within a conditioning-based error bound of the
-    minimum, and every candidate whose Gram matrix is too ill-conditioned to
-    bound, is re-evaluated by the pivoted-QR path, so the returned argmin,
-    its tie-break (first, i.e. smallest, candidate) and its SSR are bitwise
-    those of the pivoted-QR reference that ``tests/conftest.py`` keeps,
-    ``profile_argmin(conditional_profile(ws, grid, fixed, y))``. The
-    same screen gives ``profile``: every admissible candidate's SSR, exact
-    where ``scan`` re-evaluates and at requested candidates, screened with
-    its slack elsewhere.
+    The normal-equation SSRs only screen the grid. One step, ``_resolve``,
+    re-evaluates by pivoted QR (``_ssr_ws``) every candidate whose screened
+    SSR lies within a conditioning-based error bound of the minimum, and
+    every one the bound does not cover (a Gram too ill-conditioned, or a
+    design the pivoted rank rule might cut, judged per regressor so that
+    units do not matter).
+    ``scan`` takes the first minimum of those, so its argmin, tie-break
+    (first, i.e. smallest, candidate) and SSR are bitwise those of the
+    pivoted-QR reference ``profile_argmin(conditional_profile(ws, grid,
+    fixed, y))`` in ``tests/conftest.py``; ``profile`` returns every entry
+    of the same step.
 
     Threads may share one instance. The memo is its one mutable part; a
     lock guards it, and its arrays are read-only.
@@ -575,73 +570,74 @@ class SSRScan:
         kappa = p * np.maximum(1.0, np.max(self._raw[rows] * dc * dc, axis=1)) * trace
         ok = np.all(nc > 0, axis=1) & np.all(nz > 0) & z_factored[0] & factored
         ok &= acc * kappa < 1e-2
-        # The pivoted path keeps every column when sigma_min of the design
-        # clears RANK_TOL times its largest column norm by a wide margin:
-        # then its unit-norm columns, and so every pivot, clear RANK_TOL.
-        # The design is the basis times a transform with inverse norm <= kb + 1.
-        sigma_min = np.minimum(nz.min(), nc.min(axis=1)) / np.sqrt(trace) / (kb + 1)
-        ok &= sigma_min > 20.0 * RANK_TOL * np.maximum(nz.max(), nc.max(axis=1))
+        # The pivoted path keeps every column when sigma_min of the unit-norm
+        # design clears RANK_TOL widely (each pivot is >= sigma_min, the first
+        # is 1). That design is B M: B the equilibrated basis, sigma_min(B) >=
+        # 1 / sqrt(trace), and M = D^-1 A S, with D the basis norms, A the
+        # basis-to-design transform and S the design's inverse column norms.
+        # A maps a regressor's cumulative columns at the kb boundaries and its
+        # full column to its kb + 1 regime columns and keeps shifts and
+        # controls, so M is block diagonal, with ||M_v^-1|| <= 2 (kb + 1)
+        # ratio_v (ratio_v: largest over smallest of those basis norms; A^-1
+        # sums regime columns, and a regime column has at most twice the
+        # largest norm) and 1 elsewhere: no regressor is compared with another.
+        k1, m = len(ws.rv_names), nc.shape[1]
+        own = nz[np.arange(kb)[:, None] * m + np.arange(k1)]
+        hi = np.maximum(own.max(axis=0), nc[:, :k1])
+        lo = np.minimum(own.min(axis=0), nc[:, :k1])
+        ratio = np.max(hi / np.where(lo > 0, lo, 1.0), axis=1)
+        ok &= 1.0 / np.sqrt(trace) / (kb + 1) > 40.0 * RANK_TOL * ratio
         bound = 8.0 * acc * (kappa + 4.0 * kb * p * np.sqrt(kappa))
         P = (Z * dz) @ lz_inv.T
         return rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf)
 
-    def _screen(
-        self, fixed: tuple[float, ...], y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Admissible rows, their screened SSRs for response ``y`` and the
-        slack bounding |screened - pivoted| (infinite where untrusted)."""
+    def _resolve(
+        self, fixed: tuple[float, ...], y: np.ndarray, keep: Sequence[float] = ()
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Admissible candidates, their screened SSRs for response ``y`` and
+        slacks, and the indices of the entries that may hold the minimum
+        (``_near_minimum``) or sit at ``keep``: those are re-evaluated by
+        pivoted QR, slack 0. Every other entry lies strictly above the minimum."""
         rows, P, R, K, bound = self._factored(fixed)
         rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self._order])
         sz = P.T @ y
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
         yy = float(y @ y)
-        screened = yy - sz @ sz - np.einsum("cij,cij->c", sc, sc)
-        return rows, screened, bound * yy
+        ssrs = yy - sz @ sz - np.einsum("cij,cij->c", sc, sc)
+        slack, cands = bound * yy, self.grid[rows]
+        exact = np.nonzero(_near_minimum(ssrs, slack) | np.isin(cands, keep))[0]
+        for i in exact:
+            ssrs[i] = _ssr_ws(self.ws, (*fixed, float(cands[i])), y)
+        slack[exact] = 0.0
+        return cands, ssrs, slack, exact
 
     def scan(
         self, fixed: tuple[float, ...], y: np.ndarray | None = None
     ) -> tuple[float, float] | None:
-        """(argmin candidate, min SSR) jointly admissible with ``fixed``.
+        """(argmin candidate, min SSR) jointly admissible with ``fixed``: the
+        first minimum among the exact entries of ``_resolve``.
 
         ``fixed`` holds threshold values; ``y`` defaults to the workspace
         response. None when no candidate is admissible.
         """
-        y = self.ws.y if y is None else y
-        rows, screened, slack = self._screen(fixed, y)
-        if not rows.size:
+        cands, ssrs, _, exact = self._resolve(fixed, self.ws.y if y is None else y)
+        if not exact.size:
             return None
-        best = None
-        for c in rows[_near_minimum(screened, slack)]:
-            cand = float(self.grid[c])
-            ssr = _ssr_ws(self.ws, tuple(sorted((*fixed, cand))), y)
-            if best is None or ssr < best[1]:
-                best = (cand, ssr)
-        return best
+        i = exact[np.argmin(ssrs[exact])]
+        return float(cands[i]), float(ssrs[i])
 
     def profile(
         self, fixed: tuple[float, ...], keep: Sequence[float] = ()
     ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
         """(candidate, SSR) of every candidate admissible jointly with
-        ``fixed``, in grid order, and each entry's slack.
-
-        The entries a scan re-evaluates (those whose screened SSR lies within
-        the error bound of the minimum, and the untrusted ones) and the
-        entries at the candidates in ``keep`` are bitwise the pivoted-QR
-        values of ``conditional_profile``, the test reference in
-        ``tests/conftest.py``, with slack 0. Every other entry is the
-        screened SSR, within its slack of the pivoted value, and lies
-        strictly above the minimum.
+        ``fixed``, in grid order, and each entry's slack: ``_resolve``'s
+        entries for the workspace response. The entries ``scan`` re-evaluates
+        and those at ``keep`` are bitwise the pivoted-QR values of
+        ``conditional_profile`` (``tests/conftest.py``), with slack 0; every
+        other entry is screened, within its slack of the pivoted value.
         """
-        ws = self.ws
-        rows, screened, slack = self._screen(fixed, ws.y)
-        if not rows.size:
-            return (), ()
-        cands = self.grid[rows]
-        exact = np.nonzero(_near_minimum(screened, slack) | np.isin(cands, keep))[0]
-        for i in exact:
-            screened[i] = _ssr_ws(ws, tuple(sorted((*fixed, float(cands[i])))))
-        slack[exact] = 0.0
-        return tuple(zip(cands.tolist(), screened.tolist())), tuple(slack.tolist())
+        cands, ssrs, slack, _ = self._resolve(fixed, self.ws.y, keep)
+        return tuple(zip(cands.tolist(), ssrs.tolist())), tuple(slack.tolist())
 
 
 def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -660,7 +656,7 @@ def _near_minimum(screened: np.ndarray, slack: np.ndarray) -> np.ndarray:
     interval screened +- slack reaches the lowest upper end, and each
     untrusted one (infinite or non-finite slack)."""
     trusted = np.isfinite(screened + slack)
-    ceiling = np.min(np.where(trusted, screened + slack, np.inf))
+    ceiling = np.min(np.where(trusted, screened + slack, np.inf), initial=np.inf)
     return np.where(trusted, screened - slack, -np.inf) <= ceiling
 
 

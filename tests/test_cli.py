@@ -259,6 +259,15 @@ class TestPipeline:
         _, _, timings = report
         assert {"ingest", "threshold_estimation", "linearity_test", "unit_roots"} <= set(timings)
 
+    def test_config_echo_round_trips(self, report, panel_csv):
+        # The report echoes its config verbatim, booleans included, so the
+        # echo parses back to the same run.
+        path, _ = panel_csv
+        rep, _, _ = report
+        echoed = json.loads(dumps_report(rep))["config"]
+        assert echoed == base_config(path)
+        assert parse_config(echoed) == parse_config(base_config(path))
+
 
 class TestMainExitCodes:
     def _write_config(self, tmp_path, cfg):
@@ -299,6 +308,51 @@ class TestMainExitCodes:
         cfg_path = self._write_config(tmp_path, cfg)
         assert main(["--config", str(cfg_path), "fit"]) == 2
         assert "max_grid_points must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fault, code, message", [
+        ("fit", {"csv": {"units": "unit"}}, 2, "unknown csv fields: ['units']"),
+        ("fit", {"roles": {"instrument": ["z"]}}, 2, "unknown roles fields: ['instrument']"),
+        ("fit", {"inference": {"replicatons": 199}}, 2, "['replicatons']"),
+        ("fit", {"inference": {"alpha": 0.1}}, 2, "unknown inference fields: ['alpha']"),
+        ("fit", {"inference": {"regime_count": False}}, 2, "['regime_count']"),
+        ("fit", {"diagnostics": {"maxlag": 2}}, 2, "unknown diagnostics fields: ['maxlag']"),
+        ("fit", {"output": {"jsn": "out.json"}}, 2, "unknown output fields: ['jsn']"),
+        ("simulate", {"simulate": {"replicatons": 99}}, 2, "unknown simulate fields"),
+        ("fit", {"transforms": [{"op": "lag"}]}, 2, "transforms[0] (lag) missing fields"),
+        ("fit", {"transforms": [{"op": "period_average"}]}, 2, "missing fields: ['k']"),
+        ("fit", {"transforms": [{"op": "lag", "var": "y", "k": "two"}]}, 2, "k must be"),
+        ("fit", {"transforms": [{"op": "lag", "var": "y", "k": 1.7}]}, 2, "k must be"),
+        ("fit", {"transforms": [{"op": "within", "var": ["y"]}]}, 2, "unknown fields: ['var']"),
+        ("fit", {"instruments": ["z_misspelt"]}, 3, "variables not in panel: z_misspelt"),
+    ], ids=["csv", "roles", "replications", "alphas", "regime_count_test", "max_lag", "json",
+            "simulate", "lag_var", "period_average_k", "lag_k_string", "lag_k_float",
+            "within_vars", "instruments"])
+    def test_config_fault_stops_before_any_stage(
+        self, panel_csv, tmp_path, capsys, monkeypatch, command, fault, code, message
+    ):
+        # Misspelled keys, malformed transforms and unknown instruments end
+        # the run with a named error before the estimation state is built.
+        from panelthresh import cli
+
+        def stage_ran(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "build_scan", stage_ran)
+        monkeypatch.setattr(cli, "monte_carlo", stage_ran)
+        path, _ = panel_csv
+        if command == "simulate":
+            cfg = self._simulate_config(4)
+            cfg["simulate"].update(fault["simulate"])
+        else:
+            cfg = base_config(path)
+            for key, value in fault.items():
+                if isinstance(value, dict):
+                    cfg[key] = {**cfg.get(key, {}), **value}
+                else:
+                    cfg[key] = value
+        cfg_path = self._write_config(tmp_path, cfg)
+        assert main(["--config", str(cfg_path), command]) == code
+        assert message in capsys.readouterr().err
 
     def test_threads_below_one_exit_two(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
@@ -608,3 +662,32 @@ def test_degenerate_replications_reported(tmp_path):
     th = json.loads(reports[0])["blocks"]["threshold"]
     assert th["regime_count_test"]["degenerate_replications"] == extra.degenerate_replications
     assert th["linearity"]["degenerate_replications"] == lin.degenerate_replications
+
+
+def test_2sls_report_end_to_end(tmp_path):
+    # An endogenous threshold variable with the two valid instruments the
+    # DGP emits: the report runs 2SLS with instruments interacted by regime
+    # (4 excluded, 2 endogenous, so Sargan df 2), and its bytes do not
+    # depend on the thread count.
+    from panelthresh import ThresholdDGP
+
+    panel, _ = simulate_threshold_panel(ThresholdDGP(
+        n_units=8, n_periods=30, gamma0=0.5, beta_low=(1.0,), beta_high=(2.0,),
+        endogeneity_rho=0.3, seed=4,
+    ))
+    write_csv(panel, tmp_path / "panel.csv")
+    cfg = base_config(tmp_path / "panel.csv", estimator="2SLS")
+    cfg["roles"]["instruments"] = ["z1", "z2"]
+    cfg["diagnostics"] = {"ips_moment_draws": 200, "variables": ["y", "q"]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        _main_stdout(["--config", str(cfg_path), "--threads", threads, "--output-dir", str(out),
+                      "report"])
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    regression = json.loads(reports[0])["blocks"]["regression"]
+    assert regression["estimator"] == "2SLS"
+    assert regression["sargan"]["df"] == 2

@@ -260,6 +260,18 @@ class TestAdditionalThresholdTest:
             with pytest.raises(ConfigError, match="k_null must be 1 or 2"):
                 additional_threshold_test(panel, spec, k_null=k_null, B=99, seed=0)
 
+    @pytest.mark.parametrize("k_null", [-1, 3, 5])
+    def test_regime_count_on_rejects_k_null_before_any_scan(self, fitted, monkeypatch, k_null):
+        panel, _, spec, _ = fitted
+        scan = build_scan(panel, spec)
+
+        def scanned(*args, **kwargs):
+            raise AssertionError("a scan ran")
+
+        monkeypatch.setattr(SSRScan, "scan", scanned)
+        with pytest.raises(ConfigError, match="k_null must be 0, 1 or 2"):
+            regime_count_on(scan, k_null, 99, 0)
+
     def test_deterministic(self, fitted):
         panel, _, spec, _ = fitted
         a = additional_threshold_test(panel, spec, k_null=1, B=99, seed=8)

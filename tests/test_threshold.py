@@ -353,15 +353,16 @@ class TestSpecValidation:
         assert "y_lag1" in fit.control_betas
 
 
-def _scan_panel(rng, n=6, t=30, x_scale=1.0, control=None):
-    """Two-threshold-ish panel with a regressor x and a control c."""
+def _scan_panel(rng, n=6, t=30, x_scale=1.0, control=None, c_scale=1.0):
+    """Two-threshold-ish panel with a regressor x and a control c, each
+    rescaled after the response is drawn."""
     q = rng.uniform(0.0, 1.0, (n, t))
     x = rng.standard_normal((n, t)) + 1.0
     c = rng.standard_normal((n, t)) if control is None else control(x, rng)
     regime = (q > 0.35).astype(float) + (q > 0.7)
     y = (x * (1.0 + 0.8 * regime) + 0.4 * regime + 0.5 * c
          + rng.standard_normal((n, t)) + rng.standard_normal((n, 1)))
-    return make_panel({"y": y, "q": q, "x": x * x_scale, "c": c})
+    return make_panel({"y": y, "q": q, "x": x * x_scale, "c": c * c_scale})
 
 
 def _reference(ws, grid, fixed, y):
@@ -493,6 +494,11 @@ class TestSSRScan:
         spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
         self._check_sequence(_scan_panel(rng, x_scale=1e6), spec, rng)
 
+    @pytest.mark.parametrize("x_scale, c_scale", [(1e-8, 1.0), (1e6, 1e-6)])
+    def test_regressors_in_different_units(self, rng, x_scale, c_scale):
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
+        self._check_sequence(_scan_panel(rng, x_scale=x_scale, c_scale=c_scale), spec, rng)
+
     def test_nearly_collinear_control(self, rng):
         spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
         panel = _scan_panel(rng, control=lambda x, r: x + 1e-5 * r.standard_normal(x.shape))
@@ -526,10 +532,10 @@ class TestSSRScan:
                 y_r = (y_r.reshape(n, t) - y_r.reshape(n, t).mean(axis=1, keepdims=True)).ravel()
             assert scan.scan((), y_r) == _reference(ws, grid, (), y_r)
 
-    def test_screen_reevaluates_few_candidates(self, rng, monkeypatch):
-        # On a well-conditioned panel the screen, not the pivoted path, does
-        # the scanning: only candidates within rounding of the minimum are
-        # re-evaluated.
+    @staticmethod
+    def _reevaluations(rng, monkeypatch, **scales):
+        """Grid size and pivoted re-evaluations of a three-stage sequence of
+        scans on an 8x40 panel."""
         from panelthresh import threshold
 
         calls = []
@@ -538,13 +544,28 @@ class TestSSRScan:
             threshold, "_ssr_ws", lambda *a, **k: calls.append(1) or exact(*a, **k)
         )
         spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
-        ws = threshold._Workspace(_scan_panel(rng, n=8, t=40), spec)
+        ws = threshold._Workspace(_scan_panel(rng, n=8, t=40, **scales), spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
         scan = threshold.SSRScan(ws, grid)
         g1, _ = scan.scan(())
         g2, _ = scan.scan((g1,))
         scan.scan(tuple(sorted((g1, g2))))
-        assert grid.size > 250 and len(calls) <= 6
+        return grid.size, len(calls)
+
+    def test_screen_reevaluates_few_candidates(self, rng, monkeypatch):
+        # On a well-conditioned panel the screen, not the pivoted path, does
+        # the scanning: only candidates within rounding of the minimum are
+        # re-evaluated.
+        grid_size, calls = self._reevaluations(rng, monkeypatch)
+        assert grid_size > 250 and calls <= 6
+
+    @pytest.mark.parametrize("x_scale, c_scale", [(1e-8, 1.0), (1e6, 1e-6)])
+    def test_screen_trust_is_scale_free(self, rng, monkeypatch, x_scale, c_scale):
+        # Regressors in other units leave the pivoted rank rule, which works
+        # on unit-norm columns, unchanged, so the screen trusts as many
+        # candidates as on the unscaled panel.
+        grid_size, calls = self._reevaluations(rng, monkeypatch, x_scale=x_scale, c_scale=c_scale)
+        assert grid_size > 250 and calls <= 6
 
     @settings(max_examples=40, deadline=None)
     @_scan_cases

@@ -44,13 +44,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from panelthresh import _linalg, cli, inference, regression, threshold
+from panelthresh import _linalg, cli, regression, threshold
 from panelthresh._linalg import RANK_TOL, LstsqResult, pivoted_lstsq
 from panelthresh.errors import EstimationError
 
 SHAPES = [(320, 3), (320, 6), (320, 9), (320, 12), (6000, 3), (6000, 6), (6000, 7)]
 # The modules that call the kernel, each through its own imported name.
-CALLERS = (threshold, inference, regression)
+CALLERS = (threshold, regression)
 
 
 def scipy_pivoted_lstsq(X, y, *, on_deficient="raise", names=None) -> LstsqResult:
