@@ -18,7 +18,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -221,6 +221,17 @@ def _config_int(value: Any, name: str, low: int) -> int:
     return value
 
 
+def _config_list(value: Any, name: str, kind: type) -> tuple:
+    """``value`` as a tuple when it is a JSON list of ``kind`` (``str``, or
+    ``float``, which admits integers); a bare string is rejected, not split
+    into characters, and strings and booleans are not coerced to numbers."""
+    types, what = ((int, float), "numbers") if kind is float else (str, "strings")
+    if not isinstance(value, (list, tuple)) or any(
+            isinstance(v, bool) or not isinstance(v, types) for v in value):
+        raise ConfigError(f"{name} must be a JSON list of {what}, got {value!r}")
+    return tuple(map(kind, value))
+
+
 def _section(raw: Mapping[str, Any], name: str, known) -> dict[str, Any]:
     """``raw[name]`` (empty when absent), every key of it one of ``known``."""
     section = raw.get(name, {})
@@ -255,6 +266,9 @@ def _check_transform(index: int, t: Mapping[str, Any]) -> None:
         raise ConfigError(f"{where} unknown fields: {sorted(unknown)}")
     if "k" in t:
         _config_int(t["k"], f"{where} k", 1)
+    for key, kind in (("vars", str), ("components", str), ("weights", float)):
+        if key in t:
+            _config_list(t[key], f"{where} {key}", kind)
 
 
 def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
@@ -270,14 +284,14 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     need(raw, "roles", "")
     roles_raw = _section(raw, "roles", (
         "dependent", "threshold", "regime_varying", "invariant_controls", "instruments"))
+    need(roles_raw, "regime_varying", "roles.")
+    names = {key: _config_list(roles_raw.get(key, ()), f"roles.{key}", str)
+             for key in ("regime_varying", "invariant_controls", "instruments")}
+    if "instruments" in raw:  # a top-level list overrides the roles' own
+        names["instruments"] = _config_list(raw["instruments"], "instruments", str)
     try:
         roles = VariableRole(
-            dependent=need(roles_raw, "dependent", "roles."),
-            threshold=need(roles_raw, "threshold", "roles."),
-            regime_varying=tuple(need(roles_raw, "regime_varying", "roles.")),
-            invariant_controls=tuple(roles_raw.get("invariant_controls", ())),
-            # a top-level ``instruments`` list overrides the roles' own
-            instruments=tuple(raw.get("instruments", roles_raw.get("instruments", ()))),
+            need(roles_raw, "dependent", "roles."), need(roles_raw, "threshold", "roles."), **names
         )
     except DataError as exc:
         raise ConfigError(str(exc)) from None
@@ -288,7 +302,7 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         inference_raw.get("replications", DEFAULT_REPLICATIONS), "inference.replications",
         MIN_REPLICATIONS,
     )
-    alphas = tuple(float(a) for a in inference_raw.get("alphas", (0.05,)))
+    alphas = _config_list(inference_raw.get("alphas", (0.05,)), "inference.alphas", float)
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ConfigError(f"alpha levels must lie in (0, 1), got {alphas}")
     seed = _config_int(inference_raw.get("seed", 0), "inference.seed", 0)
@@ -319,7 +333,7 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     role_vars = list(dict.fromkeys(
         [roles.dependent, roles.threshold, *roles.regime_varying, *roles.invariant_controls]
     ))
-    diagnostics_vars = tuple(diag.get("variables", role_vars))
+    diagnostics_vars = _config_list(diag.get("variables", role_vars), "diagnostics.variables", str)
     ThresholdSpec(roles=roles, **spec_raw)  # validates the spec fields
     return RunConfig(
         input_path=input_path,
@@ -509,13 +523,8 @@ def _regression(s: _Session) -> dict[str, Any]:
         },
         "r_squared": reg.r_squared,
         "rmse": reg.rmse,
-        "sargan": (
-            {"statistic": reg.sargan.statistic, "p_value": reg.sargan.p_value,
-             "df": reg.sargan.df}
-            if reg.sargan else None
-        ),
-        "wald": {"statistic": reg.wald.statistic, "p_value": reg.wald.p_value,
-                 "df": reg.wald.df},
+        "sargan": reg.sargan._asdict() if reg.sargan else None,
+        "wald": reg.wald._asdict(),
         "n_obs": reg.n_obs,
         "n_units": s.panel.n_units,
     }
@@ -797,14 +806,7 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
         ),
         threads=args.threads,
     )
-    payload = {
-        "experiment": summary.experiment,
-        "trials": summary.trials,
-        "metrics": summary.metrics,
-        "master_seed": summary.master_seed,
-        "rng": summary.rng,
-    }
-    text = dumps_report(payload)
+    text = dumps_report(asdict(summary))
     if args.output_dir:
         out = _resolve(args.output_dir, "simulate.json")
         out.write_text(text, encoding="utf-8")
@@ -841,6 +843,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed is not None:
+            _config_int(args.seed, "--seed", 0)
         raw = _read_json(args.config)
         if args.command == "simulate":
             return _cmd_simulate(raw, args)

@@ -97,25 +97,14 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
 
 
 def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
-    """``[worker(0), ..., worker(count - 1)]`` in contiguous chunks on at most
-    ``min(threads, count)`` threads; each result lands at its own index,
-    whatever the thread count."""
-    out: list = [None] * count
+    """``[worker(0), ..., worker(count - 1)]``, mapped over a pool of
+    ``min(threads, count)`` threads from two threads up; each result lands at
+    its own index, whatever the thread count."""
     threads = min(threads, count)
-
-    def chunk(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = worker(i)
-
     if threads <= 1:
-        chunk(0, count)
-        return out
-    bounds = np.linspace(0, count, threads + 1).astype(int)
+        return [worker(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(chunk, bounds[i], bounds[i + 1]) for i in range(threads)]
-        for f in futures:
-            f.result()
-    return out
+        return list(pool.map(worker, range(count)))
 
 
 def linearity_test(

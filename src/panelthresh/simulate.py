@@ -20,9 +20,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .inference import linearity_test, run_indexed, threshold_ci
+from .inference import regime_count_on, run_indexed, threshold_ci
 from .panel import PanelDataset, VariableRole
-from .threshold import ThresholdSpec, estimate_single
+from .threshold import ThresholdSpec, build_scan, estimate_single
 
 RNG_DESCRIPTOR = {
     "generator": "numpy PCG64 via SeedSequence([seed, index])",
@@ -342,8 +342,10 @@ def monte_carlo(
 
     ``recovery``: fraction of trials whose estimated threshold lands within
     one grid step of the planted one, plus bias and RMSE of the estimate.
-    ``size`` / ``power``: rejection rate of the bootstrap linearity test at
-    ``alpha`` (the DGP decides which one it is). ``coverage``: rate at which
+    ``size`` / ``power``: rejection rate at ``alpha`` of the bootstrap test of
+    ``num_thresholds - 1`` thresholds against ``num_thresholds`` (the DGP
+    decides which one it is): the linearity test by default, the 1-vs-2 or
+    2-vs-3 test with ``num_thresholds`` 2 or 3. ``coverage``: rate at which
     the LR confidence set at ``alpha`` covers the planted threshold.
     Metrics carry Monte Carlo standard errors. ``spec_overrides`` may set
     any ``ThresholdSpec`` field; ``num_thresholds`` defaults to 1.
@@ -364,7 +366,8 @@ def monte_carlo(
         panel, truth = simulate_threshold_panel(replace(dgp, seed=panel_seed))
         spec = default_spec(truth, **overrides)
         if rate == "rejection_rate":
-            res = linearity_test(panel, spec, B=replications, seed=test_seed)
+            scan = build_scan(panel, spec)
+            res = regime_count_on(scan, spec.num_thresholds - 1, replications, test_seed)
             return res.bootstrap_p <= alpha, 0.0
         fit, gamma0 = estimate_single(panel, spec), truth.gammas[0]
         if rate == "coverage_rate":

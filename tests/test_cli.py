@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelthresh import DataError, benchmark_dgp, simulate_threshold_panel
+from panelthresh import DataError, benchmark_dgp, simulate_threshold_panel, within_transform
 from panelthresh.cli import (
     REPORT_SCHEMA,
     apply_transforms,
@@ -206,6 +206,13 @@ class TestConfig:
         ])
         np.testing.assert_allclose(out.values("idx"), (a + b) / 2.0, atol=1e-12)
 
+    def test_within_matches_within_transform(self, rng):
+        panel = make_panel({"y": rng.standard_normal((3, 5)), "a": rng.standard_normal((3, 5))})
+        listed = apply_transforms(panel, [{"op": "within", "vars": ["a"]}])
+        assert listed.equals(within_transform(panel, ("a",)))
+        every = apply_transforms(panel, [{"op": "within"}])
+        assert every.equals(within_transform(panel, ("y", "a")))
+
 
 @pytest.fixture(scope="module")
 def report(panel_csv):
@@ -324,9 +331,36 @@ class TestMainExitCodes:
         ("fit", {"transforms": [{"op": "lag", "var": "y", "k": 1.7}]}, 2, "k must be"),
         ("fit", {"transforms": [{"op": "within", "var": ["y"]}]}, 2, "unknown fields: ['var']"),
         ("fit", {"instruments": ["z_misspelt"]}, 3, "variables not in panel: z_misspelt"),
+        # a string where a list is expected is not split into characters
+        ("fit", {"roles": {"regime_varying": "q"}}, 2,
+         "roles.regime_varying must be a JSON list of strings"),
+        ("fit", {"roles": {"invariant_controls": "c1"}}, 2,
+         "roles.invariant_controls must be a JSON list of strings"),
+        ("fit", {"roles": {"instruments": "c2"}}, 2,
+         "roles.instruments must be a JSON list of strings"),
+        ("fit", {"instruments": "c2"}, 2, "instruments must be a JSON list of strings"),
+        ("fit", {"diagnostics": {"variables": "yq"}}, 2,
+         "diagnostics.variables must be a JSON list of strings"),
+        ("fit", {"transforms": [{"op": "within", "vars": "y"}]}, 2,
+         "transforms[0] (within) vars must be a JSON list of strings"),
+        ("fit", {"transforms": [{"op": "composite_index", "components": "c1", "name": "i"}]}, 2,
+         "transforms[0] (composite_index) components must be a JSON list of strings"),
+        ("fit", {"transforms": [{"op": "composite_index", "components": ["c1", "c2"],
+                                 "weights": "12", "name": "i"}]}, 2,
+         "transforms[0] (composite_index) weights must be a JSON list of numbers"),
+        ("fit", {"transforms": [{"op": "composite_index", "components": ["c1", "c2"],
+                                 "weights": [True, 1], "name": "i"}]}, 2,
+         "weights must be a JSON list of numbers"),
+        ("fit", {"inference": {"alphas": ["0.05"]}}, 2,
+         "inference.alphas must be a JSON list of numbers"),
+        ("fit", {"inference": {"alphas": [True]}}, 2,
+         "inference.alphas must be a JSON list of numbers"),
     ], ids=["csv", "roles", "replications", "alphas", "regime_count_test", "max_lag", "json",
             "simulate", "lag_var", "period_average_k", "lag_k_string", "lag_k_float",
-            "within_vars", "instruments"])
+            "within_vars", "instruments", "regime_varying_string", "controls_string",
+            "roles_instruments_string", "instruments_string", "diagnostics_variables_string",
+            "within_vars_string", "components_string", "weights_string", "weights_bool",
+            "alphas_strings", "alphas_bool"])
     def test_config_fault_stops_before_any_stage(
         self, panel_csv, tmp_path, capsys, monkeypatch, command, fault, code, message
     ):
@@ -353,6 +387,44 @@ class TestMainExitCodes:
         cfg_path = self._write_config(tmp_path, cfg)
         assert main(["--config", str(cfg_path), command]) == code
         assert message in capsys.readouterr().err
+
+    def test_negative_seed_flag_stops_before_any_stage(
+        self, panel_csv, tmp_path, capsys, monkeypatch
+    ):
+        from panelthresh import cli
+
+        def stage_ran(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "build_scan", stage_ran)
+        path, _ = panel_csv
+        cfg_path = self._write_config(tmp_path, base_config(path))
+        assert main(["--config", str(cfg_path), "--seed", "-1", "report"]) == 2
+        assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_report_notes_a_regime_count_test_without_room(self, tmp_path, rng):
+        # 4x10 panel with trim 0.3: every regime keeps at least 12 of the 40
+        # observations, so a two-threshold fit leaves no room for a fourth
+        # regime and the report carries the skipped 2-vs-3 test's note.
+        q = rng.permutation(np.arange(40) + 0.5).reshape(4, 10) / 40
+        x = rng.standard_normal((4, 10))
+        slope = np.select([q <= 0.33, q <= 0.64], [1.0, 3.0], -1.0)
+        y = slope * x + 0.1 * rng.standard_normal((4, 10))
+        path = tmp_path / "no_room.csv"
+        write_csv(make_panel({"y": y, "q": q, "x": x}), path)
+        cfg = base_config(
+            path,
+            roles={"dependent": "y", "threshold": "q", "regime_varying": ["x"]},
+            spec={"num_thresholds": 2, "trim_fraction": 0.3},
+            diagnostics={"ips_moment_draws": 200, "max_lag": 1},
+        )
+        cfg["inference"]["regime_count_test"] = True
+        cfg_path = self._write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--output-dir", str(out_dir), "report"]) == 0
+        threshold = json.loads((out_dir / "report.json").read_text())["blocks"]["threshold"]
+        assert len(threshold["gammas"]) == 2
+        assert threshold["regime_count_test"] == {"skipped": "no admissible 3-threshold split"}
 
     def test_threads_below_one_exit_two(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv

@@ -25,6 +25,7 @@ from panelthresh import (
     estimate_single,
     fit_at,
     linearity_test,
+    monte_carlo,
     simulate_threshold_panel,
     threshold_ci,
 )
@@ -294,6 +295,7 @@ class TestAdditionalThresholdTest:
         spec = ThresholdSpec(VariableRole("y", "q", ["x"]), num_thresholds=2, trim_fraction=0.2)
         res = additional_threshold_test(panel, spec, k_null=2, B=99, seed=1)
         assert res == additional_threshold_test(panel, spec, k_null=2, B=99, seed=1, threads=2)
+        assert (res.null_model, res.alt_model) == ("2 thresholds", "3 thresholds")
 
         ws = _Workspace(panel, spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
@@ -325,31 +327,19 @@ class TestAdditionalThresholdTest:
         # with probability about 1%; at a true 10% size of 20% it fails with
         # probability about 95%. The size claim holds for the full
         # observed-value grid only (a thinned grid over-sizes the sequential
-        # test), so every trial also checks that the grid is not thinned.
-        keep = 0
+        # test); with fewer observations than the default grid cap, no
+        # trial's grid is thinned.
+        dgp = ThresholdDGP(
+            n_units=8, n_periods=36, gamma0=(8.0, 25.0),
+            beta_low=(0.2,), beta_high=(0.8,),
+            beta_regimes=((0.2,), (1.0,), (2.0,)),
+            noise_sd=0.8, threshold_dist="uniform(1,45)",
+        )
+        assert dgp.n_units * dgp.n_periods < ThresholdSpec.max_grid_points
         trials = 200
-        for trial in range(trials):
-            seeds = np.random.SeedSequence([406, trial]).generate_state(2, np.uint64)
-            dgp = ThresholdDGP(
-                n_units=8, n_periods=36, gamma0=(8.0, 25.0),
-                beta_low=(0.2,), beta_high=(0.8,),
-                beta_regimes=((0.2,), (1.0,), (2.0,)),
-                noise_sd=0.8, threshold_dist="uniform(1,45)", seed=int(seeds[0]),
-            )
-            panel, truth = simulate_threshold_panel(dgp)
-            spec = default_spec(truth, num_thresholds=2)
-            q = panel.values(truth.roles.threshold).ravel()
-            lo, hi = np.quantile(q, [spec.trim_fraction, 1.0 - spec.trim_fraction])
-            distinct = np.unique(q)
-            trimmed = distinct[(distinct >= lo) & (distinct <= hi)]
-            grid = candidate_grid(q, spec.trim_fraction, spec.max_grid_points)
-            assert np.array_equal(grid, trimmed), f"grid thinned in trial {trial}"
-            res = additional_threshold_test(
-                panel, spec, k_null=2, B=99, seed=int(seeds[1]), threads=2
-            )
-            assert res.null_model == "2 thresholds" and res.alt_model == "3 thresholds"
-            assert res.f_statistic >= 0.0
-            keep += res.bootstrap_p > 0.10
+        s = monte_carlo("size", trials, dgp, master_seed=406, alpha=0.10, replications=99,
+                        threads=2, spec_overrides={"num_thresholds": 3})
+        keep = trials - round(s.metrics["rejection_rate"] * trials)
         assert keep >= 170, f"kept the two-threshold null in only {keep}/{trials}"
 
 
@@ -363,33 +353,24 @@ class TestRegimeCountCalibration:
         # grid matters here: a thinned grid leaves the first threshold
         # estimate off by several observations, which a spurious second
         # threshold then mops up.
-        keep = 0
         trials = 100
-        for trial in range(trials):
-            seeds = np.random.SeedSequence([404, trial]).generate_state(2, np.uint64)
-            panel, truth = simulate_threshold_panel(
-                benchmark_dgp(contrast=0.8, noise_sd=1.0, seed=int(seeds[0]))
-            )
-            spec = default_spec(truth)
-            res = additional_threshold_test(panel, spec, k_null=1, B=99, seed=int(seeds[1]))
-            keep += res.bootstrap_p > 0.10
+        s = monte_carlo("size", trials, benchmark_dgp(contrast=0.8, noise_sd=1.0),
+                        master_seed=404, alpha=0.10, replications=99,
+                        spec_overrides={"num_thresholds": 2})
+        keep = trials - round(s.metrics["rejection_rate"] * trials)
         assert keep >= 85, f"accepted the single-threshold null in only {keep}/{trials}"
 
     def test_power_against_two_thresholds(self):
-        reject = 0
+        dgp = ThresholdDGP(
+            n_units=8, n_periods=36, gamma0=(10.0, 30.0),
+            beta_low=(0.2,), beta_high=(0.8,),
+            beta_regimes=((0.2,), (1.0,), (2.0,)),
+            noise_sd=0.8, threshold_dist="lognormal(2.45,0.75)",
+        )
         trials = 60
-        for trial in range(trials):
-            seeds = np.random.SeedSequence([405, trial]).generate_state(2, np.uint64)
-            dgp = ThresholdDGP(
-                n_units=8, n_periods=36, gamma0=(10.0, 30.0),
-                beta_low=(0.2,), beta_high=(0.8,),
-                beta_regimes=((0.2,), (1.0,), (2.0,)),
-                noise_sd=0.8, threshold_dist="lognormal(2.45,0.75)", seed=int(seeds[0]),
-            )
-            panel, truth = simulate_threshold_panel(dgp)
-            spec = default_spec(truth, num_thresholds=1)
-            res = additional_threshold_test(panel, spec, k_null=1, B=99, seed=int(seeds[1]))
-            reject += res.bootstrap_p <= 0.05
+        s = monte_carlo("power", trials, dgp, master_seed=405, alpha=0.05, replications=99,
+                        spec_overrides={"num_thresholds": 2})
+        reject = round(s.metrics["rejection_rate"] * trials)
         assert reject >= 0.9 * trials, f"rejected in only {reject}/{trials}"
 
 

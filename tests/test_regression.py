@@ -83,6 +83,12 @@ class TestOls:
         robust = ols(y, X, robust=True)
         assert plain.coefficients == robust.coefficients
         assert plain.std_errors != robust.std_errors
+        # HC0 by hand: (X'X)^-1 (sum_i e_i^2 x_i x_i') (X'X)^-1
+        M = np.column_stack(list(X.values()))
+        e = y - M @ np.linalg.lstsq(M, y, rcond=None)[0]
+        bread = np.linalg.inv(M.T @ M)
+        se = np.sqrt(np.diag(bread @ (M.T * e**2) @ M @ bread))
+        np.testing.assert_allclose(list(robust.std_errors.values()), se, rtol=1e-10)
 
 
 def _endogenous_draw(rng, n=400, rho=0.6):
@@ -233,6 +239,34 @@ class TestEstimateRegimeEquation:
         assert {"q (beta1)", "q (beta2)", "q (beta3)", "shift1", "shift2", "C"} == set(
             res.coefficients
         )
+
+    def test_dynamic_lag_column_matches_hand_built_design(self):
+        # dynamic_lag adds y's one-period lag as "y (-1)" after the constant
+        # and drops the first period from every column.
+        dgp = ThresholdDGP(
+            n_units=8, n_periods=36, gamma0=12.741, beta_low=(0.0,), beta_high=(0.7,),
+            delta0=0.5, theta0=0.4, threshold_dist="lognormal(2.45,0.75)",
+            control_betas=(0.4,), seed=16,
+        )
+        panel, truth = simulate_threshold_panel(dgp)
+        spec = default_spec(truth)
+        assert spec.dynamic_lag
+        fit = fit_at(panel, spec, truth.gammas)
+        res = estimate_regime_equation(panel, spec, fit, "OLS")
+        y, q, c1 = (panel.values(v) for v in ("y", "q", "c1"))
+        low = (q[:, 1:] <= fit.gammas[0]).ravel().astype(float)
+        design = {
+            "C": np.ones(low.size),
+            "y (-1)": y[:, :-1].ravel(),
+            "q (beta1)": q[:, 1:].ravel() * low,
+            "q (beta2)": q[:, 1:].ravel() * (1.0 - low),
+            "shift1": low,
+            "c1": c1[:, 1:].ravel(),
+        }
+        ref = ols(y[:, 1:].ravel(), design)
+        assert res.n_obs == 8 * 35
+        assert res.coefficients == ref.coefficients
+        assert res.std_errors == ref.std_errors
 
     def test_sign_pattern_fixture(self):
         # Planted beta1 = 0, beta2 = 0.7: the upper-regime slope should be

@@ -219,8 +219,8 @@ class TestMonteCarlo:
             monte_carlo("size", 50, benchmark_dgp(), alpha=alpha)
 
     def test_spec_overrides_take_precedence(self):
-        # num_thresholds defaults to 1 but may be overridden: the linearity
-        # test runs on a two-threshold spec, and recovery refuses one.
+        # num_thresholds defaults to 1 but may be overridden: size runs the
+        # 1-vs-2 test on a two-threshold spec, and recovery refuses one.
         dgp = benchmark_dgp(contrast=0.0)
         overrides = {"num_thresholds": 2}
         s = monte_carlo("size", 50, dgp, master_seed=11, replications=99, threads=2,
