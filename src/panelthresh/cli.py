@@ -4,9 +4,8 @@ The ``report`` subcommand runs the full pipeline and emits a deterministic,
 schema-versioned JSON report plus a markdown report with five table blocks
 (regime descriptives, correlations, panel unit roots, threshold inference,
 regime regression). Given the same config and seed the JSON output is byte
-identical regardless of the thread budget; per-stage wall times and the
-scan's factor memo counts, which depend on timing, go to a
-``*.timings.json`` sidecar.
+identical regardless of the thread budget; per-stage wall times, which
+are not reproducible, go to a ``*.timings.json`` sidecar.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 estimation error.
 """
@@ -221,6 +220,14 @@ def _config_int(value: Any, name: str, low: int) -> int:
     return value
 
 
+def _config_str(value: Any, name: str) -> str:
+    """``value`` when it is a JSON string; a list, number or object is
+    rejected, not turned into its Python repr."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
 def _config_list(value: Any, name: str, kind: type) -> tuple:
     """``value`` as a tuple when it is a JSON list of ``kind`` (``str``, or
     ``float``, which admits integers); a bare string is rejected, not split
@@ -266,6 +273,9 @@ def _check_transform(index: int, t: Mapping[str, Any]) -> None:
         raise ConfigError(f"{where} unknown fields: {sorted(unknown)}")
     if "k" in t:
         _config_int(t["k"], f"{where} k", 1)
+    for key in ("var", "name"):
+        if key in t:
+            _config_str(t[key], f"{where} {key}")
     for key, kind in (("vars", str), ("components", str), ("weights", float)):
         if key in t:
             _config_list(t[key], f"{where} {key}", kind)
@@ -277,10 +287,10 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
             raise ConfigError(f"config missing {where}{key!r}")
         return section[key]
 
-    input_path = str(need(raw, "input_path", ""))
+    input_path = _config_str(need(raw, "input_path", ""), "input_path")
     csv_section = _section(raw, "csv", ("unit", "time"))
-    unit_col = str(csv_section.get("unit", "unit"))
-    time_col = str(csv_section.get("time", "time"))
+    unit_col = _config_str(csv_section.get("unit", "unit"), "csv.unit")
+    time_col = _config_str(csv_section.get("time", "time"), "csv.time")
     need(raw, "roles", "")
     roles_raw = _section(raw, "roles", (
         "dependent", "threshold", "regime_varying", "invariant_controls", "instruments"))
@@ -291,7 +301,9 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         names["instruments"] = _config_list(raw["instruments"], "instruments", str)
     try:
         roles = VariableRole(
-            need(roles_raw, "dependent", "roles."), need(roles_raw, "threshold", "roles."), **names
+            _config_str(need(roles_raw, "dependent", "roles."), "roles.dependent"),
+            _config_str(need(roles_raw, "threshold", "roles."), "roles.threshold"),
+            **names,
         )
     except DataError as exc:
         raise ConfigError(str(exc)) from None
@@ -314,7 +326,7 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     transforms = tuple(dict(t) for t in raw.get("transforms", ()))
     for index, t in enumerate(transforms):
         _check_transform(index, t)
-    estimator = str(raw.get("estimator", "OLS")).upper()
+    estimator = _config_str(raw.get("estimator", "OLS"), "estimator").upper()
     if estimator in ("SGMM", "GMM", "SYSTEM-GMM"):
         raise ConfigError(
             "system GMM is out of scope for this package; use estimator '2SLS' "
@@ -347,8 +359,8 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         transforms=transforms,
         estimator=estimator,
         instruments=roles.instruments,
-        output_json=str(output.get("json", "report.json")),
-        output_markdown=str(output.get("markdown", "report.md")),
+        output_json=_config_str(output.get("json", "report.json"), "output.json"),
+        output_markdown=_config_str(output.get("markdown", "report.md"), "output.markdown"),
         regime_count_test=regime_count_test,
         ips_max_lag=max_lag,
         ips_moment_draws=ips_moment_draws,
@@ -578,14 +590,6 @@ def run_pipeline(config: RunConfig, *, threads: int = 1):
     sets, regime descriptives, correlations, panel unit roots, regime
     regression.
     """
-    report, markdown, sidecar = _pipeline(config, threads)
-    return report, markdown, sidecar["timings_ms"]
-
-
-def _pipeline(config: RunConfig, threads: int):
-    """``run_pipeline``, with its timings sidecar in place of the timings:
-    the per-stage wall times and the scan's factor memo counts, which
-    depend on thread timing and so stay out of the report."""
     session, blocks, clock = _run_stages(config, _COMMAND_STAGES["report"], threads=threads)
     panel, fit = session.panel, blocks["threshold_estimation"]
     report = {
@@ -616,10 +620,7 @@ def _pipeline(config: RunConfig, threads: int):
     }
     markdown = render_markdown(report)
     clock.lap("render")
-    return report, markdown, {
-        "timings_ms": clock.timings_ms,
-        "factor_memo": session.scan.factor_memo_info(),
-    }
+    return report, markdown, clock.timings_ms
 
 
 def _command_payload(command: str, blocks: Mapping[str, Any]) -> dict[str, Any]:
@@ -774,13 +775,13 @@ def _resolve(output_dir: str | None, path: str) -> Path:
 
 
 def _cmd_report(config: RunConfig, args) -> int:
-    report, markdown, sidecar = _pipeline(config, args.threads)
+    report, markdown, timings = run_pipeline(config, threads=args.threads)
     json_path = _resolve(args.output_dir, config.output_json)
     md_path = _resolve(args.output_dir, config.output_markdown)
     json_path.write_text(dumps_report(report), encoding="utf-8")
     md_path.write_text(markdown, encoding="utf-8")
     sidecar_path = json_path.with_name(json_path.name + ".timings.json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    sidecar_path.write_text(json.dumps({"timings_ms": timings}, indent=2) + "\n", encoding="utf-8")
     print(f"report written: {json_path} {md_path}")
     return 0
 

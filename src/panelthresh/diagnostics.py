@@ -175,7 +175,7 @@ def _ips_moments(
 
     Walks are drawn in chunks of ``_MOMENT_CHUNK`` rows, which consumes the
     generator in the same order as one draw of ``t_len`` at a time and
-    bounds memory for any ``draws``.
+    bounds the space it holds for any ``draws``.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, t_len, DETERMINISTIC_CHOICES.index(deterministic), max_lag])

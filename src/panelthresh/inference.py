@@ -18,9 +18,7 @@ against the closed-form critical value -2 log(1 - sqrt(1 - alpha)).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 
@@ -37,6 +35,7 @@ from .threshold import (
     build_scan,
     estimation_panel,
     no_split_message,
+    run_indexed,
     sequential_estimates,
 )
 
@@ -94,17 +93,6 @@ def critical_value(alpha: float) -> float:
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, rep]))
-
-
-def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
-    """``[worker(0), ..., worker(count - 1)]``, mapped over a pool of
-    ``min(threads, count)`` threads from two threads up; each result lands at
-    its own index, whatever the thread count."""
-    threads = min(threads, count)
-    if threads <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count)))
 
 
 def linearity_test(
@@ -165,13 +153,22 @@ def regime_count_on(
     linear SSR (k_null = 0) is ``_ssr_ws`` at no thresholds. A replication
     whose sequential estimate stops short of k_null + 1 thresholds, or whose
     S_alt is not positive, scores F* = 0 and counts as degenerate.
+
+    B and the seed are checked before any scan. The unit picks are drawn up
+    front (B x N int32), each replication's from its own stream, and one
+    ``sequential_estimates`` call runs all B responses, so ``threads``
+    spreads the fixed-threshold groups of each step.
     """
     if k_null not in (0, 1, 2):
         raise ConfigError(f"k_null must be 0, 1 or 2, got {k_null}")
+    if B < MIN_REPLICATIONS:
+        raise ConfigError(f"need at least {MIN_REPLICATIONS} bootstrap replications, got {B}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     ws = scan.ws
     n, t = ws.n_units, ws.n_periods
     dof = n * (t - 1)
-    stages = sequential_estimates(scan, k_null + 1)
+    (stages,) = sequential_estimates(scan, k_null + 1)
     if len(stages) <= k_null:
         raise EstimationError(no_split_message(len(stages)))
     null_fit = _fit_ws(ws, stages[k_null - 1][0] if k_null else ())
@@ -179,19 +176,19 @@ def regime_count_on(
     f_obs = (null_fit.ssr - s_alt) / (s_alt / dof)
     fitted_null = ws.y.reshape(n, t) - null_fit.residuals
     resid_alt = _fit_ws(ws, stages[k_null][0]).residuals
-    if B < MIN_REPLICATIONS:
-        raise ConfigError(f"need at least {MIN_REPLICATIONS} bootstrap replications, got {B}")
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    picks = np.array([_rep_rng(seed, rep).integers(0, n, size=n) for rep in range(B)], np.int32)
+
+    def response(rep: int) -> np.ndarray:
+        return _demean_rows(fitted_null + resid_alt[picks[rep]]).ravel()
+
+    found = sequential_estimates(scan, k_null + 1, B, response, threads=threads)
 
     def worker(rep: int) -> float | None:
-        draw = _rep_rng(seed, rep).integers(0, n, size=n)
-        ystar = _demean_rows(fitted_null + resid_alt[draw]).ravel()
-        found = sequential_estimates(scan, k_null + 1, ystar)
-        if len(found) <= k_null or found[k_null][1] <= 0:
+        alt = found[rep]
+        if len(alt) <= k_null or alt[k_null][1] <= 0:
             return None
-        s_null = found[k_null - 1][1] if k_null else _ssr_ws(ws, (), ystar)
-        return (s_null - found[k_null][1]) / (found[k_null][1] / dof)
+        s_null = alt[k_null - 1][1] if k_null else _ssr_ws(ws, (), response(rep))
+        return (s_null - alt[k_null][1]) / (alt[k_null][1] / dof)
 
     draws = run_indexed(B, threads, worker)
     f_boot = np.array([0.0 if f is None else f for f in draws])

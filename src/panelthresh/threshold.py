@@ -22,9 +22,9 @@ Hansen, B. E. (1999). Threshold effects in non-dynamic panels: estimation,
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .panel import PanelDataset, VariableRole, make_lag
 
 DEFAULT_TRIM = 0.05
 DEFAULT_MAX_GRID = 400
-# Byte budget of each SSRScan's factor memo (the arrays' nbytes summed).
-FACTOR_MEMO_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ class _Workspace:
     Applies the dynamic-lag truncation and flattens matrices unit-major.
     Regime columns are assembled as differences of the demeaned cumulative
     columns I(q <= c) * x, recomputed on each use so the workspace stays
-    read-only and its memory does not grow with the number of candidates.
+    read-only and its size does not grow with the number of candidates.
     """
 
     def __init__(self, panel: PanelDataset, spec: ThresholdSpec):
@@ -364,7 +362,7 @@ def estimate_on(scan: SSRScan) -> ThresholdFit:
     within the slack attached beside it elsewhere (see ``ThresholdFit``).
     """
     k = scan.ws.spec.num_thresholds
-    stages = sequential_estimates(scan, k)
+    (stages,) = sequential_estimates(scan, k)
     if len(stages) < k:
         raise EstimationError(no_split_message(len(stages)))
     gammas, _ = stages[-1]
@@ -383,29 +381,65 @@ def no_split_message(found: int) -> str:
     return f"no admissible {found + 1}-threshold split"
 
 
-def sequential_estimates(
-    scan: SSRScan, k: int, y: np.ndarray | None = None
-) -> list[tuple[tuple[float, ...], float]]:
-    """Sequential (sorted thresholds, SSR) for 1 up to ``k`` thresholds.
+def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
+    """``[worker(0), ..., worker(count - 1)]``, mapped over a pool of
+    ``min(threads, count)`` threads from two threads up; each result lands at
+    its own index, whatever the thread count."""
+    threads = min(threads, count)
+    if threads <= 1:
+        return [worker(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, range(count)))
 
-    Entry j is the (j + 1)-threshold stage: the minimizer given the
+
+def sequential_estimates(
+    scan: SSRScan, k: int, count: int = 1,
+    response: Callable[[int], np.ndarray] | None = None, *, threads: int = 1,
+) -> list[list[tuple[tuple[float, ...], float]]]:
+    """Sequential (sorted thresholds, SSR) for 1 up to ``k`` thresholds, one
+    list for each of ``count`` responses ``response(i)`` (by default the
+    workspace response).
+
+    Entry j of a list is the (j + 1)-threshold stage: the minimizer given the
     thresholds of the stage before. The two-threshold stage then makes one
-    refinement pass, re-estimating the first threshold given the second. The
+    refinement pass, re-estimating the first threshold given the second. A
     list stops early at the first stage without an admissible split.
+
+    The responses go through one scan step at a time (first threshold,
+    second, refinement, third), grouped by their fixed thresholds. Each group
+    is one ``run_indexed`` task: one factor, then its members' scans in
+    order. So a step factors each fixed set once, and at most ``threads``
+    conditional factors are alive at once.
     """
-    stages: list[tuple[tuple[float, ...], float]] = []
-    fixed: tuple[float, ...] = ()
+    response = response or (lambda i: scan.ws.y)
+
+    def step(fixed_of: dict[int, tuple[float, ...]]) -> dict[int, tuple[float, float] | None]:
+        groups: dict[tuple[float, ...], list[int]] = {}
+        for i, fixed in fixed_of.items():
+            groups.setdefault(fixed, []).append(i)
+        items = list(groups.items())
+
+        def task(g: int) -> list[tuple[float, float] | None]:
+            fixed, members = items[g]
+            factor = scan.factor(fixed)
+            return [scan.scan(fixed, response(i), factor) for i in members]
+
+        found = run_indexed(len(items), threads, task)
+        return {i: hit for (_, members), hits in zip(items, found) for i, hit in zip(members, hits)}
+
+    stages: list[list[tuple[tuple[float, ...], float]]] = [[] for _ in range(count)]
+    live = dict.fromkeys(range(count), ())
     for stage in range(k):
-        hit = scan.scan(fixed, y)
-        if hit is None:
-            break
-        gamma, s = hit
+        hits = {i: hit for i, hit in step(live).items() if hit is not None}
         if stage == 1:
-            refined = scan.scan((gamma,), y)
-            if refined is not None:
-                fixed, s = refined[:1], refined[1]
-        fixed = tuple(sorted((*fixed, gamma)))
-        stages.append((fixed, s))
+            refined = step({i: (gamma,) for i, (gamma, _) in hits.items()})
+        for i, (gamma, s) in hits.items():
+            fixed = live[i]
+            if stage == 1 and refined[i] is not None:
+                fixed, s = refined[i][:1], refined[i][1]
+            live[i] = tuple(sorted((*fixed, gamma)))
+            stages[i].append((live[i], s))
+        live = {i: live[i] for i in hits}
     return stages
 
 
@@ -430,13 +464,11 @@ class SSRScan:
     Gram ordered [Z, candidate]. A response then costs one cumulative sum of
     u * demeaned y, one product with Z and batched m x m solves.
 
-    Each set of fixed thresholds is factored once and kept in a memo that
-    every scan of this instance shares, so the replications of a bootstrap
-    do not factor the same conditional scan again. The memo holds the scan
-    without fixed thresholds (Z = [x, controls]), factored at construction,
-    and then takes new sets until their arrays fill ``FACTOR_MEMO_BYTES``;
-    later sets are factored on each use. A factor depends only on its fixed
-    tuple, so no result depends on what the memo holds.
+    A factor depends only on its fixed thresholds, not on the response, so
+    a caller that screens many responses conditional on one set factors it
+    once (``factor``) and passes it to each ``scan``; ``sequential_estimates``
+    does so for each group of a step. The scan without fixed thresholds
+    (Z = [x, controls]) is factored at construction.
 
     The normal-equation SSRs only screen the grid. One step, ``_resolve``,
     re-evaluates by pivoted QR (``_ssr_ws``) every candidate whose screened
@@ -450,8 +482,8 @@ class SSRScan:
     fixed, y))`` in ``tests/conftest.py``; ``profile`` returns every entry
     of the same step.
 
-    Threads may share one instance. The memo is its one mutable part; a
-    lock guards it, and its arrays are read-only.
+    Nothing changes after construction, and the unconditional factor's
+    arrays are read-only, so threads may share one instance.
     """
 
     def __init__(self, ws: _Workspace, grid: np.ndarray):
@@ -476,11 +508,9 @@ class SSRScan:
         M = sums[:, 0]
         self._Gcc = M - sums[:, 1] / t
         self._raw = np.diagonal(M, axis1=1, axis2=2).copy()
-        self._memo_lock = threading.Lock()
-        self._memo_hits = self._memo_misses = 0
-        unconditional = _frozen(self._factor(()))
-        self._memo = {(): unconditional}
-        self._memo_bytes = _nbytes(unconditional)
+        self._unconditional = self._factor(())
+        for a in self._unconditional:
+            a.flags.writeable = False
 
     def _cumulative(self, sorted_rows: np.ndarray) -> np.ndarray:
         """Sums of q-sorted rows over q <= each candidate."""
@@ -505,30 +535,10 @@ class SSRScan:
                 blocks.append(ind_cum[:, None])
         return np.hstack([*blocks, ws.rv_full_dem, ws.controls_dem])
 
-    def factor_memo_info(self) -> dict[str, int]:
-        """Entries and bytes of the factor memo, and its hits and misses so
-        far. Hits and misses depend on how threads interleave."""
-        with self._memo_lock:
-            return {"entries": len(self._memo), "bytes": self._memo_bytes,
-                    "hits": self._memo_hits, "misses": self._memo_misses}
-
-    def _factored(self, fixed: tuple[float, ...]):
-        """``_factor(fixed)``, from the memo when it holds ``fixed``. A miss
-        factors outside the lock and is kept while the budget allows; two
-        threads missing on one key compute the same bits, and one is kept."""
-        with self._memo_lock:
-            found = self._memo.get(fixed)
-            if found is not None:
-                self._memo_hits += 1
-                return found
-            self._memo_misses += 1
-        factored = _frozen(self._factor(fixed))
-        size = _nbytes(factored)
-        with self._memo_lock:
-            if (self._memo_bytes + size <= FACTOR_MEMO_BYTES
-                    and self._memo.setdefault(fixed, factored) is factored):
-                self._memo_bytes += size
-        return factored
+    def factor(self, fixed: tuple[float, ...]):
+        """``_factor(fixed)``: the one built at construction for no fixed
+        thresholds, a new one otherwise."""
+        return self._factor(fixed) if fixed else self._unconditional
 
     def _factor(self, fixed: tuple[float, ...]):
         """The response-free part of a scan: the admissible candidates and the
@@ -592,13 +602,14 @@ class SSRScan:
         return rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf)
 
     def _resolve(
-        self, fixed: tuple[float, ...], y: np.ndarray, keep: Sequence[float] = ()
+        self, fixed: tuple[float, ...], y: np.ndarray, factor=None, keep: Sequence[float] = ()
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Admissible candidates, their screened SSRs for response ``y`` and
         slacks, and the indices of the entries that may hold the minimum
         (``_near_minimum``) or sit at ``keep``: those are re-evaluated by
-        pivoted QR, slack 0. Every other entry lies strictly above the minimum."""
-        rows, P, R, K, bound = self._factored(fixed)
+        pivoted QR, slack 0. Every other entry lies strictly above the minimum.
+        ``factor`` is ``factor(fixed)``, made here when not given."""
+        rows, P, R, K, bound = self.factor(fixed) if factor is None else factor
         rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self._order])
         sz = P.T @ y
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
@@ -612,15 +623,16 @@ class SSRScan:
         return cands, ssrs, slack, exact
 
     def scan(
-        self, fixed: tuple[float, ...], y: np.ndarray | None = None
+        self, fixed: tuple[float, ...], y: np.ndarray | None = None, factor=None
     ) -> tuple[float, float] | None:
         """(argmin candidate, min SSR) jointly admissible with ``fixed``: the
         first minimum among the exact entries of ``_resolve``.
 
         ``fixed`` holds threshold values; ``y`` defaults to the workspace
-        response. None when no candidate is admissible.
+        response, ``factor`` to ``factor(fixed)``. None when no candidate is
+        admissible.
         """
-        cands, ssrs, _, exact = self._resolve(fixed, self.ws.y if y is None else y)
+        cands, ssrs, _, exact = self._resolve(fixed, self.ws.y if y is None else y, factor)
         if not exact.size:
             return None
         i = exact[np.argmin(ssrs[exact])]
@@ -636,19 +648,8 @@ class SSRScan:
         ``conditional_profile`` (``tests/conftest.py``), with slack 0; every
         other entry is screened, within its slack of the pivoted value.
         """
-        cands, ssrs, slack, _ = self._resolve(fixed, self.ws.y, keep)
+        cands, ssrs, slack, _ = self._resolve(fixed, self.ws.y, keep=keep)
         return tuple(zip(cands.tolist(), ssrs.tolist())), tuple(slack.tolist())
-
-
-def _frozen(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only so that callers sharing them cannot write."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
-    return sum(a.nbytes for a in arrays)
 
 
 def _near_minimum(screened: np.ndarray, slack: np.ndarray) -> np.ndarray:

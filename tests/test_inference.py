@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -115,8 +115,6 @@ def assert_matches_reference(res, f_boot):
 
 
 def test_run_indexed_starts_at_most_count_workers(monkeypatch):
-    from panelthresh import inference
-
     pool_sizes = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -124,7 +122,7 @@ def test_run_indexed_starts_at_most_count_workers(monkeypatch):
             pool_sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(inference, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threshold, "ThreadPoolExecutor", RecordingPool)
     barrier = threading.Barrier(3, timeout=10)
     idents = []
 
@@ -175,6 +173,18 @@ class TestLinearityTest:
         with pytest.raises(ConfigError, match="99"):
             linearity_test(panel, spec, B=50, seed=0)
 
+    def test_replications_and_seed_checked_before_any_scan(self, fitted, monkeypatch):
+        panel, _, spec, _ = fitted
+
+        def scanned(*args, **kwargs):
+            raise AssertionError("a scan ran")
+
+        monkeypatch.setattr(SSRScan, "scan", scanned)
+        with pytest.raises(ConfigError, match="at least 99"):
+            linearity_test(panel, spec, B=10)
+        with pytest.raises(ConfigError, match="seed"):
+            additional_threshold_test(panel, spec, 1, B=99, seed=-1)
+
     def test_strong_contrast_rejects(self, fitted):
         panel, _, spec, _ = fitted
         res = linearity_test(panel, spec, B=199, seed=4)
@@ -212,7 +222,7 @@ class TestLinearityTest:
         assert res.degenerate_replications == degenerate
         assert_matches_reference(res, f_boot)
 
-    def test_rank_deficient_linear_design_named_before_replication_check(self):
+    def test_rank_deficient_linear_design_named(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 12))
         panel = make_panel({
@@ -221,7 +231,7 @@ class TestLinearityTest:
         })
         spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
         with pytest.raises(EstimationError, match=r"rank-deficient regressor matrix \((x|c)\)"):
-            linearity_test(panel, spec, B=50, seed=0)
+            linearity_test(panel, spec, B=99, seed=0)
 
     @pytest.mark.slow
     def test_large_b_stability(self, fitted):
@@ -469,9 +479,9 @@ class TestThresholdCI:
             threshold_ci(panel, spec, fit, 0.05, threshold_index=2)
 
 
-class TestFactorMemo:
-    """The scan's factor memo saves work in the 2-vs-3 bootstrap and changes
-    no result."""
+class TestGroupedBootstrap:
+    """The bootstrap runs step by step over all replications, grouped by
+    their fixed thresholds: one factor per group, freed with the group."""
 
     @staticmethod
     def _problem():
@@ -485,50 +495,73 @@ class TestFactorMemo:
         panel, truth = simulate_threshold_panel(dgp)
         return panel, default_spec(truth, num_thresholds=2)
 
-    def test_each_fixed_set_factored_once(self, monkeypatch):
+    def test_each_step_factors_each_fixed_set_once(self, monkeypatch):
+        # Run one replication at a time, a sequential estimate's scans are
+        # its steps in order: first threshold, second, refinement, third.
+        # The grouped bootstrap factors each distinct (step, fixed set) pair
+        # of those once, besides the unconditional factor built with the
+        # scan and the observed fit's own conditional sets.
+        panel, spec = self._problem()
+        ws = _Workspace(panel, spec)
+        scanned = []
+        scan = SSRScan.scan
+        monkeypatch.setattr(
+            SSRScan, "scan", lambda self, fixed, *a: scanned.append(fixed) or scan(self, fixed, *a)
+        )
+        single = build_scan(panel, spec)
+        (observed,) = threshold.sequential_estimates(single, 3)
+        observed_sets = Counter(fixed for fixed in scanned if fixed)
+        pairs = set()
+
+        def record_steps(ystar):
+            scanned.clear()
+            threshold.sequential_estimates(single, 3, 1, lambda i: ystar)
+            pairs.update(enumerate(scanned))
+
+        reference_bootstrap(
+            ws, _fit_ws(ws, observed[1][0]).residuals, _fit_ws(ws, observed[2][0]).residuals,
+            record_steps, 99, 4,
+        )
         calls = Counter()
         factor = SSRScan._factor
+        monkeypatch.setattr(
+            SSRScan, "_factor", lambda self, fixed: calls.update([fixed]) or factor(self, fixed)
+        )
+        regime_count_on(build_scan(panel, spec), 2, 99, 4)
+        per_step = Counter(fixed for step, fixed in pairs if step)
+        assert sum(per_step.values()) > 50
+        assert calls == Counter({(): 1}) + observed_sets + per_step
 
-        def counted(self, fixed):
-            calls[fixed] += 1
-            return factor(self, fixed)
-
-        monkeypatch.setattr(SSRScan, "_factor", counted)
-        scan = build_scan(*self._problem())
-        regime_count_on(scan, 2, 99, 4)
-        assert len(calls) > 50 and set(calls.values()) == {1}
-        assert scan.factor_memo_info()["entries"] == len(calls)
-
-    def test_results_do_not_depend_on_the_memo(self, monkeypatch):
-        # The default budget, a budget that memoises nothing beyond the
-        # unconditional factor, and a cold scan shared by three threads
-        # switching every microsecond give the same test; the counts stay
-        # consistent under that contention.
+    def test_threads_give_the_one_thread_result(self):
+        # Three threads switching every microsecond share one scan and give
+        # the one-thread test.
         panel, spec = self._problem()
-        default = regime_count_on(build_scan(panel, spec), 2, 99, 4)
-
         scan = build_scan(panel, spec)
-        lookups = itertools.count()  # next() on it is atomic under the GIL
-        factored = SSRScan._factored
-
-        def counted(self, fixed):
-            next(lookups)
-            return factored(self, fixed)
-
-        monkeypatch.setattr(SSRScan, "_factored", counted)
+        serial = regime_count_on(scan, 2, 99, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threaded = regime_count_on(scan, 2, 99, 4, threads=3)
         finally:
             sys.setswitchinterval(interval)
-        info = scan.factor_memo_info()
-        assert info["hits"] + info["misses"] == next(lookups)
-        assert info["entries"] == len(scan._memo) <= info["misses"] + 1
-        assert info["bytes"] == sum(threshold._nbytes(v) for v in scan._memo.values())
+        assert threaded == serial
 
-        monkeypatch.setattr(threshold, "FACTOR_MEMO_BYTES", 0)
-        cold = build_scan(panel, spec)
-        uncached = regime_count_on(cold, 2, 99, 4)
-        assert list(cold._memo) == [()]
-        assert default == uncached == threaded
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_holds_a_few_factors_per_thread(self, threads):
+        # A 1-vs-2 bootstrap holds one conditional factor per running group,
+        # plus _factor's temporaries (about 5.5 factors' nbytes on one
+        # thread here). Keeping every fixed set, about 90 here, would cost
+        # about 93 factors' nbytes.
+        panel, spec = self._problem()
+        probe = build_scan(panel, spec)
+        one = sum(a.nbytes for a in probe._factor((float(probe.grid[len(probe.grid) // 2]),)))
+        tracemalloc.start()
+        try:
+            scan = build_scan(panel, spec)
+            built, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            regime_count_on(scan, 1, 99, 4, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - built < 8 * threads * one

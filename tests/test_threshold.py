@@ -626,51 +626,34 @@ class TestSSRScan:
             assert s == pytest.approx(oracle_ssr, rel=1e-12)
 
 
-class TestFactorMemo:
-    def test_estimate_on_refactors_no_memoised_set(self, monkeypatch):
-        # A two-threshold fit's conditional profiles reuse the factors its
-        # sequential stages memoised, and read exactly as from a scan that
-        # memoises nothing beyond the unconditional factor.
+class TestFactorPerScan:
+    def test_estimate_on_factors_each_conditional_set_per_scan(self, monkeypatch):
+        # The scan keeps no factor beyond the unconditional one, built with
+        # it: a fit factors a conditional set for each step that scans it and
+        # again for each profile that reads it (about 1 ms each on this
+        # panel). Here the refinement keeps the first threshold, so at k = 2
+        # both sets are factored twice; at k = 3 the pair the third step
+        # conditions on is.
+        from collections import Counter
+
         from panelthresh import threshold
 
         panel, truth = _two_threshold_panel()
-        spec = default_spec(truth, num_thresholds=2)
-        scan = threshold.build_scan(panel, spec)
-        threshold.sequential_estimates(scan, 2)
-        memoised = set(scan._memo)
-        calls = []
+        calls = Counter()
         factor = threshold.SSRScan._factor
         monkeypatch.setattr(
             threshold.SSRScan, "_factor",
-            lambda self, fixed: calls.append(fixed) or factor(self, fixed),
+            lambda self, fixed: calls.update([fixed]) or factor(self, fixed),
         )
-        fit = threshold.estimate_on(scan)
-        assert len(memoised) >= 3 and not memoised & set(calls)
-        monkeypatch.setattr(threshold, "FACTOR_MEMO_BYTES", 0)
-        cold = threshold.estimate_on(threshold.build_scan(panel, spec))
-        assert fit.ssr_profiles == cold.ssr_profiles
-        assert fit.ssr_profile_slacks == cold.ssr_profile_slacks
-
-    def test_memo_stays_within_its_budget(self, monkeypatch):
-        # The unconditional factor is always held; conditional ones are
-        # added only while they fit in the budget, and never evicted.
-        from panelthresh import threshold
-
-        panel, truth = _two_threshold_panel()
-        scan = threshold.build_scan(panel, default_spec(truth, num_thresholds=2))
-        grid = scan.grid
-        one = threshold._nbytes(scan._factor((float(grid[len(grid) // 2]),)))
-        budget = scan.factor_memo_info()["bytes"] + int(2.5 * one)
-        monkeypatch.setattr(threshold, "FACTOR_MEMO_BYTES", budget)
-        kept = []
-        for g in grid[::len(grid) // 12]:
-            scan.scan((float(g),))
-            info = scan.factor_memo_info()
-            assert info["bytes"] <= budget
-            assert info["bytes"] == sum(threshold._nbytes(v) for v in scan._memo.values())
-            kept.append(list(scan._memo))
-        assert all(a == b[:len(a)] for a, b in zip(kept, kept[1:]))
-        assert () in scan._memo and 2 <= info["entries"] - 1 < info["misses"]
+        a, b = threshold.estimate_on(
+            threshold.build_scan(panel, default_spec(truth, num_thresholds=2))).gammas
+        assert calls == Counter({(): 1, (a,): 2, (b,): 2})
+        calls.clear()
+        fit = threshold.estimate_on(
+            threshold.build_scan(panel, default_spec(truth, num_thresholds=3)))
+        assert fit.gammas[:2] == (a, b)
+        c = fit.gammas[2]
+        assert calls == Counter({(): 1, (a,): 1, (b,): 1, (a, b): 2, (a, c): 1, (b, c): 1})
 
 
 @settings(max_examples=40, deadline=None)
