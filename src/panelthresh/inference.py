@@ -108,9 +108,9 @@ def linearity_test(
     F1 = (S0 - S1(gamma_hat)) / sigma2_hat, with sigma2_hat the
     single-threshold residual variance: ``regime_count_on`` with k_null = 0.
     The candidate Gram matrices are fixed across replications, so the
-    screened scan factorizes them once and each replication costs one
-    cumulative sum of the regenerated response plus exact re-evaluation of
-    the few candidates near the minimum.
+    screened scan factorizes them once; each replication costs one
+    cumulative sum of the regenerated response to locate its threshold,
+    plus the two exact SSRs, S0 and S1, that its F* reads.
     """
     return regime_count_on(build_scan(panel, spec), 0, B, seed, threads=threads)
 
@@ -149,15 +149,18 @@ def regime_count_on(
     """Sequential bootstrap F test of k_null thresholds against k_null + 1 on a
     built scan, for k_null = 0 (linearity), 1 or 2.
 
-    F = (S_null - S_alt) / (S_alt / dof) from the sequential stages; the
-    linear SSR (k_null = 0) is ``_ssr_ws`` at no thresholds. A replication
-    whose sequential estimate stops short of k_null + 1 thresholds, or whose
-    S_alt is not positive, scores F* = 0 and counts as degenerate.
+    F = (S_null - S_alt) / (S_alt / dof), with S_null and S_alt the SSRs at
+    ``chain[k_null]`` and ``chain[k_null + 1]`` of ``chain = [(), *stages]``:
+    by ``_fit_ws`` on the observed sequential stages, by ``_ssr_ws`` on each
+    replication's own. A replication whose estimate stops short of k_null + 1
+    thresholds, or whose S_alt is not positive, scores F* = 0 and counts as
+    degenerate.
 
     B and the seed are checked before any scan. The unit picks are drawn up
     front (B x N int32), each replication's from its own stream, and one
     ``sequential_estimates`` call runs all B responses, so ``threads``
-    spreads the fixed-threshold groups of each step.
+    spreads the fixed-threshold groups of each step, then the replications'
+    two exact SSRs each.
     """
     if k_null not in (0, 1, 2):
         raise ConfigError(f"k_null must be 0, 1 or 2, got {k_null}")
@@ -171,24 +174,25 @@ def regime_count_on(
     (stages,) = sequential_estimates(scan, k_null + 1)
     if len(stages) <= k_null:
         raise EstimationError(no_split_message(len(stages)))
-    null_fit = _fit_ws(ws, stages[k_null - 1][0] if k_null else ())
-    s_alt = stages[k_null][1]
-    f_obs = (null_fit.ssr - s_alt) / (s_alt / dof)
+    null_fit, alt_fit = (_fit_ws(ws, g) for g in [(), *stages][k_null:k_null + 2])
+    f_obs = (null_fit.ssr - alt_fit.ssr) / (alt_fit.ssr / dof)
     fitted_null = ws.y.reshape(n, t) - null_fit.residuals
-    resid_alt = _fit_ws(ws, stages[k_null][0]).residuals
     picks = np.array([_rep_rng(seed, rep).integers(0, n, size=n) for rep in range(B)], np.int32)
 
     def response(rep: int) -> np.ndarray:
-        return _demean_rows(fitted_null + resid_alt[picks[rep]]).ravel()
+        return _demean_rows(fitted_null + alt_fit.residuals[picks[rep]]).ravel()
 
     found = sequential_estimates(scan, k_null + 1, B, response, threads=threads)
 
     def worker(rep: int) -> float | None:
-        alt = found[rep]
-        if len(alt) <= k_null or alt[k_null][1] <= 0:
+        chain = [(), *found[rep]]
+        if len(chain) <= k_null + 1:
             return None
-        s_null = alt[k_null - 1][1] if k_null else _ssr_ws(ws, (), response(rep))
-        return (s_null - alt[k_null][1]) / (alt[k_null][1] / dof)
+        y = response(rep)
+        s_alt = _ssr_ws(ws, chain[k_null + 1], y)
+        if s_alt <= 0:
+            return None
+        return (_ssr_ws(ws, chain[k_null], y) - s_alt) / (s_alt / dof)
 
     draws = run_indexed(B, threads, worker)
     f_boot = np.array([0.0 if f is None else f for f in draws])

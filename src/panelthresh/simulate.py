@@ -348,7 +348,8 @@ def monte_carlo(
     2-vs-3 test with ``num_thresholds`` 2 or 3. ``coverage``: rate at which
     the LR confidence set at ``alpha`` covers the planted threshold.
     Metrics carry Monte Carlo standard errors. ``spec_overrides`` may set
-    any ``ThresholdSpec`` field; ``num_thresholds`` defaults to 1.
+    any ``ThresholdSpec`` field; ``num_thresholds`` defaults to 1, and
+    ``recovery`` and ``coverage`` take no other value.
     """
     rate = {"recovery": "hit_rate", "size": "rejection_rate", "power": "rejection_rate",
             "coverage": "coverage_rate"}.get(experiment)
@@ -359,6 +360,9 @@ def monte_carlo(
     if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be a number in (0, 1), got {alpha!r}")
     overrides = {"num_thresholds": 1, **(spec_overrides or {})}
+    if rate != "rejection_rate" and overrides["num_thresholds"] != 1:
+        raise ConfigError(f"experiment {experiment!r} fits one threshold (estimate_single), "
+                          f"got num_thresholds={overrides['num_thresholds']!r}")
 
     def trial_outcome(trial: int) -> tuple[bool, float]:
         """The trial's indicator and, for recovery, its estimation error."""

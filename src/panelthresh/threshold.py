@@ -226,10 +226,10 @@ class _Workspace:
     def design(self, gammas: Sequence[float]) -> tuple[np.ndarray, list[str]]:
         """Regressor matrix at the given strictly-sorted thresholds.
 
-        Regime columns are differences of cumulative columns, so a scan and a
-        one-off fit at the same thresholds build bit-identical designs. With
-        no thresholds it is the linear model's design, its columns named
-        plainly.
+        Regime columns are differences of cumulative columns. Every exact SSR
+        and every fit builds its design here, so the same thresholds always
+        give a bit-identical design and SSR. With no thresholds it is the
+        linear model's design, its columns named plainly.
         """
         gs = list(gammas)
         if any(b <= a for a, b in zip(gs, gs[1:])):
@@ -365,13 +365,10 @@ def estimate_on(scan: SSRScan) -> ThresholdFit:
     (stages,) = sequential_estimates(scan, k)
     if len(stages) < k:
         raise EstimationError(no_split_message(len(stages)))
-    gammas, _ = stages[-1]
-    profiles = [scan.profile(gammas[:j] + gammas[j + 1:], gammas[j:j + 1]) for j in range(k)]
-    return replace(
-        _fit_ws(scan.ws, gammas),
-        ssr_profiles=tuple(p for p, _ in profiles),
-        ssr_profile_slacks=tuple(s for _, s in profiles),
-    )
+    gammas = stages[-1]
+    profiles, slacks = zip(*(scan.profile(gammas[:j] + gammas[j + 1:], gammas[j:j + 1])
+                             for j in range(k)))
+    return replace(_fit_ws(scan.ws, gammas), ssr_profiles=profiles, ssr_profile_slacks=slacks)
 
 
 def no_split_message(found: int) -> str:
@@ -395,10 +392,10 @@ def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
 def sequential_estimates(
     scan: SSRScan, k: int, count: int = 1,
     response: Callable[[int], np.ndarray] | None = None, *, threads: int = 1,
-) -> list[list[tuple[tuple[float, ...], float]]]:
-    """Sequential (sorted thresholds, SSR) for 1 up to ``k`` thresholds, one
-    list for each of ``count`` responses ``response(i)`` (by default the
-    workspace response).
+) -> list[list[tuple[float, ...]]]:
+    """Sequential sorted thresholds for 1 up to ``k`` thresholds, one list for
+    each of ``count`` responses ``response(i)`` (by default the workspace
+    response).
 
     Entry j of a list is the (j + 1)-threshold stage: the minimizer given the
     thresholds of the stage before. The two-threshold stage then makes one
@@ -407,38 +404,36 @@ def sequential_estimates(
 
     The responses go through one scan step at a time (first threshold,
     second, refinement, third), grouped by their fixed thresholds. Each group
-    is one ``run_indexed`` task: one factor, then its members' scans in
-    order. So a step factors each fixed set once, and at most ``threads``
-    conditional factors are alive at once.
+    is one ``run_indexed`` task: one factor, then its members' ``locate``
+    calls in order. So a step factors each fixed set once, and at most
+    ``threads`` conditional factors are alive at once.
     """
     response = response or (lambda i: scan.ws.y)
 
-    def step(fixed_of: dict[int, tuple[float, ...]]) -> dict[int, tuple[float, float] | None]:
+    def step(fixed_of: dict[int, tuple[float, ...]]) -> dict[int, float | None]:
         groups: dict[tuple[float, ...], list[int]] = {}
         for i, fixed in fixed_of.items():
             groups.setdefault(fixed, []).append(i)
         items = list(groups.items())
 
-        def task(g: int) -> list[tuple[float, float] | None]:
+        def task(g: int) -> list[float | None]:
             fixed, members = items[g]
             factor = scan.factor(fixed)
-            return [scan.scan(fixed, response(i), factor) for i in members]
+            return [scan.locate(fixed, response(i), factor) for i in members]
 
         found = run_indexed(len(items), threads, task)
         return {i: hit for (_, members), hits in zip(items, found) for i, hit in zip(members, hits)}
 
-    stages: list[list[tuple[tuple[float, ...], float]]] = [[] for _ in range(count)]
+    stages: list[list[tuple[float, ...]]] = [[] for _ in range(count)]
     live = dict.fromkeys(range(count), ())
     for stage in range(k):
-        hits = {i: hit for i, hit in step(live).items() if hit is not None}
+        hits = {i: gamma for i, gamma in step(live).items() if gamma is not None}
         if stage == 1:
-            refined = step({i: (gamma,) for i, (gamma, _) in hits.items()})
-        for i, (gamma, s) in hits.items():
-            fixed = live[i]
-            if stage == 1 and refined[i] is not None:
-                fixed, s = refined[i][:1], refined[i][1]
+            refined = step({i: (gamma,) for i, gamma in hits.items()})
+        for i, gamma in hits.items():
+            fixed = (refined[i],) if stage == 1 and refined[i] is not None else live[i]
             live[i] = tuple(sorted((*fixed, gamma)))
-            stages[i].append((live[i], s))
+            stages[i].append(live[i])
         live = {i: live[i] for i in hits}
     return stages
 
@@ -466,21 +461,21 @@ class SSRScan:
 
     A factor depends only on its fixed thresholds, not on the response, so
     a caller that screens many responses conditional on one set factors it
-    once (``factor``) and passes it to each ``scan``; ``sequential_estimates``
-    does so for each group of a step. The scan without fixed thresholds
-    (Z = [x, controls]) is factored at construction.
+    once (``factor``) and passes it to each ``locate``, as
+    ``sequential_estimates`` does per group of a step. The factor without
+    fixed thresholds (Z = [x, controls]) is made at construction.
 
-    The normal-equation SSRs only screen the grid. One step, ``_resolve``,
-    re-evaluates by pivoted QR (``_ssr_ws``) every candidate whose screened
-    SSR lies within a conditioning-based error bound of the minimum, and
-    every one the bound does not cover (a Gram too ill-conditioned, or a
-    design the pivoted rank rule might cut, judged per regressor so that
-    units do not matter).
-    ``scan`` takes the first minimum of those, so its argmin, tie-break
-    (first, i.e. smallest, candidate) and SSR are bitwise those of the
-    pivoted-QR reference ``profile_argmin(conditional_profile(ws, grid,
-    fixed, y))`` in ``tests/conftest.py``; ``profile`` returns every entry
-    of the same step.
+    The normal-equation SSRs only screen the grid (``_screen``); only
+    ``_resolve`` re-evaluates entries, by pivoted QR (``_ssr_ws``). An entry
+    may hold the minimum when its screened SSR is within a conditioning-based
+    error bound of the minimum, or when the bound does not cover it (a Gram
+    too ill-conditioned, or a design the pivoted rank rule might cut, judged
+    per regressor so that units do not matter). ``locate`` re-evaluates
+    those only when there are several: a lone one is the minimum, every
+    other lying strictly above it. So its argmin and tie-break (the first
+    candidate) are bitwise those of ``profile_argmin(conditional_profile(ws,
+    grid, fixed, y))`` in ``tests/conftest.py``. ``profile`` re-evaluates
+    all of them, and those at ``keep``, and returns every entry.
 
     Nothing changes after construction, and the unconditional factor's
     arrays are read-only, so threads may share one instance.
@@ -601,13 +596,11 @@ class SSRScan:
         P = (Z * dz) @ lz_inv.T
         return rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf)
 
-    def _resolve(
-        self, fixed: tuple[float, ...], y: np.ndarray, factor=None, keep: Sequence[float] = ()
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _screen(
+        self, fixed: tuple[float, ...], y: np.ndarray, factor=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Admissible candidates, their screened SSRs for response ``y`` and
-        slacks, and the indices of the entries that may hold the minimum
-        (``_near_minimum``) or sit at ``keep``: those are re-evaluated by
-        pivoted QR, slack 0. Every other entry lies strictly above the minimum.
+        each one's slack, a bound on its distance from the pivoted SSR.
         ``factor`` is ``factor(fixed)``, made here when not given."""
         rows, P, R, K, bound = self.factor(fixed) if factor is None else factor
         rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self._order])
@@ -615,40 +608,39 @@ class SSRScan:
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
         yy = float(y @ y)
         ssrs = yy - sz @ sz - np.einsum("cij,cij->c", sc, sc)
-        slack, cands = bound * yy, self.grid[rows]
-        exact = np.nonzero(_near_minimum(ssrs, slack) | np.isin(cands, keep))[0]
-        for i in exact:
-            ssrs[i] = _ssr_ws(self.ws, (*fixed, float(cands[i])), y)
-        slack[exact] = 0.0
-        return cands, ssrs, slack, exact
+        return self.grid[rows], ssrs, bound * yy
 
-    def scan(
+    def _resolve(self, fixed: tuple[float, ...], cands: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Pivoted-QR SSRs for ``y`` at each of ``cands`` joined to ``fixed``."""
+        return np.array([_ssr_ws(self.ws, (*fixed, float(c)), y) for c in cands])
+
+    def locate(
         self, fixed: tuple[float, ...], y: np.ndarray | None = None, factor=None
-    ) -> tuple[float, float] | None:
-        """(argmin candidate, min SSR) jointly admissible with ``fixed``: the
-        first minimum among the exact entries of ``_resolve``.
-
-        ``fixed`` holds threshold values; ``y`` defaults to the workspace
-        response, ``factor`` to ``factor(fixed)``. None when no candidate is
-        admissible.
-        """
-        cands, ssrs, _, exact = self._resolve(fixed, self.ws.y if y is None else y, factor)
-        if not exact.size:
-            return None
-        i = exact[np.argmin(ssrs[exact])]
-        return float(cands[i]), float(ssrs[i])
+    ) -> float | None:
+        """The first candidate of least pivoted SSR among those jointly
+        admissible with ``fixed``, None when none is. ``y`` defaults to the
+        workspace response, ``factor`` to ``factor(fixed)``."""
+        y = self.ws.y if y is None else y
+        cands, ssrs, slack = self._screen(fixed, y, factor)
+        near = cands[_near_minimum(ssrs, slack)]
+        if near.size > 1:
+            return float(near[np.argmin(self._resolve(fixed, near, y))])
+        return float(near[0]) if near.size else None
 
     def profile(
         self, fixed: tuple[float, ...], keep: Sequence[float] = ()
     ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
         """(candidate, SSR) of every candidate admissible jointly with
-        ``fixed``, in grid order, and each entry's slack: ``_resolve``'s
-        entries for the workspace response. The entries ``scan`` re-evaluates
-        and those at ``keep`` are bitwise the pivoted-QR values of
+        ``fixed``, in grid order, and each entry's slack, for the workspace
+        response. Every entry that may hold the minimum and those at
+        ``keep`` are re-evaluated: bitwise the pivoted-QR values of
         ``conditional_profile`` (``tests/conftest.py``), with slack 0; every
         other entry is screened, within its slack of the pivoted value.
         """
-        cands, ssrs, slack, _ = self._resolve(fixed, self.ws.y, keep=keep)
+        cands, ssrs, slack = self._screen(fixed, self.ws.y)
+        exact = _near_minimum(ssrs, slack) | np.isin(cands, keep)
+        ssrs[exact] = self._resolve(fixed, cands[exact], self.ws.y)
+        slack[exact] = 0.0
         return tuple(zip(cands.tolist(), ssrs.tolist())), tuple(slack.tolist())
 
 

@@ -38,7 +38,7 @@ def random_panel(rng, n=4, t=8, extra_vars=()) -> PanelDataset:
 
 def conditional_profile(ws, grid, fixed, y=None) -> list[tuple[float, float]]:
     """(candidate, SSR) over grid candidates admissible jointly with ``fixed``,
-    each by pivoted QR: the exact reference for ``SSRScan.scan`` and
+    each by pivoted QR: the exact reference for ``SSRScan.locate`` and
     ``SSRScan.profile``."""
     profile: list[tuple[float, float]] = []
     for c in grid:
@@ -54,7 +54,7 @@ def conditional_profile(ws, grid, fixed, y=None) -> list[tuple[float, float]]:
 
 def profile_argmin(profile: list[tuple[float, float]]) -> tuple[float, float]:
     """First minimum of a profile: the reference for the search
-    ``SSRScan.scan`` reproduces."""
+    ``SSRScan.locate`` reproduces."""
     best = profile[0]
     for entry in profile[1:]:
         if entry[1] < best[1]:

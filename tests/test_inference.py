@@ -31,7 +31,7 @@ from panelthresh import (
 )
 
 from panelthresh._linalg import pivoted_lstsq
-from panelthresh import threshold
+from panelthresh import inference, threshold
 from panelthresh.inference import _rep_rng, regime_count_on, run_indexed
 from panelthresh.threshold import SSRScan, _demean_rows, _fit_ws, _Workspace, build_scan
 
@@ -179,7 +179,7 @@ class TestLinearityTest:
         def scanned(*args, **kwargs):
             raise AssertionError("a scan ran")
 
-        monkeypatch.setattr(SSRScan, "scan", scanned)
+        monkeypatch.setattr(SSRScan, "locate", scanned)
         with pytest.raises(ConfigError, match="at least 99"):
             linearity_test(panel, spec, B=10)
         with pytest.raises(ConfigError, match="seed"):
@@ -279,7 +279,7 @@ class TestAdditionalThresholdTest:
         def scanned(*args, **kwargs):
             raise AssertionError("a scan ran")
 
-        monkeypatch.setattr(SSRScan, "scan", scanned)
+        monkeypatch.setattr(SSRScan, "locate", scanned)
         with pytest.raises(ConfigError, match="k_null must be 0, 1 or 2"):
             regime_count_on(scan, k_null, 99, 0)
 
@@ -504,9 +504,10 @@ class TestGroupedBootstrap:
         panel, spec = self._problem()
         ws = _Workspace(panel, spec)
         scanned = []
-        scan = SSRScan.scan
+        locate = SSRScan.locate
         monkeypatch.setattr(
-            SSRScan, "scan", lambda self, fixed, *a: scanned.append(fixed) or scan(self, fixed, *a)
+            SSRScan, "locate",
+            lambda self, fixed, *a: scanned.append(fixed) or locate(self, fixed, *a),
         )
         single = build_scan(panel, spec)
         (observed,) = threshold.sequential_estimates(single, 3)
@@ -519,7 +520,7 @@ class TestGroupedBootstrap:
             pairs.update(enumerate(scanned))
 
         reference_bootstrap(
-            ws, _fit_ws(ws, observed[1][0]).residuals, _fit_ws(ws, observed[2][0]).residuals,
+            ws, _fit_ws(ws, observed[1]).residuals, _fit_ws(ws, observed[2]).residuals,
             record_steps, 99, 4,
         )
         calls = Counter()
@@ -531,6 +532,24 @@ class TestGroupedBootstrap:
         per_step = Counter(fixed for step, fixed in pairs if step)
         assert sum(per_step.values()) > 50
         assert calls == Counter({(): 1}) + observed_sets + per_step
+
+    @pytest.mark.parametrize("k_null", [0, 1, 2])
+    def test_each_replication_prices_two_exact_ssrs(self, monkeypatch, k_null):
+        # The scans only locate thresholds; each replication's F* reads S_null
+        # and S_alt, one pivoted SSR each. On this panel no scan leaves more
+        # than one candidate that may hold the minimum and no replication is
+        # degenerate, so those are all the pivoted SSRs a bootstrap makes.
+        panel, spec = self._problem()
+        scan = build_scan(panel, spec)
+        calls = []
+        for module in (threshold, inference):
+            exact = module._ssr_ws
+            monkeypatch.setattr(
+                module, "_ssr_ws",
+                lambda *a, exact=exact, **k: calls.append(1) or exact(*a, **k),
+            )
+        assert regime_count_on(scan, k_null, 99, 4).degenerate_replications == 0
+        assert len(calls) == 2 * 99
 
     def test_threads_give_the_one_thread_result(self):
         # Three threads switching every microsecond share one scan and give

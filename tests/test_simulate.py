@@ -12,6 +12,7 @@ from panelthresh import (
     monte_carlo,
     simulate_threshold_panel,
 )
+from panelthresh import simulate
 
 
 class TestDgpValidation:
@@ -228,6 +229,17 @@ class TestMonteCarlo:
         assert 0.0 <= s.metrics["rejection_rate"] <= 1.0
         with pytest.raises(ConfigError, match="estimate_single"):
             monte_carlo("recovery", 50, dgp, spec_overrides=overrides)
+
+    @pytest.mark.parametrize("experiment", ["recovery", "coverage"])
+    def test_single_threshold_experiments_refuse_more_before_simulating(
+        self, monkeypatch, experiment
+    ):
+        def simulated(*args, **kwargs):
+            raise AssertionError("a panel was simulated")
+
+        monkeypatch.setattr(simulate, "simulate_threshold_panel", simulated)
+        with pytest.raises(ConfigError, match=f"experiment '{experiment}'.*num_thresholds=2"):
+            monte_carlo(experiment, 50, benchmark_dgp(), spec_overrides={"num_thresholds": 2})
 
     def test_coverage_experiment_runs(self):
         dgp = benchmark_dgp(contrast=0.5, noise_sd=2.0)

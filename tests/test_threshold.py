@@ -27,6 +27,7 @@ from panelthresh import (
     threshold_ci,
     within_transform,
 )
+from panelthresh.threshold import _ssr_ws
 
 from conftest import conditional_profile, make_panel, profile_argmin
 
@@ -370,6 +371,27 @@ def _reference(ws, grid, fixed, y):
     return profile_argmin(profile) if profile else None
 
 
+def _flat_band(rng, band_x):
+    """Workspace and grid of a 6x30 panel, without intercept shifts, whose x
+    is ``band_x`` on the band q in [0.4, 0.6] around its threshold at 0.5."""
+    from panelthresh.threshold import _Workspace
+
+    n, t = 6, 30
+    q = rng.uniform(0.0, 1.0, (n, t))
+    x = np.where(np.abs(q - 0.5) <= 0.1, band_x, 1.0 + np.abs(rng.standard_normal((n, t))))
+    y = np.where(q <= 0.5, x, 3.0 * x) + 0.1 * rng.standard_normal((n, t))
+    spec = ThresholdSpec(VariableRole("y", "q", ["x"]), include_intercept_shift=False)
+    ws = _Workspace(make_panel({"y": y, "q": q, "x": x}), spec)
+    return ws, candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+
+
+def _located(scan, fixed, y=None):
+    """``scan.locate``'s threshold and the pivoted SSR there: the pair
+    ``_reference`` gives, or None."""
+    gamma = scan.locate(fixed, y)
+    return None if gamma is None else (gamma, _ssr_ws(scan.ws, (*fixed, gamma), y))
+
+
 _scan_cases = given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 5),
@@ -447,7 +469,8 @@ def _profile_fit(fixed, profile, slacks, dof):
 
 
 class TestSSRScan:
-    """The screened scan returns the pivoted reference's (argmin, SSR) bitwise."""
+    """The screened scan locates the pivoted reference's argmin, and the
+    pivoted SSR there is the reference minimum, bitwise."""
 
     @staticmethod
     def _check_sequence(panel, spec, rng, responses=3):
@@ -465,7 +488,7 @@ class TestSSRScan:
             fixed: tuple[float, ...] = ()
             for _ in range(3):
                 ref = _reference(ws, grid, fixed, y)
-                assert scan.scan(fixed, y) == ref
+                assert _located(scan, fixed, y) == ref
                 if ref is None:
                     break
                 gammas = sorted((*fixed, ref[0]))
@@ -513,16 +536,10 @@ class TestSSRScan:
         # there the profile varies across the band at the rounding level of
         # either path, so only exact re-evaluation of every near-tied
         # candidate orders it as the reference does.
-        from panelthresh.threshold import SSRScan, _Workspace
+        from panelthresh.threshold import SSRScan
 
-        n, t = 6, 30
-        q = rng.uniform(0.0, 1.0, (n, t))
-        band = np.abs(q - 0.5) <= 0.1
-        x = np.where(band, band_x, 1.0 + np.abs(rng.standard_normal((n, t))))
-        y = np.where(q <= 0.5, x, 3.0 * x) + 0.1 * rng.standard_normal((n, t))
-        spec = ThresholdSpec(VariableRole("y", "q", ["x"]), include_intercept_shift=False)
-        ws = _Workspace(make_panel({"y": y, "q": q, "x": x}), spec)
-        grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
+        ws, grid = _flat_band(rng, band_x)
+        n, t = ws.n_units, ws.n_periods
         profile = conditional_profile(ws, grid, (), None)
         best = min(s for _, s in profile)
         assert sum(abs(s - best) <= 1e-12 * best for _, s in profile) > 5
@@ -530,12 +547,15 @@ class TestSSRScan:
         for y_r in (None, *(ws.y + 1e-3 * rng.standard_normal(ws.n_obs) for _ in range(5))):
             if y_r is not None:
                 y_r = (y_r.reshape(n, t) - y_r.reshape(n, t).mean(axis=1, keepdims=True)).ravel()
-            assert scan.scan((), y_r) == _reference(ws, grid, (), y_r)
+            assert _located(scan, (), y_r) == _reference(ws, grid, (), y_r)
 
-    @staticmethod
-    def _reevaluations(rng, monkeypatch, **scales):
-        """Grid size and pivoted re-evaluations of a three-stage sequence of
-        scans on an 8x40 panel."""
+    def test_locate_reevaluates_only_when_several_may_hold_the_minimum(
+        self, rng, monkeypatch
+    ):
+        # Where the screen leaves one candidate that may hold the minimum,
+        # every other lies strictly above it, so locate re-evaluates nothing.
+        # On the flat band of test_flat_profile_band several tie, and only
+        # those are re-evaluated to find the first of them.
         from panelthresh import threshold
 
         calls = []
@@ -544,12 +564,46 @@ class TestSSRScan:
             threshold, "_ssr_ws", lambda *a, **k: calls.append(1) or exact(*a, **k)
         )
         spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
+        ws = threshold._Workspace(_scan_panel(rng, n=8, t=40), spec)
+        scan = threshold.SSRScan(
+            ws, candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points))
+        fixed: tuple[float, ...] = ()
+        for _ in range(3):
+            _, ssrs, slack = scan._screen(fixed, ws.y)
+            assert np.count_nonzero(threshold._near_minimum(ssrs, slack)) == 1
+            gamma = scan.locate(fixed)
+            assert not calls
+            assert gamma == _reference(ws, scan.grid, fixed, None)[0]
+            fixed = tuple(sorted((*fixed, gamma)))
+
+        ws, grid = _flat_band(rng, 0.0)
+        scan = threshold.SSRScan(ws, grid)
+        _, ssrs, slack = scan._screen((), ws.y)
+        near = np.count_nonzero(threshold._near_minimum(ssrs, slack))
+        assert near > 5
+        assert scan.locate(()) == _reference(ws, grid, (), None)[0]
+        assert len(calls) == near
+
+    @staticmethod
+    def _reevaluations(rng, monkeypatch, **scales):
+        """Grid size and pivoted re-evaluations of the profiles of a
+        three-stage sequence on an 8x40 panel: every entry that may hold the
+        minimum is re-evaluated there."""
+        from panelthresh import threshold
+
+        spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
         ws = threshold._Workspace(_scan_panel(rng, n=8, t=40, **scales), spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
         scan = threshold.SSRScan(ws, grid)
-        g1, _ = scan.scan(())
-        g2, _ = scan.scan((g1,))
-        scan.scan(tuple(sorted((g1, g2))))
+        g1 = scan.locate(())
+        g2 = scan.locate((g1,))
+        calls = []
+        exact = threshold._ssr_ws
+        monkeypatch.setattr(
+            threshold, "_ssr_ws", lambda *a, **k: calls.append(1) or exact(*a, **k)
+        )
+        for fixed in ((), (g1,), tuple(sorted((g1, g2)))):
+            scan.profile(fixed)
         return grid.size, len(calls)
 
     def test_screen_reevaluates_few_candidates(self, rng, monkeypatch):
@@ -663,11 +717,11 @@ def test_scan_matches_pivoted_reference_property(**case):
     grid = scan.grid
     y = rng.standard_normal((ws.n_units, ws.n_periods)) * 10.0 ** rng.integers(-2, 3)
     y = (y - y.mean(axis=1, keepdims=True)).ravel()
-    assert scan.scan(fixed, y) == _reference(ws, grid, fixed, y)
-    assert scan.scan(fixed) == _reference(ws, grid, fixed, None)
+    assert _located(scan, fixed, y) == _reference(ws, grid, fixed, y)
+    assert _located(scan, fixed) == _reference(ws, grid, fixed, None)
     # unit means in the response leave the screen's unit-sum correction to remove
     y_raw = y + np.repeat(10.0 * rng.standard_normal(ws.n_units), ws.n_periods)
-    assert scan.scan(fixed, y_raw) == _reference(ws, grid, fixed, y_raw)
+    assert _located(scan, fixed, y_raw) == _reference(ws, grid, fixed, y_raw)
 
 
 def test_estimate_single_memory_does_not_grow_with_the_grid():
@@ -700,10 +754,10 @@ def test_conditional_scan_memory_does_not_grow_with_the_grid():
     ))
     scan = build_scan(panel, default_spec(truth, max_grid_points=10_000))
     assert scan.grid.size > 5000
-    g1, _ = scan.scan(())
+    g1 = scan.locate(())
     tracemalloc.start()
     try:
-        hit = scan.scan((g1,))
+        hit = scan.locate((g1,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
