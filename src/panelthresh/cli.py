@@ -108,6 +108,9 @@ def ingest_csv(path, unit_col: str, time_col: str) -> PanelDataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in header")
         for required in (unit_col, time_col):
             if required not in header:
                 raise DataError(f"{path}: column {required!r} not in header {header}")
@@ -141,10 +144,8 @@ def ingest_csv(path, unit_col: str, time_col: str) -> PanelDataset:
         shown = ", ".join(str(m) for m in missing[:10])
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise DataError(f"{path}: unbalanced panel, missing cells: {shown}{more}")
-    variables = {}
-    for j, name in enumerate(value_cols):
-        mat = np.array([[cells[(u, t)][j] for t in periods] for u in units])
-        variables[name] = mat
+    variables = {name: np.array([[cells[(u, t)][j] for t in periods] for u in units])
+                 for j, name in enumerate(value_cols)}
     return PanelDataset(units, periods, variables, metadata={"source": str(path)})
 
 
@@ -346,6 +347,8 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         [roles.dependent, roles.threshold, *roles.regime_varying, *roles.invariant_controls]
     ))
     diagnostics_vars = _config_list(diag.get("variables", role_vars), "diagnostics.variables", str)
+    if len(diagnostics_vars) < 2:
+        raise ConfigError(f"diagnostics.variables needs at least 2 names, got {diagnostics_vars}")
     ThresholdSpec(roles=roles, **spec_raw)  # validates the spec fields
     return RunConfig(
         input_path=input_path,
@@ -505,15 +508,9 @@ def _unit_roots(s: _Session) -> dict[str, dict[str, Any]]:
     for det in DETERMINISTIC_CHOICES:
         per_var = {}
         for v in s.config.diagnostics_vars:
-            res = ips_test(
-                s.panel, v, deterministic=det, max_lag=s.config.ips_max_lag,
-                moment_draws=s.config.ips_moment_draws,
-            )
-            per_var[v] = {
-                "t_bar": res.t_bar,
-                "statistic": res.statistic,
-                "p_value": res.p_value,
-            }
+            res = ips_test(s.panel, v, deterministic=det, max_lag=s.config.ips_max_lag,
+                           moment_draws=s.config.ips_moment_draws)
+            per_var[v] = {"t_bar": res.t_bar, "statistic": res.statistic, "p_value": res.p_value}
         unit_roots[det] = per_var
     return unit_roots
 
@@ -572,6 +569,9 @@ def _run_stages(config: RunConfig, stages: Sequence[str], *, threads: int = 1):
     clock.lap("ingest")
     panel = apply_transforms(panel, config.transforms)
     config.roles.validate(panel)
+    missing = sorted(set(config.diagnostics_vars) - set(panel.variables))
+    if missing:
+        raise DataError(f"variables not in panel: {', '.join(missing)}")
     clock.lap("transforms")
     session = _Session(config, panel, build_scan(panel, config.build_spec()), threads)
     clock.lap("workspace")

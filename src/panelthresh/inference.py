@@ -8,8 +8,8 @@ resampled whole, by unit and with replacement, from the richer model's
 residuals, the dependent variable is regenerated under the null model's
 fitted values, and both models are re-estimated on each replication by the
 same sequential estimator. Per-replication RNG streams derive from (seed,
-replication index), so p-values do not depend on how replications are
-scheduled across threads.
+replication index) and threads spread only the fixed-threshold groups of a
+scan step, so p-values do not depend on the thread count.
 
 Confidence sets for the threshold invert the likelihood-ratio statistic
 against the closed-form critical value -2 log(1 - sqrt(1 - alpha)).
@@ -35,7 +35,6 @@ from .threshold import (
     build_scan,
     estimation_panel,
     no_split_message,
-    run_indexed,
     sequential_estimates,
 )
 
@@ -110,7 +109,7 @@ def linearity_test(
     The candidate Gram matrices are fixed across replications, so the
     screened scan factorizes them once; each replication costs one
     cumulative sum of the regenerated response to locate its threshold,
-    plus the two exact SSRs, S0 and S1, that its F* reads.
+    plus its two exact SSRs, S0 and S1, priced on the calling thread.
     """
     return regime_count_on(build_scan(panel, spec), 0, B, seed, threads=threads)
 
@@ -159,8 +158,8 @@ def regime_count_on(
     B and the seed are checked before any scan. The unit picks are drawn up
     front (B x N int32), each replication's from its own stream, and one
     ``sequential_estimates`` call runs all B responses, so ``threads``
-    spreads the fixed-threshold groups of each step, then the replications'
-    two exact SSRs each.
+    spreads the fixed-threshold groups of each step. The replications' two
+    exact SSRs each are then priced in order on the calling thread.
     """
     if k_null not in (0, 1, 2):
         raise ConfigError(f"k_null must be 0, 1 or 2, got {k_null}")
@@ -184,7 +183,7 @@ def regime_count_on(
 
     found = sequential_estimates(scan, k_null + 1, B, response, threads=threads)
 
-    def worker(rep: int) -> float | None:
+    def price(rep: int) -> float | None:
         chain = [(), *found[rep]]
         if len(chain) <= k_null + 1:
             return None
@@ -194,7 +193,7 @@ def regime_count_on(
             return None
         return (_ssr_ws(ws, chain[k_null], y) - s_alt) / (s_alt / dof)
 
-    draws = run_indexed(B, threads, worker)
+    draws = [price(rep) for rep in range(B)]
     f_boot = np.array([0.0 if f is None else f for f in draws])
     return BootstrapTestResult(
         f_statistic=float(f_obs),

@@ -20,15 +20,16 @@ import numpy as np
 from .errors import DataError
 
 
-def _as_matrix(name: str, values, n_units: int, n_periods: int) -> np.ndarray:
+def _as_matrix(name: str, values, units: Sequence[str], periods: Sequence[str]) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (n_units, n_periods):
+    if arr.shape != (len(units), len(periods)):
         raise DataError(
-            f"variable {name!r} has shape {arr.shape}, expected ({n_units}, {n_periods})"
+            f"variable {name!r} has shape {arr.shape}, expected ({len(units)}, {len(periods)})"
         )
     if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise DataError(f"variable {name!r} has a non-finite value at cell {tuple(bad)}")
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise DataError(f"variable {name!r} has a non-finite value at unit {units[i]!r}, "
+                        f"period {periods[j]!r}")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -63,7 +64,7 @@ class PanelDataset:
             raise DataError("duplicate unit labels")
         if len(set(pers)) != len(pers):
             raise DataError("duplicate period labels")
-        mats = {str(k): _as_matrix(str(k), v, len(units), len(pers)) for k, v in variables.items()}
+        mats = {str(k): _as_matrix(str(k), v, units, pers) for k, v in variables.items()}
         object.__setattr__(self, "unit_ids", units)
         object.__setattr__(self, "periods", pers)
         object.__setattr__(self, "variables", mats)

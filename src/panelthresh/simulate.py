@@ -20,9 +20,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .inference import regime_count_on, run_indexed, threshold_ci
+from .inference import regime_count_on, threshold_ci
 from .panel import PanelDataset, VariableRole
-from .threshold import ThresholdSpec, build_scan, estimate_single
+from .threshold import ThresholdSpec, build_scan, estimate_single, run_indexed
 
 RNG_DESCRIPTOR = {
     "generator": "numpy PCG64 via SeedSequence([seed, index])",

@@ -183,7 +183,6 @@ class _Workspace:
         controls = list(roles.invariant_controls)
         if lag is not None:
             controls.append(lag)
-        self.panel = est_panel
         self.spec = spec
         self.n_units = est_panel.n_units
         self.n_periods = est_panel.n_periods
@@ -559,8 +558,9 @@ class SSRScan:
         L_H, factored = _cholesky(Gcc * dc[:, :, None] * dc[:, None, :] - W @ W.transpose(0, 2, 1))
         lh_inv = _lower_inverse(L_H)
         K = lh_inv @ W
+        KL = K @ lz_inv
         # trace(G^-1) = ||L^-1||_F^2 >= ||G^-1||, from the blocks of L^-1
-        trace = (np.sum(lz_inv * lz_inv) + np.einsum("cij,cij->c", K @ lz_inv, K @ lz_inv)
+        trace = (np.sum(lz_inv * lz_inv) + np.einsum("cij,cij->c", KL, KL)
                  + np.einsum("cij,cij->c", lh_inv, lh_inv))
         # First-order bound: each moment is a running sum over at most N*T
         # observations of terms made in at most T + 4 rounded steps, whose

@@ -101,6 +101,17 @@ class TestIngest:
         with pytest.raises(DataError, match=r"duplicate.*\('a', '1'\)"):
             ingest_csv(p, "unit", "time")
 
+    @pytest.mark.parametrize("header, name", [
+        ("unit,time,y,q,y", "y"), ("unit,time,y,q,unit", "unit"), ("unit,time,y,q,time", "time"),
+    ])
+    def test_duplicate_column_named(self, tmp_path, header, name):
+        # The last column repeats a name: the file is rejected, not read with
+        # that column's values (9, 8, 7, 6) dropped.
+        p = tmp_path / "dupcol.csv"
+        p.write_text(f"{header}\na,1,1.0,0.1,9\na,2,2.0,0.2,8\nb,1,3.0,0.3,7\nb,2,4.0,0.4,6\n")
+        with pytest.raises(DataError, match=f"column '{name}' appears more than once"):
+            ingest_csv(p, "unit", "time")
+
     def test_non_numeric_cell_located(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("unit,time,v\na,1,1.0\na,2,oops\nb,1,3.0\nb,2,4.0\n")
@@ -381,12 +392,17 @@ class TestMainExitCodes:
          "inference.alphas must be a JSON list of numbers"),
         ("fit", {"inference": {"alphas": [True]}}, 2,
          "inference.alphas must be a JSON list of numbers"),
+        ("report", {"diagnostics": {"variables": ["y"]}}, 2,
+         "diagnostics.variables needs at least 2 names"),
+        ("report", {"diagnostics": {"variables": ["y", "c1_typo"]}}, 3,
+         "variables not in panel: c1_typo"),
     ], ids=["csv", "roles", "replications", "alphas", "regime_count_test", "max_lag", "json",
             "simulate", "lag_var", "period_average_k", "lag_k_string", "lag_k_float",
             "within_vars", "instruments", "regime_varying_string", "controls_string",
             "roles_instruments_string", "instruments_string", "diagnostics_variables_string",
             "within_vars_string", "components_string", "weights_string", "weights_bool",
-            "alphas_strings", "alphas_bool"])
+            "alphas_strings", "alphas_bool", "diagnostics_variables_one",
+            "diagnostics_variables_unknown"])
     def test_config_fault_stops_before_any_stage(
         self, panel_csv, tmp_path, capsys, monkeypatch, command, fault, code, message
     ):

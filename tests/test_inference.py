@@ -32,8 +32,10 @@ from panelthresh import (
 
 from panelthresh._linalg import pivoted_lstsq
 from panelthresh import inference, threshold
-from panelthresh.inference import _rep_rng, regime_count_on, run_indexed
-from panelthresh.threshold import SSRScan, _demean_rows, _fit_ws, _Workspace, build_scan
+from panelthresh.inference import _rep_rng, regime_count_on
+from panelthresh.threshold import (
+    SSRScan, _demean_rows, _fit_ws, _Workspace, build_scan, run_indexed,
+)
 
 from conftest import conditional_profile, make_panel, profile_argmin
 
@@ -550,6 +552,20 @@ class TestGroupedBootstrap:
             )
         assert regime_count_on(scan, k_null, 99, 4).degenerate_replications == 0
         assert len(calls) == 2 * 99
+
+    def test_replications_are_priced_on_the_calling_thread(self, monkeypatch):
+        # Threads spread a step's groups only; every replication's two exact
+        # SSRs are priced in order on the thread that runs the test.
+        panel, spec = self._problem()
+        scan = build_scan(panel, spec)
+        idents = []
+        exact = inference._ssr_ws
+        monkeypatch.setattr(
+            inference, "_ssr_ws",
+            lambda *a, **k: idents.append(threading.get_ident()) or exact(*a, **k),
+        )
+        regime_count_on(scan, 2, 99, 4, threads=3)
+        assert idents == [threading.get_ident()] * (2 * 99)
 
     def test_threads_give_the_one_thread_result(self):
         # Three threads switching every microsecond share one scan and give

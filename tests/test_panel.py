@@ -19,10 +19,10 @@ from conftest import make_panel
 
 class TestConstruction:
     def test_rejects_nonfinite(self):
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match="'y' has a non-finite value at unit 'u1', period '2'$"):
             make_panel({"y": [[1.0, np.nan], [0.0, 1.0]]})
-        with pytest.raises(DataError, match="non-finite"):
-            make_panel({"y": [[1.0, np.inf], [0.0, 1.0]]})
+        with pytest.raises(DataError, match="non-finite value at unit 'u2', period '1'$"):
+            make_panel({"y": [[1.0, 2.0], [np.inf, 1.0]]})
 
     def test_rejects_mismatched_shape(self):
         with pytest.raises(DataError, match="shape"):
