@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -33,7 +34,7 @@ from .diagnostics import (
     regime_descriptives,
 )
 from .errors import ConfigError, DataError, EstimationError
-from .inference import DEFAULT_REPLICATIONS, MIN_REPLICATIONS, regime_count_on, threshold_ci
+from .inference import DEFAULT_REPLICATIONS, MIN_REPLICATIONS, ci_on, regime_count_on
 from .panel import (
     PanelDataset,
     VariableRole,
@@ -42,8 +43,8 @@ from .panel import (
     period_average,
     within_transform,
 )
-from .regression import estimate_regime_equation
-from .simulate import RNG_DESCRIPTOR, ThresholdDGP, monte_carlo
+from .regression import regime_equation_on
+from .simulate import MIN_TRIALS, RNG_DESCRIPTOR, ThresholdDGP, monte_carlo
 from .threshold import SSRScan, ThresholdFit, ThresholdSpec, build_scan, estimate_on
 
 SCHEMA_VERSION = 1
@@ -83,10 +84,14 @@ REPORT_SCHEMA: dict[str, Any] = {
 
 
 def _label_key(label: str):
+    """Numbers first, in numeric order, equal values ("1", "01") by their
+    text; then every other label, "nan" included, by its text. A total
+    order, so the sorted labels do not depend on the order they arrive in."""
     try:
-        return (0, float(label), "")
+        value = float(label)
     except ValueError:
-        return (1, 0.0, label)
+        value = math.nan
+    return (1, 0.0, label) if math.isnan(value) else (0, value, label)
 
 
 def ingest_csv(path, unit_col: str, time_col: str) -> PanelDataset:
@@ -95,8 +100,10 @@ def ingest_csv(path, unit_col: str, time_col: str) -> PanelDataset:
     Strict dialect: comma separator, ``.`` decimal point, UTF-8, header row
     required. Missing cells, duplicate (unit, time) pairs and non-numeric
     values are rejected with the offending location named. Units and periods
-    are ordered numerically when their labels parse as numbers,
-    lexicographically otherwise.
+    are ordered by ``_label_key``: labels that parse as numbers first, in
+    numeric order with equal values ("1", "01") ordered by their text, then
+    the others ("nan" among them) by their text. The order depends on the
+    labels alone, not on the row order or the interpreter's hash seed.
     """
     path = Path(path)
     if not path.exists():
@@ -414,7 +421,10 @@ class _StageClock:
 @dataclass
 class _Session:
     """One run's panel and estimation scan (workspace, grid and scan, built
-    once), shared by every stage; the estimation stage records the fit."""
+    once), shared by every stage; the estimation stage records the fit.
+    Estimation, bootstrap, confidence sets and the regime regression read the
+    workspace's estimation sample; descriptives, correlations and unit roots
+    describe the whole transformed panel."""
 
     config: RunConfig
     panel: PanelDataset
@@ -469,7 +479,7 @@ def _confidence_sets(s: _Session) -> list[dict[str, Any]]:
     cis = []
     for j in range(len(s.fit.gammas)):
         for alpha in s.config.alphas:
-            ci = threshold_ci(s.panel, s.scan.ws.spec, s.fit, alpha, threshold_index=j)
+            ci = ci_on(s.scan.ws, s.fit, alpha, threshold_index=j)
             cis.append({
                 "threshold_index": j,
                 "alpha": alpha,
@@ -516,9 +526,8 @@ def _unit_roots(s: _Session) -> dict[str, dict[str, Any]]:
 
 
 def _regression(s: _Session) -> dict[str, Any]:
-    reg = estimate_regime_equation(
-        s.panel, s.scan.ws.spec, s.fit, estimator=s.config.estimator,
-        instruments=s.config.instruments or None,
+    reg = regime_equation_on(
+        s.scan.ws, s.fit, s.config.estimator, s.config.instruments or None,
     )
     return {
         "estimator": reg.estimator,
@@ -797,8 +806,8 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
         raise ConfigError(f"invalid dgp section: {exc}") from None
     master_seed = sim.get("master_seed", 0) if args.seed is None else args.seed
     summary = monte_carlo(
-        str(sim.get("experiment", "recovery")),
-        _config_int(sim.get("trials", MIN_TRIALS_DEFAULT), "simulate.trials", 1),
+        _config_str(sim.get("experiment", "recovery"), "simulate.experiment"),
+        _config_int(sim.get("trials", MIN_TRIALS_DEFAULT), "simulate.trials", MIN_TRIALS),
         dgp,
         master_seed=_config_int(master_seed, "simulate.master_seed", 0),
         alpha=sim.get("alpha", 0.05),

@@ -33,7 +33,6 @@ from .threshold import (
     _ssr_ws,
     _Workspace,
     build_scan,
-    estimation_panel,
     no_split_message,
     sequential_estimates,
 )
@@ -214,7 +213,13 @@ def threshold_ci(
     alpha: float,
     threshold_index: int = 0,
 ) -> ThresholdCI:
-    """Invert the LR statistic around one estimated threshold.
+    """Invert the LR statistic around one estimated threshold (see ``ci_on``)."""
+    return ci_on(_Workspace(panel, spec), fit, alpha, threshold_index)
+
+
+def ci_on(ws: _Workspace, fit: ThresholdFit, alpha: float, threshold_index: int = 0) -> ThresholdCI:
+    """Invert the LR statistic around one estimated threshold on the
+    workspace the fit was estimated on.
 
     LR(gamma) = (S(gamma) - S(gamma_hat)) / sigma2_hat over the fit's SSR
     profile (conditional on the other thresholds for multi-threshold fits).
@@ -247,18 +252,14 @@ def threshold_ci(
         pad = slack + 4.0 * np.finfo(float).eps * (np.abs(values) + slack)
         clear = ((values + pad - fit.ssr) / fit.sigma2 <= c_alpha) | (
             (values - pad - fit.ssr) / fit.sigma2 > c_alpha)
-        unclear = np.nonzero((slack > 0) & ~clear)[0]
-        if unclear.size:
-            ws = _Workspace(panel, spec)
-            fixed = fit.gammas[:threshold_index] + fit.gammas[threshold_index + 1:]
-            for i in unclear:
-                ssrs[i] = _ssr_ws(ws, (*fixed, profile[i][0]))
+        fixed = fit.gammas[:threshold_index] + fit.gammas[threshold_index + 1:]
+        for i in np.nonzero((slack > 0) & ~clear)[0]:
+            ssrs[i] = _ssr_ws(ws, (*fixed, profile[i][0]))
     lr_profile = tuple((g, (s - fit.ssr) / fit.sigma2) for (g, _), s in zip(profile, ssrs))
     accepted = [g for g, v in lr_profile if v <= c_alpha]
     accepted.append(gamma_hat)
     hi = max(accepted)
-    q_panel, _ = estimation_panel(panel, spec)
-    observed = np.unique(q_panel.values(spec.roles.threshold))
+    observed = np.unique(ws.q)
     nxt = np.searchsorted(observed, hi, side="right")
     upper = float(observed[nxt]) if nxt < observed.size else float(hi)
     return ThresholdCI(

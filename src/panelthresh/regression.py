@@ -15,8 +15,8 @@ import numpy as np
 
 from ._linalg import pivoted_lstsq
 from .errors import ConfigError, EstimationError
-from .panel import PanelDataset, regime_indicator
-from .threshold import ThresholdFit, ThresholdSpec, estimation_panel
+from .panel import PanelDataset
+from .threshold import ThresholdFit, ThresholdSpec, _Workspace
 
 
 class SarganTest(NamedTuple):
@@ -231,7 +231,21 @@ def estimate_regime_equation(
     *,
     robust: bool = False,
 ) -> RegressionResult:
-    """Estimate the regime equation at the fitted thresholds.
+    """Estimate the regime equation at the fitted thresholds (see
+    ``regime_equation_on``)."""
+    return regime_equation_on(_Workspace(panel, spec), fit, estimator, instruments, robust=robust)
+
+
+def regime_equation_on(
+    ws: _Workspace,
+    fit: ThresholdFit,
+    estimator: str = "OLS",
+    instruments: Sequence[str] | None = None,
+    *,
+    robust: bool = False,
+) -> RegressionResult:
+    """Estimate the regime equation at the fitted thresholds on the
+    workspace's estimation sample.
 
     Assembles the pooled design (constant, optional dependent-variable lag,
     regime-interacted slopes, optional intercept shifts, invariant controls)
@@ -243,27 +257,24 @@ def estimate_regime_equation(
     estimator = estimator.upper()
     if estimator not in ("OLS", "2SLS"):
         raise ConfigError(f"estimator must be OLS or 2SLS, got {estimator!r}")
-    roles = spec.roles
-    roles.validate(panel)
-    est_panel, lag = estimation_panel(panel, spec)
-    gammas = fit.gammas
-    indicators = _regime_indicators(est_panel, roles.threshold, gammas)
-    n = est_panel.n_units * est_panel.n_periods
-    X: dict[str, np.ndarray] = {"C": np.ones(n)}
-    if lag is not None:
-        X[f"{roles.dependent} (-1)"] = est_panel.values(lag).ravel()
+    roles, panel, gammas = ws.spec.roles, ws.panel, fit.gammas
+    regime = np.sum(ws.q[:, None] > np.asarray(gammas)[None, :], axis=1)
+    indicators = [(regime == r).astype(float) for r in range(len(gammas) + 1)]
+    X: dict[str, np.ndarray] = {"C": np.ones(ws.n_obs)}
+    if ws.lag is not None:
+        X[f"{roles.dependent} (-1)"] = panel.values(ws.lag).ravel()
     slope_labels: list[str] = []
     for r, ind in enumerate(indicators, start=1):
         for v in roles.regime_varying:
             label = f"{v} (beta{r})"
-            X[label] = est_panel.values(v).ravel() * ind
+            X[label] = panel.values(v).ravel() * ind
             slope_labels.append(label)
-    if spec.include_intercept_shift:
+    if ws.spec.include_intercept_shift:
         for k, g in enumerate(gammas, start=1):
-            X[f"shift{k}"] = regime_indicator(est_panel, roles.threshold, g).ravel()
+            X[f"shift{k}"] = (ws.q <= g).astype(float)
     for v in roles.invariant_controls:
-        X[v] = est_panel.values(v).ravel()
-    y = est_panel.values(roles.dependent).ravel()
+        X[v] = panel.values(v).ravel()
+    y = panel.values(roles.dependent).ravel()
     if estimator == "OLS":
         return ols(y, X, robust=robust)
     instruments = tuple(instruments or roles.instruments)
@@ -271,15 +282,7 @@ def estimate_regime_equation(
         raise ConfigError("2SLS requires at least one instrument")
     Z: dict[str, np.ndarray] = {}
     for z in instruments:
-        zvals = est_panel.values(z).ravel()
+        zvals = panel.values(z).ravel()
         for r, ind in enumerate(indicators, start=1):
             Z[f"{z} (regime{r})"] = zvals * ind
     return two_sls(y, X, slope_labels, Z, robust=robust)
-
-
-def _regime_indicators(
-    panel: PanelDataset, threshold_var: str, gammas: Sequence[float]
-) -> list[np.ndarray]:
-    q = panel.values(threshold_var).ravel()
-    regime = np.sum(q[:, None] > np.asarray(gammas)[None, :], axis=1)
-    return [(regime == r).astype(float) for r in range(len(gammas) + 1)]

@@ -16,13 +16,14 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .inference import regime_count_on, threshold_ci
+from .inference import ci_on, regime_count_on
 from .panel import PanelDataset, VariableRole
-from .threshold import ThresholdSpec, build_scan, estimate_single, run_indexed
+from .threshold import ThresholdSpec, build_scan, estimate_on, run_indexed
 
 RNG_DESCRIPTOR = {
     "generator": "numpy PCG64 via SeedSequence([seed, index])",
@@ -65,12 +66,22 @@ class ThresholdDGP:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("delta0", "fixed_effect_sd", "noise_sd", "endogeneity_rho"):
+            _number(getattr(self, name), name)
+        if self.theta0 is not None:
+            _number(self.theta0, "theta0")
         for name in ("beta_low", "beta_high", "control_betas"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if isinstance(self.gamma0, list):
-            object.__setattr__(self, "gamma0", tuple(self.gamma0))
-        if self.beta_regimes is not None:
-            object.__setattr__(self, "beta_regimes", tuple(tuple(b) for b in self.beta_regimes))
+            object.__setattr__(self, name, _numbers(getattr(self, name), name))
+        if isinstance(self.gamma0, (list, tuple)):
+            object.__setattr__(self, "gamma0", _numbers(self.gamma0, "gamma0"))
+        else:
+            _number(self.gamma0, "gamma0")
+        rows = self.beta_regimes
+        if rows is not None:
+            if isinstance(rows, (str, bytes)) or not isinstance(rows, Iterable):
+                raise ConfigError(f"beta_regimes must be a list of lists of numbers, got {rows!r}")
+            object.__setattr__(self, "beta_regimes", tuple(
+                _numbers(b, f"beta_regimes[{i}]") for i, b in enumerate(rows)))
         if self.n_units < 2 or self.n_periods < 3:
             raise ConfigError(
                 f"need n_units >= 2 and n_periods >= 3, got {self.n_units}, {self.n_periods}"
@@ -104,6 +115,23 @@ class ThresholdDGP:
         if self.beta_regimes is not None:
             return self.beta_regimes
         return (self.beta_low, self.beta_high)
+
+
+def _number(value, name: str) -> None:
+    """Reject ``value`` unless it is a real number; strings and booleans are
+    not coerced."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _numbers(value, name: str) -> tuple:
+    """``value`` as a tuple when it is a sequence of real numbers; a string
+    is rejected, not split into characters."""
+    listed = isinstance(value, Iterable) and not isinstance(value, (str, bytes))
+    items = tuple(value) if listed else ()
+    if not listed or any(isinstance(v, bool) or not isinstance(v, Real) for v in items):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return items
 
 
 @dataclass(frozen=True)
@@ -369,13 +397,13 @@ def monte_carlo(
         panel_seed, test_seed = _trial_seeds(master_seed, trial)
         panel, truth = simulate_threshold_panel(replace(dgp, seed=panel_seed))
         spec = default_spec(truth, **overrides)
+        scan = build_scan(panel, spec)
         if rate == "rejection_rate":
-            scan = build_scan(panel, spec)
             res = regime_count_on(scan, spec.num_thresholds - 1, replications, test_seed)
             return res.bootstrap_p <= alpha, 0.0
-        fit, gamma0 = estimate_single(panel, spec), truth.gammas[0]
+        fit, gamma0 = estimate_on(scan), truth.gammas[0]
         if rate == "coverage_rate":
-            ci = threshold_ci(panel, spec, fit, alpha)
+            ci = ci_on(scan.ws, fit, alpha)
             return ci.lower <= gamma0 <= ci.upper, 0.0
         grid = np.array([g for g, _ in fit.ssr_profile])
         below = np.nonzero(grid <= gamma0)[0]

@@ -151,18 +151,6 @@ def candidate_grid(
     return survivors
 
 
-def estimation_panel(panel: PanelDataset, spec: ThresholdSpec) -> tuple[PanelDataset, str | None]:
-    """The panel a spec is estimated on, and the name of its lag column.
-
-    With ``dynamic_lag`` the dependent variable's one-period lag is added as
-    ``<dependent>_lag1`` and the first period is dropped; otherwise the panel
-    comes back unchanged, without a lag column.
-    """
-    if not spec.dynamic_lag:
-        return panel, None
-    return make_lag(panel, spec.roles.dependent, 1), f"{spec.roles.dependent}_lag1"
-
-
 def _demean_rows(mat: np.ndarray) -> np.ndarray:
     return mat - mat.mean(axis=1, keepdims=True)
 
@@ -170,19 +158,24 @@ def _demean_rows(mat: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Estimation-ready arrays for one (panel, spec) pair.
 
-    Applies the dynamic-lag truncation and flattens matrices unit-major.
-    Regime columns are assembled as differences of the demeaned cumulative
-    columns I(q <= c) * x, recomputed on each use so the workspace stays
-    read-only and its size does not grow with the number of candidates.
+    The one place that decides the estimation sample: with ``dynamic_lag``
+    the dependent variable's one-period lag is added as ``<dependent>_lag1``
+    and the first period is dropped. That panel is kept as ``panel`` and the
+    lag column's name as ``lag`` (None without the lag); the matrices are
+    flattened unit-major. Regime columns are assembled as differences of the
+    demeaned cumulative columns I(q <= c) * x, recomputed on each use so the
+    workspace stays read-only and its size does not grow with the number of
+    candidates.
     """
 
     def __init__(self, panel: PanelDataset, spec: ThresholdSpec):
         roles = spec.roles
         roles.validate(panel)
-        est_panel, lag = estimation_panel(panel, spec)
+        self.lag = f"{roles.dependent}_lag1" if spec.dynamic_lag else None
+        self.panel = est_panel = make_lag(panel, roles.dependent, 1) if self.lag else panel
         controls = list(roles.invariant_controls)
-        if lag is not None:
-            controls.append(lag)
+        if self.lag:
+            controls.append(self.lag)
         self.spec = spec
         self.n_units = est_panel.n_units
         self.n_periods = est_panel.n_periods

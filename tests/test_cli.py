@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 from panelthresh import DataError, benchmark_dgp, simulate_threshold_panel, within_transform
 from panelthresh.cli import (
     REPORT_SCHEMA,
+    _label_key,
     apply_transforms,
     dumps_report,
     ingest_csv,
@@ -117,6 +120,33 @@ class TestIngest:
         p.write_text("unit,time,v\na,1,1.0\na,2,oops\nb,1,3.0\nb,2,4.0\n")
         with pytest.raises(DataError, match=r"bad.csv:3.*oops.*'v'"):
             ingest_csv(p, "unit", "time")
+
+    def test_label_order_is_total(self):
+        # "nan" parses to a float that compares false with everything, and
+        # "1" and "01" parse to one value: neither may leave the order to the
+        # order the labels arrive in.
+        labels = ["10", "2", "01", "1", "nan", "b", "a"]
+        orders = {tuple(sorted(p, key=_label_key)) for p in itertools.permutations(labels)}
+        assert orders == {("01", "1", "2", "10", "a", "b", "nan")}
+
+    def test_unit_order_independent_of_hash_seed(self, tmp_path):
+        # Labels are collected in a set, whose order follows string hashing.
+        import panelthresh
+
+        p = tmp_path / "labels.csv"
+        units = ["1", "01", "nan", "2", "3", "4", "5", "6"]
+        p.write_text("unit,time,v\n" + "".join(
+            f"{u},{t},{k}.5\n" for k, u in enumerate(units) for t in (1, 2)))
+        src = str(Path(panelthresh.__file__).resolve().parents[1])
+        code = ("from panelthresh.cli import ingest_csv\n"
+                f"print(ingest_csv({str(p)!r}, 'unit', 'time').unit_ids)")
+        orders = set()
+        for seed in ("0", "1", "2", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            orders.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                      text=True, env=env, check=True).stdout.strip())
+        assert orders == {"('01', '1', '2', '3', '4', '5', '6', 'nan')"}
 
     def test_missing_required_column(self, tmp_path):
         p = tmp_path / "cols.csv"
@@ -521,7 +551,14 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("simulate", "alpha", "abc", "alpha must be a number in (0, 1)"),
+        ("simulate", "experiment", ["size"], "simulate.experiment must be a JSON string"),
+        ("simulate", "trials", 10, "simulate.trials must be an integer >= 50"),
         ("dgp", "n_units", 4.5, "n_units must be an integer"),
+        ("dgp", "beta_low", "1", "beta_low must be a list of numbers"),
+        ("dgp", "beta_low", [True], "beta_low must be a list of numbers"),
+        ("dgp", "control_betas", "5", "control_betas must be a list of numbers"),
+        ("dgp", "delta0", "0.3", "delta0 must be a number"),
+        ("dgp", "gamma0", "0.5", "gamma0 must be a number"),
     ])
     def test_simulate_mistyped_field_exit_two(self, tmp_path, capsys, section, key, value, message):
         cfg = self._simulate_config(4)
@@ -676,6 +713,59 @@ class TestThreeThresholds:
         assert th["regime_count_test"] == {"skipped": "no 3-vs-4 threshold test"}
         markdown = (tmp_path / "report.md").read_text()
         assert "| Regime-count F (p-value) | skipped: no 3-vs-4 threshold test |" in markdown
+
+
+class TestOneEstimationSample:
+    """Confidence sets and the regime regression read the run's workspace:
+    one workspace, and one lagged panel, per run."""
+
+    def test_ci_reevaluates_on_the_run_workspace(self, three_threshold_config, tmp_path,
+                                                 monkeypatch):
+        from panelthresh import inference, threshold
+
+        cfg = json.loads(three_threshold_config.read_text())
+        cfg["spec"]["num_thresholds"] = 2
+        cfg_path = tmp_path / "two.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["--config", str(cfg_path), "ci"]
+        plain = _main_stdout(argv)
+        built, screened, reevaluated = [], [], []
+        init, profile = threshold._Workspace.__init__, threshold.SSRScan.profile
+        exact = inference._ssr_ws
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        def inflated(self, *args):
+            # Every screened entry's side of c(alpha) is left in doubt.
+            entries, slacks = profile(self, *args)
+            screened.extend(s for s in slacks if s > 0)
+            return entries, tuple(math.inf if s > 0 else 0.0 for s in slacks)
+
+        monkeypatch.setattr(threshold._Workspace, "__init__", counted)
+        monkeypatch.setattr(threshold.SSRScan, "profile", inflated)
+        monkeypatch.setattr(inference, "_ssr_ws",
+                            lambda ws, *args: reevaluated.append(ws) or exact(ws, *args))
+        assert _main_stdout(argv) == plain
+        assert len(built) == 1
+        assert len(reevaluated) == len(screened) > 0
+
+    def test_dynamic_lag_report_lags_once(self, panel_csv, monkeypatch):
+        from panelthresh import threshold
+
+        path, _ = panel_csv
+        cfg = base_config(path)
+        cfg["spec"]["dynamic_lag"] = True
+        cfg["inference"]["alphas"] = [0.05, 0.1]
+        lagged = []
+        make_lag = threshold.make_lag
+        monkeypatch.setattr(threshold, "make_lag", lambda panel, var, k: (
+            lagged.append((var, k)) or make_lag(panel, var, k)))
+        report, _, _ = run_pipeline(parse_config(cfg))
+        assert lagged == [("y", 1)]
+        assert len(report["blocks"]["threshold"]["confidence_sets"]) == 2
+        assert "y (-1)" in report["blocks"]["regression"]["coefficients"]
 
 
 def test_cli_import_skips_scipy_stats():

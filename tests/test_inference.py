@@ -32,7 +32,7 @@ from panelthresh import (
 
 from panelthresh._linalg import pivoted_lstsq
 from panelthresh import inference, threshold
-from panelthresh.inference import _rep_rng, regime_count_on
+from panelthresh.inference import _rep_rng, ci_on, regime_count_on
 from panelthresh.threshold import (
     SSRScan, _demean_rows, _fit_ws, _Workspace, build_scan, run_indexed,
 )
@@ -479,6 +479,22 @@ class TestThresholdCI:
             assert ci.lower <= fit.gammas[j] <= ci.upper
         with pytest.raises(EstimationError, match="out of range"):
             threshold_ci(panel, spec, fit, 0.05, threshold_index=2)
+
+
+def test_ci_on_equals_threshold_ci_on_a_dynamic_lag_panel():
+    # The wrapper derives the lagged sample again; the core reads the scan's
+    # workspace. Both invert the same profile on the same observed values.
+    panel, truth = simulate_threshold_panel(ThresholdDGP(
+        n_units=10, n_periods=30, gamma0=(0.3, 0.7), beta_low=(1.0,), beta_high=(2.0,),
+        beta_regimes=((1.0,), (2.5,), (0.5,)), theta0=0.4, seed=21,
+    ))
+    spec = default_spec(truth)
+    assert spec.dynamic_lag
+    scan = build_scan(panel, spec)
+    fit = threshold.estimate_on(scan)
+    for j in range(2):
+        for alpha in (0.05, 0.1, 0.5):
+            assert ci_on(scan.ws, fit, alpha, j) == threshold_ci(panel, spec, fit, alpha, j)
 
 
 class TestGroupedBootstrap:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from panelthresh import (
     simulate_threshold_panel,
     two_sls,
 )
+from panelthresh.regression import regime_equation_on
+from panelthresh.threshold import build_scan, estimate_on
 
 
 class TestOls:
@@ -267,6 +270,24 @@ class TestEstimateRegimeEquation:
         assert res.n_obs == 8 * 35
         assert res.coefficients == ref.coefficients
         assert res.std_errors == ref.std_errors
+
+    def test_core_equals_wrapper_on_a_dynamic_lag_panel(self):
+        # regime_equation_on reads the scan's workspace (its lagged panel and
+        # lag column); the wrapper builds a workspace of its own.
+        dgp = ThresholdDGP(
+            n_units=10, n_periods=30, gamma0=0.5, beta_low=(0.0,), beta_high=(0.7,),
+            delta0=0.5, theta0=0.4, endogeneity_rho=0.5, control_betas=(0.4,), seed=17,
+        )
+        panel, truth = simulate_threshold_panel(dgp)
+        spec = default_spec(truth)
+        scan = build_scan(panel, spec)
+        fit = estimate_on(scan)
+        for estimator, robust in (("OLS", False), ("OLS", True), ("2SLS", False)):
+            core = regime_equation_on(scan.ws, fit, estimator, None, robust=robust)
+            ref = estimate_regime_equation(panel, spec, fit, estimator, robust=robust)
+            assert "y (-1)" in core.coefficients
+            assert core.residuals.tobytes() == ref.residuals.tobytes()
+            assert replace(core, residuals=None) == replace(ref, residuals=None)
 
     def test_sign_pattern_fixture(self):
         # Planted beta1 = 0, beta2 = 0.7: the upper-regime slope should be

@@ -54,6 +54,21 @@ class TestDgpValidation:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             ThresholdDGP(**{**kwargs, field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("gamma0", "0.5", "a number"), ("gamma0", ["0.5"], "a list of numbers"),
+        ("beta_low", "1", "a list of numbers"), ("beta_high", [True], "a list of numbers"),
+        ("beta_regimes", [[0.0], ["1"]], "a list of numbers"),
+        ("control_betas", "5", "a list of numbers"), ("delta0", "0.3", "a number"),
+        ("theta0", "0.5", "a number"), ("fixed_effect_sd", "1", "a number"),
+        ("noise_sd", True, "a number"), ("endogeneity_rho", "0.2", "a number"),
+    ])
+    def test_number_fields_checked(self, field, value, message):
+        # A string is neither split into characters nor parsed, and a boolean
+        # is not read as 0 or 1.
+        kwargs = dict(n_units=4, n_periods=10, gamma0=0.5, beta_low=(0.0,), beta_high=(1.0,))
+        with pytest.raises(ConfigError, match=rf"{field}(\[\d\])? must be {message}"):
+            ThresholdDGP(**{**kwargs, field: value})
+
     def test_list_fields_stored_as_tuples(self):
         def dgp(seq):
             return ThresholdDGP(
