@@ -33,7 +33,8 @@ from .diagnostics import (
     ips_test,
     regime_descriptives,
 )
-from .errors import ConfigError, DataError, EstimationError
+from .errors import (ConfigError, DataError, EstimationError, check_flag, check_int, check_list,
+                     check_number, check_str)
 from .inference import DEFAULT_REPLICATIONS, MIN_REPLICATIONS, ci_on, regime_count_on
 from .panel import (
     PanelDataset,
@@ -178,14 +179,12 @@ class RunConfig:
     input_path: str
     unit_col: str
     time_col: str
-    roles: VariableRole
-    spec_fields: dict[str, Any]
+    spec: ThresholdSpec
     replications: int
     alphas: tuple[float, ...]
     seed: int
     transforms: tuple[dict[str, Any], ...]
     estimator: str
-    instruments: tuple[str, ...]
     output_json: str
     output_markdown: str
     regime_count_test: bool
@@ -194,8 +193,16 @@ class RunConfig:
     diagnostics_vars: tuple[str, ...]
     raw: dict[str, Any] = field(repr=False, default_factory=dict)
 
+    @property
+    def roles(self) -> VariableRole:
+        return self.spec.roles
+
+    @property
+    def instruments(self) -> tuple[str, ...]:
+        return self.spec.roles.instruments
+
     def build_spec(self) -> ThresholdSpec:
-        return ThresholdSpec(roles=self.roles, **self.spec_fields)
+        return self.spec
 
 
 def _read_json(path) -> Any:
@@ -218,33 +225,6 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
         return _parse_config(raw)
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from None
-
-
-def _config_int(value: Any, name: str, low: int) -> int:
-    """``value`` when it is a JSON integer >= ``low``; floats, strings and
-    booleans are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _config_str(value: Any, name: str) -> str:
-    """``value`` when it is a JSON string; a list, number or object is
-    rejected, not turned into its Python repr."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a JSON string, got {value!r}")
-    return value
-
-
-def _config_list(value: Any, name: str, kind: type) -> tuple:
-    """``value`` as a tuple when it is a JSON list of ``kind`` (``str``, or
-    ``float``, which admits integers); a bare string is rejected, not split
-    into characters, and strings and booleans are not coerced to numbers."""
-    types, what = ((int, float), "numbers") if kind is float else (str, "strings")
-    if not isinstance(value, (list, tuple)) or any(
-            isinstance(v, bool) or not isinstance(v, types) for v in value):
-        raise ConfigError(f"{name} must be a JSON list of {what}, got {value!r}")
-    return tuple(map(kind, value))
 
 
 def _section(raw: Mapping[str, Any], name: str, known) -> dict[str, Any]:
@@ -280,13 +260,13 @@ def _check_transform(index: int, t: Mapping[str, Any]) -> None:
     if unknown:
         raise ConfigError(f"{where} unknown fields: {sorted(unknown)}")
     if "k" in t:
-        _config_int(t["k"], f"{where} k", 1)
+        check_int(t["k"], f"{where} k", 1)
     for key in ("var", "name"):
         if key in t:
-            _config_str(t[key], f"{where} {key}")
+            check_str(t[key], f"{where} {key}")
     for key, kind in (("vars", str), ("components", str), ("weights", float)):
         if key in t:
-            _config_list(t[key], f"{where} {key}", kind)
+            check_list(t[key], f"{where} {key}", kind)
 
 
 def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
@@ -295,22 +275,22 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
             raise ConfigError(f"config missing {where}{key!r}")
         return section[key]
 
-    input_path = _config_str(need(raw, "input_path", ""), "input_path")
+    input_path = check_str(need(raw, "input_path", ""), "input_path")
     csv_section = _section(raw, "csv", ("unit", "time"))
-    unit_col = _config_str(csv_section.get("unit", "unit"), "csv.unit")
-    time_col = _config_str(csv_section.get("time", "time"), "csv.time")
+    unit_col = check_str(csv_section.get("unit", "unit"), "csv.unit")
+    time_col = check_str(csv_section.get("time", "time"), "csv.time")
     need(raw, "roles", "")
     roles_raw = _section(raw, "roles", (
         "dependent", "threshold", "regime_varying", "invariant_controls", "instruments"))
     need(roles_raw, "regime_varying", "roles.")
-    names = {key: _config_list(roles_raw.get(key, ()), f"roles.{key}", str)
+    names = {key: check_list(roles_raw.get(key, ()), f"roles.{key}", str)
              for key in ("regime_varying", "invariant_controls", "instruments")}
     if "instruments" in raw:  # a top-level list overrides the roles' own
-        names["instruments"] = _config_list(raw["instruments"], "instruments", str)
+        names["instruments"] = check_list(raw["instruments"], "instruments", str)
     try:
         roles = VariableRole(
-            _config_str(need(roles_raw, "dependent", "roles."), "roles.dependent"),
-            _config_str(need(roles_raw, "threshold", "roles."), "roles.threshold"),
+            check_str(need(roles_raw, "dependent", "roles."), "roles.dependent"),
+            check_str(need(roles_raw, "threshold", "roles."), "roles.threshold"),
             **names,
         )
     except DataError as exc:
@@ -318,23 +298,18 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
     spec_raw = _section(raw, "spec", {f.name for f in fields(ThresholdSpec)} - {"roles"})
     inference_raw = _section(raw, "inference", (
         "replications", "alphas", "seed", "regime_count_test"))
-    replications = _config_int(
-        inference_raw.get("replications", DEFAULT_REPLICATIONS), "inference.replications",
-        MIN_REPLICATIONS,
-    )
-    alphas = _config_list(inference_raw.get("alphas", (0.05,)), "inference.alphas", float)
+    replications = check_int(inference_raw.get("replications", DEFAULT_REPLICATIONS),
+                             "inference.replications", MIN_REPLICATIONS)
+    alphas = check_list(inference_raw.get("alphas", (0.05,)), "inference.alphas", float)
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ConfigError(f"alpha levels must lie in (0, 1), got {alphas}")
-    seed = _config_int(inference_raw.get("seed", 0), "inference.seed", 0)
-    regime_count_test = inference_raw.get("regime_count_test", True)
-    if not isinstance(regime_count_test, bool):
-        raise ConfigError(
-            f"inference.regime_count_test must be true or false, got {regime_count_test!r}"
-        )
-    transforms = tuple(dict(t) for t in raw.get("transforms", ()))
+    seed = check_int(inference_raw.get("seed", 0), "inference.seed", 0)
+    regime_count_test = check_flag(
+        inference_raw.get("regime_count_test", True), "inference.regime_count_test")
+    transforms = tuple(dict(t) for t in check_list(raw.get("transforms", ()), "transforms", dict))
     for index, t in enumerate(transforms):
         _check_transform(index, t)
-    estimator = _config_str(raw.get("estimator", "OLS"), "estimator").upper()
+    estimator = check_str(raw.get("estimator", "OLS"), "estimator").upper()
     if estimator in ("SGMM", "GMM", "SYSTEM-GMM"):
         raise ConfigError(
             "system GMM is out of scope for this package; use estimator '2SLS' "
@@ -346,31 +321,27 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         raise ConfigError("estimator 2SLS requires instruments")
     output = _section(raw, "output", ("json", "markdown"))
     diag = _section(raw, "diagnostics", ("ips_moment_draws", "max_lag", "variables"))
-    ips_moment_draws = _config_int(
-        diag.get("ips_moment_draws", DEFAULT_MOMENT_DRAWS), "diagnostics.ips_moment_draws", 2
-    )
-    max_lag = _config_int(diag.get("max_lag", DEFAULT_MAX_LAG), "diagnostics.max_lag", 0)
+    ips_moment_draws = check_int(diag.get("ips_moment_draws", DEFAULT_MOMENT_DRAWS),
+                                 "diagnostics.ips_moment_draws", 2)
+    max_lag = check_int(diag.get("max_lag", DEFAULT_MAX_LAG), "diagnostics.max_lag", 0)
     role_vars = list(dict.fromkeys(
         [roles.dependent, roles.threshold, *roles.regime_varying, *roles.invariant_controls]
     ))
-    diagnostics_vars = _config_list(diag.get("variables", role_vars), "diagnostics.variables", str)
+    diagnostics_vars = check_list(diag.get("variables", role_vars), "diagnostics.variables", str)
     if len(diagnostics_vars) < 2:
         raise ConfigError(f"diagnostics.variables needs at least 2 names, got {diagnostics_vars}")
-    ThresholdSpec(roles=roles, **spec_raw)  # validates the spec fields
     return RunConfig(
         input_path=input_path,
         unit_col=unit_col,
         time_col=time_col,
-        roles=roles,
-        spec_fields=spec_raw,
+        spec=ThresholdSpec(roles=roles, **spec_raw),
         replications=replications,
         alphas=alphas,
         seed=seed,
         transforms=transforms,
         estimator=estimator,
-        instruments=roles.instruments,
-        output_json=_config_str(output.get("json", "report.json"), "output.json"),
-        output_markdown=_config_str(output.get("markdown", "report.md"), "output.markdown"),
+        output_json=check_str(output.get("json", "report.json"), "output.json"),
+        output_markdown=check_str(output.get("markdown", "report.md"), "output.markdown"),
         regime_count_test=regime_count_test,
         ips_max_lag=max_lag,
         ips_moment_draws=ips_moment_draws,
@@ -806,14 +777,13 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
         raise ConfigError(f"invalid dgp section: {exc}") from None
     master_seed = sim.get("master_seed", 0) if args.seed is None else args.seed
     summary = monte_carlo(
-        _config_str(sim.get("experiment", "recovery"), "simulate.experiment"),
-        _config_int(sim.get("trials", MIN_TRIALS_DEFAULT), "simulate.trials", MIN_TRIALS),
+        check_str(sim.get("experiment", "recovery"), "simulate.experiment"),
+        check_int(sim.get("trials", MIN_TRIALS_DEFAULT), "simulate.trials", MIN_TRIALS),
         dgp,
-        master_seed=_config_int(master_seed, "simulate.master_seed", 0),
-        alpha=sim.get("alpha", 0.05),
-        replications=_config_int(
-            sim.get("replications", 199), "simulate.replications", MIN_REPLICATIONS
-        ),
+        master_seed=check_int(master_seed, "simulate.master_seed", 0),
+        alpha=check_number(sim.get("alpha", 0.05), "simulate.alpha"),
+        replications=check_int(sim.get("replications", 199), "simulate.replications",
+                               MIN_REPLICATIONS),
         threads=args.threads,
     )
     text = dumps_report(asdict(summary))
@@ -854,7 +824,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.seed is not None:
-            _config_int(args.seed, "--seed", 0)
+            check_int(args.seed, "--seed", 0)
         raw = _read_json(args.config)
         if args.command == "simulate":
             return _cmd_simulate(raw, args)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int
 from .panel import PanelDataset
 
 DEFAULT_MAX_LAG = 3
@@ -207,10 +207,8 @@ def ips_test(
         raise ConfigError(
             f"deterministic must be one of {DETERMINISTIC_CHOICES}, got {deterministic!r}"
         )
-    if max_lag < 0:
-        raise ConfigError(f"max_lag must be nonnegative, got {max_lag}")
-    if moment_draws < 2:
-        raise ConfigError(f"moment_draws must be at least 2, got {moment_draws}")
+    check_int(max_lag, "max_lag", 0)
+    check_int(moment_draws, "moment_draws", 2)
     data = panel.values(var)
     t_len = panel.n_periods
     # The max-lag ADF model fits base_k + max_lag regressors to the

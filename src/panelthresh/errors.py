@@ -1,6 +1,19 @@
-"""Exception hierarchy; the CLI maps these onto process exit codes."""
+"""Exception hierarchy and the type checks on outside input; the CLI maps
+the exceptions onto process exit codes.
+
+The entry points check the values they are given with ``check_int``,
+``check_number``, ``check_flag``, ``check_str`` and ``check_list``. Each
+returns its value or raises a ``ConfigError`` naming the key: a string is
+neither parsed nor split into characters, and a boolean is not read as a
+number. Range rules stay with the code that owns them.
+"""
 
 from __future__ import annotations
+
+from numbers import Integral, Real
+from typing import Any, Mapping
+
+import numpy as np
 
 
 class PanelThreshError(Exception):
@@ -17,3 +30,52 @@ class DataError(PanelThreshError):
 
 class EstimationError(PanelThreshError):
     """Estimation failed: rank deficiency, empty regime, degenerate grid (CLI exit code 4)."""
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)  # np.bool_ is no Real
+
+
+_SEQUENCES = (list, tuple, np.ndarray)
+_ITEMS = {  # check_list's item kinds: their plural name and test
+    float: ("numbers", _is_number),
+    str: ("strings", lambda v: isinstance(v, str)),
+    dict: ("objects", lambda v: isinstance(v, Mapping)),
+    list: ("lists", lambda v: isinstance(v, _SEQUENCES)),
+}
+
+
+def _check(ok: bool, value: Any, name: str, what: str):
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def check_int(value: Any, name: str, low: int | None = None):
+    """An integer, numpy's included, booleans not; at least ``low`` if given."""
+    at_least = "" if low is None else f" >= {low}"
+    ok = isinstance(value, Integral) and not isinstance(value, bool)
+    return _check(ok and (low is None or value >= low), value, name, f"an integer{at_least}")
+
+
+def check_number(value: Any, name: str):
+    """A real number, integers and numpy's included, booleans not."""
+    return _check(_is_number(value), value, name, "a number")
+
+
+def check_flag(value: Any, name: str):
+    """A ``bool`` or ``np.bool_``."""
+    return _check(isinstance(value, (bool, np.bool_)), value, name, "true or false")
+
+
+def check_str(value: Any, name: str) -> str:
+    """A string; a list, number or object is not turned into its repr."""
+    return _check(isinstance(value, str), value, name, "a string")
+
+
+def check_list(value: Any, name: str, kind: type) -> tuple:
+    """A list, tuple or numpy array, as a tuple, whose items are all numbers
+    (``kind`` float), strings (str), mappings (dict) or sequences (list)."""
+    what, is_kind = _ITEMS[kind]
+    ok = isinstance(value, _SEQUENCES) and all(map(is_kind, value))
+    return tuple(_check(ok, value, name, f"a list of {what}"))

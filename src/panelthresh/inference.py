@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, check_int, check_number
 from .panel import PanelDataset
 from .threshold import (
     SSRScan,
@@ -84,7 +84,7 @@ class ThresholdCI:
 
 def critical_value(alpha: float) -> float:
     """Closed-form LR critical value -2 log(1 - sqrt(1 - alpha))."""
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < check_number(alpha, "alpha") < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     return -2.0 * math.log(1.0 - math.sqrt(1.0 - alpha))
 
@@ -162,10 +162,9 @@ def regime_count_on(
     """
     if k_null not in (0, 1, 2):
         raise ConfigError(f"k_null must be 0, 1 or 2, got {k_null}")
-    if B < MIN_REPLICATIONS:
+    if check_int(B, "B") < MIN_REPLICATIONS:
         raise ConfigError(f"need at least {MIN_REPLICATIONS} bootstrap replications, got {B}")
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    check_int(seed, "seed", 0)
     ws = scan.ws
     n, t = ws.n_units, ws.n_periods
     dof = n * (t - 1)

@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError
+from .errors import (ConfigError, EstimationError, check_flag, check_int, check_list,
+                     check_number, check_str)
 from .inference import ci_on, regime_count_on
 from .panel import PanelDataset, VariableRole
 from .threshold import ThresholdSpec, build_scan, estimate_on, run_indexed
@@ -62,30 +61,24 @@ class ThresholdDGP:
     threshold_in_regressors: bool = True
 
     def __post_init__(self):
-        for name in ("n_units", "n_periods", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_int(self.n_units, "n_units", 2)
+        check_int(self.n_periods, "n_periods", 3)
+        check_int(self.seed, "seed")
         for name in ("delta0", "fixed_effect_sd", "noise_sd", "endogeneity_rho"):
-            _number(getattr(self, name), name)
+            check_number(getattr(self, name), name)
         if self.theta0 is not None:
-            _number(self.theta0, "theta0")
+            check_number(self.theta0, "theta0")
         for name in ("beta_low", "beta_high", "control_betas"):
-            object.__setattr__(self, name, _numbers(getattr(self, name), name))
+            object.__setattr__(self, name, check_list(getattr(self, name), name, float))
         if isinstance(self.gamma0, (list, tuple)):
-            object.__setattr__(self, "gamma0", _numbers(self.gamma0, "gamma0"))
+            object.__setattr__(self, "gamma0", check_list(self.gamma0, "gamma0", float))
         else:
-            _number(self.gamma0, "gamma0")
-        rows = self.beta_regimes
-        if rows is not None:
-            if isinstance(rows, (str, bytes)) or not isinstance(rows, Iterable):
-                raise ConfigError(f"beta_regimes must be a list of lists of numbers, got {rows!r}")
+            check_number(self.gamma0, "gamma0")
+        if self.beta_regimes is not None:
             object.__setattr__(self, "beta_regimes", tuple(
-                _numbers(b, f"beta_regimes[{i}]") for i, b in enumerate(rows)))
-        if self.n_units < 2 or self.n_periods < 3:
-            raise ConfigError(
-                f"need n_units >= 2 and n_periods >= 3, got {self.n_units}, {self.n_periods}"
-            )
+                check_list(b, f"beta_regimes[{i}]", float)
+                for i, b in enumerate(check_list(self.beta_regimes, "beta_regimes", list))))
+        check_flag(self.threshold_in_regressors, "threshold_in_regressors")
         if self.noise_sd < 0 or self.fixed_effect_sd < 0:
             raise ConfigError("standard deviations must be nonnegative")
         if not -1.0 <= self.endogeneity_rho <= 1.0:
@@ -94,7 +87,7 @@ class ThresholdDGP:
             raise ConfigError(f"theta0 must be in (-1, 1), got {self.theta0}")
         if len(self.beta_low) != len(self.beta_high) or not self.beta_low:
             raise ConfigError("beta_low and beta_high must be equal-length, nonempty vectors")
-        _parse_dist(self.threshold_dist)
+        _parse_dist(check_str(self.threshold_dist, "threshold_dist"))
         if self.beta_regimes is not None:
             if len(self.beta_regimes) != len(self.gammas0) + 1:
                 raise ConfigError(
@@ -115,23 +108,6 @@ class ThresholdDGP:
         if self.beta_regimes is not None:
             return self.beta_regimes
         return (self.beta_low, self.beta_high)
-
-
-def _number(value, name: str) -> None:
-    """Reject ``value`` unless it is a real number; strings and booleans are
-    not coerced."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
-def _numbers(value, name: str) -> tuple:
-    """``value`` as a tuple when it is a sequence of real numbers; a string
-    is rejected, not split into characters."""
-    listed = isinstance(value, Iterable) and not isinstance(value, (str, bytes))
-    items = tuple(value) if listed else ()
-    if not listed or any(isinstance(v, bool) or not isinstance(v, Real) for v in items):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    return items
 
 
 @dataclass(frozen=True)
@@ -383,10 +359,10 @@ def monte_carlo(
             "coverage": "coverage_rate"}.get(experiment)
     if rate is None:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    if trials < MIN_TRIALS:
-        raise ConfigError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    check_int(trials, "trials", MIN_TRIALS)
+    check_int(master_seed, "master_seed", 0)
+    if not 0.0 < check_number(alpha, "alpha") < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
     overrides = {"num_thresholds": 1, **(spec_overrides or {})}
     if rate != "rejection_rate" and overrides["num_thresholds"] != 1:
         raise ConfigError(f"experiment {experiment!r} fits one threshold (estimate_single), "

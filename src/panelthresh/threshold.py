@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ._linalg import RANK_TOL, pivoted_lstsq
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, check_flag, check_int, check_number
 from .panel import PanelDataset, VariableRole, make_lag
 
 DEFAULT_TRIM = 0.05
@@ -57,17 +57,11 @@ class ThresholdSpec:
 
     def __post_init__(self):
         for name in ("include_intercept_shift", "dynamic_lag"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("max_grid_points", "num_thresholds"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not 0.0 < self.trim_fraction < 0.45:
+            check_flag(getattr(self, name), name)
+        if not 0.0 < check_number(self.trim_fraction, "trim_fraction") < 0.45:
             raise ConfigError(f"trim_fraction must be in (0, 0.45), got {self.trim_fraction}")
-        if self.max_grid_points < 2:
-            raise ConfigError(f"max_grid_points must be >= 2, got {self.max_grid_points}")
-        if self.num_thresholds not in (1, 2, 3):
+        check_int(self.max_grid_points, "max_grid_points", 2)
+        if check_int(self.num_thresholds, "num_thresholds") not in (1, 2, 3):
             raise ConfigError(f"num_thresholds must be 1, 2 or 3, got {self.num_thresholds}")
 
 
@@ -133,10 +127,9 @@ def candidate_grid(
     evenly spaced quantiles of themselves; every candidate is always an
     observed value.
     """
-    if not 0.0 < trim_fraction < 0.45:
+    if not 0.0 < check_number(trim_fraction, "trim_fraction") < 0.45:
         raise ConfigError(f"trim_fraction must be in (0, 0.45), got {trim_fraction}")
-    if max_grid_points < 2:
-        raise ConfigError(f"max_grid_points must be >= 2, got {max_grid_points}")
+    check_int(max_grid_points, "max_grid_points", 2)
     q = np.asarray(q_values, dtype=float).ravel()
     distinct = np.unique(q)
     if distinct.size < 2:

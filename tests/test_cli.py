@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from panelthresh import DataError, benchmark_dgp, simulate_threshold_panel, within_transform
 from panelthresh.cli import (
@@ -246,7 +248,7 @@ class TestConfig:
         for section, value in fault.items():
             cfg[section] = {**cfg[section], **value} if isinstance(value, dict) else value
         from panelthresh import ConfigError
-        with pytest.raises(ConfigError, match=re.escape(f"{key} must be a JSON string")):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be a string")):
             parse_config(cfg)
 
     def test_transforms_applied_in_order(self, rng):
@@ -400,28 +402,34 @@ class TestMainExitCodes:
         ("fit", {"instruments": ["z_misspelt"]}, 3, "variables not in panel: z_misspelt"),
         # a string where a list is expected is not split into characters
         ("fit", {"roles": {"regime_varying": "q"}}, 2,
-         "roles.regime_varying must be a JSON list of strings"),
+         "roles.regime_varying must be a list of strings"),
         ("fit", {"roles": {"invariant_controls": "c1"}}, 2,
-         "roles.invariant_controls must be a JSON list of strings"),
+         "roles.invariant_controls must be a list of strings"),
         ("fit", {"roles": {"instruments": "c2"}}, 2,
-         "roles.instruments must be a JSON list of strings"),
-        ("fit", {"instruments": "c2"}, 2, "instruments must be a JSON list of strings"),
+         "roles.instruments must be a list of strings"),
+        ("fit", {"instruments": "c2"}, 2, "instruments must be a list of strings"),
         ("fit", {"diagnostics": {"variables": "yq"}}, 2,
-         "diagnostics.variables must be a JSON list of strings"),
+         "diagnostics.variables must be a list of strings"),
         ("fit", {"transforms": [{"op": "within", "vars": "y"}]}, 2,
-         "transforms[0] (within) vars must be a JSON list of strings"),
+         "transforms[0] (within) vars must be a list of strings"),
         ("fit", {"transforms": [{"op": "composite_index", "components": "c1", "name": "i"}]}, 2,
-         "transforms[0] (composite_index) components must be a JSON list of strings"),
+         "transforms[0] (composite_index) components must be a list of strings"),
         ("fit", {"transforms": [{"op": "composite_index", "components": ["c1", "c2"],
                                  "weights": "12", "name": "i"}]}, 2,
-         "transforms[0] (composite_index) weights must be a JSON list of numbers"),
+         "transforms[0] (composite_index) weights must be a list of numbers"),
         ("fit", {"transforms": [{"op": "composite_index", "components": ["c1", "c2"],
                                  "weights": [True, 1], "name": "i"}]}, 2,
-         "weights must be a JSON list of numbers"),
+         "weights must be a list of numbers"),
         ("fit", {"inference": {"alphas": ["0.05"]}}, 2,
-         "inference.alphas must be a JSON list of numbers"),
+         "inference.alphas must be a list of numbers"),
         ("fit", {"inference": {"alphas": [True]}}, 2,
-         "inference.alphas must be a JSON list of numbers"),
+         "inference.alphas must be a list of numbers"),
+        ("fit", {"transforms": "x"}, 2, "transforms must be a list of objects"),
+        ("fit", {"transforms": [1]}, 2, "transforms must be a list of objects"),
+        ("fit", {"transforms": {"op": "within"}}, 2, "transforms must be a list of objects"),
+        ("fit", {"transforms": None}, 2, "transforms must be a list of objects"),
+        ("fit", {"spec": {"trim_fraction": "0.1"}}, 2, "trim_fraction must be a number"),
+        ("fit", {"spec": {"trim_fraction": None}}, 2, "trim_fraction must be a number"),
         ("report", {"diagnostics": {"variables": ["y"]}}, 2,
          "diagnostics.variables needs at least 2 names"),
         ("report", {"diagnostics": {"variables": ["y", "c1_typo"]}}, 3,
@@ -431,7 +439,9 @@ class TestMainExitCodes:
             "within_vars", "instruments", "regime_varying_string", "controls_string",
             "roles_instruments_string", "instruments_string", "diagnostics_variables_string",
             "within_vars_string", "components_string", "weights_string", "weights_bool",
-            "alphas_strings", "alphas_bool", "diagnostics_variables_one",
+            "alphas_strings", "alphas_bool", "transforms_string", "transforms_number",
+            "transforms_object", "transforms_null", "trim_fraction_string", "trim_fraction_null",
+            "diagnostics_variables_one",
             "diagnostics_variables_unknown"])
     def test_config_fault_stops_before_any_stage(
         self, panel_csv, tmp_path, capsys, monkeypatch, command, fault, code, message
@@ -550,8 +560,8 @@ class TestMainExitCodes:
         assert "simulate.master_seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value,message", [
-        ("simulate", "alpha", "abc", "alpha must be a number in (0, 1)"),
-        ("simulate", "experiment", ["size"], "simulate.experiment must be a JSON string"),
+        ("simulate", "alpha", "abc", "alpha must be a number"),
+        ("simulate", "experiment", ["size"], "simulate.experiment must be a string"),
         ("simulate", "trials", 10, "simulate.trials must be an integer >= 50"),
         ("dgp", "n_units", 4.5, "n_units must be an integer"),
         ("dgp", "beta_low", "1", "beta_low must be a list of numbers"),
@@ -559,6 +569,8 @@ class TestMainExitCodes:
         ("dgp", "control_betas", "5", "control_betas must be a list of numbers"),
         ("dgp", "delta0", "0.3", "delta0 must be a number"),
         ("dgp", "gamma0", "0.5", "gamma0 must be a number"),
+        ("dgp", "threshold_in_regressors", "false", "threshold_in_regressors must be true or false"),
+        ("dgp", "threshold_dist", 5, "threshold_dist must be a string"),
     ])
     def test_simulate_mistyped_field_exit_two(self, tmp_path, capsys, section, key, value, message):
         cfg = self._simulate_config(4)
@@ -614,6 +626,43 @@ class TestMainExitCodes:
         ]) == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["seed"] == 777
+
+
+# Every key of README's example config and of the ``simulate`` section, with
+# the Python type of the JSON values it takes.
+_CONFIG_KEY_TYPES = {
+    "input_path": str, "csv.unit": str, "csv.time": str, "roles.dependent": str,
+    "roles.threshold": str, "roles.regime_varying": list, "roles.invariant_controls": list,
+    "roles.instruments": list, "spec.num_thresholds": int, "spec.trim_fraction": float,
+    "spec.max_grid_points": int, "spec.dynamic_lag": bool, "inference.replications": int,
+    "inference.alphas": list, "inference.seed": int, "transforms": list, "estimator": str,
+    "diagnostics.max_lag": int, "diagnostics.ips_moment_draws": int, "output.json": str,
+    "output.markdown": str, "simulate.experiment": str, "simulate.trials": int,
+    "simulate.dgp": dict, "simulate.master_seed": int, "simulate.alpha": float,
+    "simulate.replications": int,
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(key=st.sampled_from(sorted(_CONFIG_KEY_TYPES)),
+       value=st.sampled_from(["x", 1.5, True, None, [], {}]))
+def test_wrong_typed_config_value_names_its_key(panel_csv, tmp_path_factory, key, value):
+    # Whatever the key and the wrong type, the run stops with exit 2 and a
+    # message naming the key, never the catch-all "malformed config".
+    assume(type(value) is not _CONFIG_KEY_TYPES[key])
+    *section, leaf = key.split(".")
+    if section == ["simulate"]:
+        command, cfg = "simulate", TestMainExitCodes._simulate_config(4)
+    else:
+        command, cfg = "fit", base_config(panel_csv[0])
+    (cfg[section[0]] if section else cfg)[leaf] = value
+    cfg_path = tmp_path_factory.getbasetemp() / "wrong_type_config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg_path), command])
+    assert code == 2, err.getvalue()
+    assert leaf in err.getvalue() and "malformed config" not in err.getvalue()
 
 
 def _main_stdout(argv) -> str:

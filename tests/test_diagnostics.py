@@ -181,6 +181,14 @@ class TestIpsTest:
         assert len(res.per_unit_t) == 4
         assert res.t_bar == pytest.approx(float(np.mean(res.per_unit_t)), abs=1e-12)
 
+    @pytest.mark.parametrize("call, argument, value", [
+        ("ips_test", "max_lag", 1.5), ("ips_test", "moment_draws", 100.5),
+    ])
+    def test_mistyped_argument_is_a_config_error(self, rng, call, argument, value):
+        panel = _series_panel(rng.standard_normal((3, 20)))
+        with pytest.raises(ConfigError, match=rf"^{argument} must be an integer"):
+            {"ips_test": ips_test}[call](panel, "v", "intercept", **{argument: value})
+
     @pytest.mark.parametrize("draws", [1, 0, -5])
     def test_fewer_than_two_draws_rejected(self, draws, rng):
         panel = _series_panel(rng.standard_normal((3, 20)))

@@ -175,6 +175,34 @@ class TestLinearityTest:
         with pytest.raises(ConfigError, match="99"):
             linearity_test(panel, spec, B=50, seed=0)
 
+    @pytest.mark.parametrize("call, argument, value", [
+        ("linearity_test", "B", 99.5), ("linearity_test", "B", "99"),
+        ("linearity_test", "seed", 1.5), ("linearity_test", "seed", True),
+        ("additional_threshold_test", "B", 99.5), ("additional_threshold_test", "B", "99"),
+        ("additional_threshold_test", "seed", 1.5), ("additional_threshold_test", "seed", True),
+        ("critical_value", "alpha", "0.05"), ("threshold_ci", "alpha", "0.05"),
+    ])
+    def test_mistyped_argument_is_a_config_error(
+        self, fitted, monkeypatch, call, argument, value
+    ):
+        # A float is not truncated, a string not parsed and True not read as
+        # 1: each is a ConfigError naming the argument, before any scan.
+        panel, _, spec, fit = fitted
+
+        def scanned(*args, **kwargs):
+            raise AssertionError("a scan ran")
+
+        monkeypatch.setattr(SSRScan, "locate", scanned)
+        calls = {
+            "linearity_test": lambda **kw: linearity_test(panel, spec, **{"B": 99, **kw}),
+            "additional_threshold_test":
+                lambda **kw: additional_threshold_test(panel, spec, 1, **{"B": 99, **kw}),
+            "critical_value": critical_value,
+            "threshold_ci": lambda alpha: threshold_ci(panel, spec, fit, alpha),
+        }
+        with pytest.raises(ConfigError, match=rf"^{argument} must be an? (integer|number)"):
+            calls[call](**{argument: value})
+
     def test_replications_and_seed_checked_before_any_scan(self, fitted, monkeypatch):
         panel, _, spec, _ = fitted
 

@@ -69,6 +69,17 @@ class TestDgpValidation:
         with pytest.raises(ConfigError, match=rf"{field}(\[\d\])? must be {message}"):
             ThresholdDGP(**{**kwargs, field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("threshold_in_regressors", "false", "true or false"),
+        ("threshold_in_regressors", 0, "true or false"),
+        ("threshold_dist", 5, "a string"),
+    ])
+    def test_flag_and_string_fields_checked(self, field, value, message):
+        # "false" is not read as true, and a number is no distribution.
+        kwargs = dict(n_units=4, n_periods=10, gamma0=0.5, beta_low=(0.0,), beta_high=(1.0,))
+        with pytest.raises(ConfigError, match=f"{field} must be {message}"):
+            ThresholdDGP(**{**kwargs, field: value})
+
     def test_list_fields_stored_as_tuples(self):
         def dgp(seq):
             return ThresholdDGP(
@@ -228,6 +239,16 @@ class TestMonteCarlo:
         assert s1.metrics == s2.metrics
         assert {"hit_rate", "hit_rate_mc_se", "bias", "rmse"} <= set(s1.metrics)
         assert s1.rng["generator"].startswith("numpy PCG64")
+
+    @pytest.mark.parametrize("call, argument, value", [
+        ("monte_carlo", "trials", 60.5), ("monte_carlo", "master_seed", -1),
+    ])
+    def test_mistyped_argument_is_a_config_error(self, call, argument, value):
+        # A fractional trial count and a negative master seed are ConfigErrors
+        # naming the argument, not a TypeError or ValueError mid-run.
+        kwargs = {"trials": 50, "master_seed": 0, argument: value}
+        with pytest.raises(ConfigError, match=rf"^{argument} must be an integer"):
+            getattr(simulate, call)("recovery", kwargs.pop("trials"), benchmark_dgp(), **kwargs)
 
     @pytest.mark.parametrize("alpha", ["abc", 0.0, 1.0, True, float("nan")])
     def test_alpha_validated(self, alpha):

@@ -333,6 +333,18 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             ThresholdSpec(roles, num_thresholds=4)
 
+    @pytest.mark.parametrize("call, argument, value", [
+        ("candidate_grid", "max_grid_points", 10.5), ("ThresholdSpec", "trim_fraction", "0.1"),
+    ])
+    def test_mistyped_argument_is_a_config_error(self, call, argument, value):
+        calls = {
+            "candidate_grid": lambda **kw: candidate_grid(
+                np.arange(100.0), **{"trim_fraction": 0.05, "max_grid_points": 400, **kw}),
+            "ThresholdSpec": lambda **kw: ThresholdSpec(VariableRole("y", "q", ["x"]), **kw),
+        }
+        with pytest.raises(ConfigError, match=rf"^{argument} must be an? (integer|number)"):
+            calls[call](**{argument: value})
+
     def test_field_types_checked_for_library_callers(self):
         # numpy integers and bools pass; a numpy bool is no count
         roles = VariableRole("y", "q", ["x"])
