@@ -209,6 +209,7 @@ def ips_test(
         )
     check_int(max_lag, "max_lag", 0)
     check_int(moment_draws, "moment_draws", 2)
+    check_int(seed, "seed", 0)
     data = panel.values(var)
     t_len = panel.n_periods
     # The max-lag ADF model fits base_k + max_lag regressors to the

@@ -154,17 +154,19 @@ def regime_count_on(
     thresholds, or whose S_alt is not positive, scores F* = 0 and counts as
     degenerate.
 
-    B and the seed are checked before any scan. The unit picks are drawn up
-    front (B x N int32), each replication's from its own stream, and one
-    ``sequential_estimates`` call runs all B responses, so ``threads``
-    spreads the fixed-threshold groups of each step. The replications' two
-    exact SSRs each are then priced in order on the calling thread.
+    B, the seed and ``threads`` are checked before any scan. The unit picks
+    are drawn up front (B x N int32), each replication's from its own stream,
+    and one ``sequential_estimates`` call runs all B responses, so
+    ``threads`` spreads the fixed-threshold groups of each step. The
+    replications' two exact SSRs each are then priced in order on the
+    calling thread.
     """
     if k_null not in (0, 1, 2):
         raise ConfigError(f"k_null must be 0, 1 or 2, got {k_null}")
     if check_int(B, "B") < MIN_REPLICATIONS:
         raise ConfigError(f"need at least {MIN_REPLICATIONS} bootstrap replications, got {B}")
     check_int(seed, "seed", 0)
+    check_int(threads, "threads", 1)
     ws = scan.ws
     n, t = ws.n_units, ws.n_periods
     dof = n * (t - 1)

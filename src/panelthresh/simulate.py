@@ -63,7 +63,7 @@ class ThresholdDGP:
     def __post_init__(self):
         check_int(self.n_units, "n_units", 2)
         check_int(self.n_periods, "n_periods", 3)
-        check_int(self.seed, "seed")
+        check_int(self.seed, "seed", 0)
         for name in ("delta0", "fixed_effect_sd", "noise_sd", "endogeneity_rho"):
             check_number(getattr(self, name), name)
         if self.theta0 is not None:
@@ -361,6 +361,7 @@ def monte_carlo(
         raise ConfigError(f"unknown experiment {experiment!r}")
     check_int(trials, "trials", MIN_TRIALS)
     check_int(master_seed, "master_seed", 0)
+    check_int(threads, "threads", 1)
     if not 0.0 < check_number(alpha, "alpha") < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
     overrides = {"num_thresholds": 1, **(spec_overrides or {})}

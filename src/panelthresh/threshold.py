@@ -440,9 +440,9 @@ class SSRScan:
     s its unit's sum of u before it, and u z' to a cross moment, with z
     demeaned. So a scan holds O(N*T*m^2 + C*m*p) floats for C candidates and
     p columns. Per candidate only the m x m Schur complement of its own
-    block is factored; with Z's factor it gives the Cholesky factor of the
-    Gram ordered [Z, candidate]. A response then costs one cumulative sum of
-    u * demeaned y, one product with Z and batched m x m solves.
+    block is factored (``_inverse_cholesky``, as Z's is), giving the factor
+    of the Gram ordered [Z, candidate]. A response then costs one cumulative
+    sum of u * demeaned y, one product with Z and batched m x m solves.
 
     A factor depends only on its fixed thresholds, not on the response, so
     a caller that screens many responses conditional on one set factors it
@@ -524,10 +524,10 @@ class SSRScan:
         """The response-free part of a scan: the admissible candidates and the
         factors giving each one's screened SSR, y'y - |P'y|^2 - |R rc - K P'y|^2
         with rc its cross moments with y, plus a bound on |screened SSR -
-        pivoted SSR| per unit of y'y. The bound is infinite where a factor
-        fails or the conditioning leaves the first-order bound meaningless.
-        The result depends only on ``fixed``, in the order given (Z's columns
-        follow it)."""
+        pivoted SSR| per unit of y'y. The bound is infinite where a pivot is
+        not positive or the conditioning leaves the first-order bound
+        meaningless. The result depends only on ``fixed``, in the order given
+        (Z's columns follow it)."""
         ws = self.ws
         rows = self._admissible(fixed)
         Z = self.shared_columns(fixed)
@@ -538,11 +538,10 @@ class SSRScan:
         nc = np.sqrt(np.maximum(np.diagonal(Gcc, axis1=1, axis2=2), 0.0))
         dz, dc = 1.0 / np.where(nz > 0, nz, 1.0), 1.0 / np.where(nc > 0, nc, 1.0)
         # The equilibrated Gram is L L' with L = [[Lz, 0], [W, L_H]].
-        Lz, z_factored = _cholesky((Gzz * dz[:, None] * dz)[None])
-        lz_inv = _lower_inverse(Lz)[0]
+        (lz_inv,), z_factored = _inverse_cholesky((Gzz * dz[:, None] * dz)[None])
         W = (dc[:, :, None] * cross * dz) @ lz_inv.T
-        L_H, factored = _cholesky(Gcc * dc[:, :, None] * dc[:, None, :] - W @ W.transpose(0, 2, 1))
-        lh_inv = _lower_inverse(L_H)
+        schur = Gcc * dc[:, :, None] * dc[:, None, :] - W @ W.transpose(0, 2, 1)
+        lh_inv, factored = _inverse_cholesky(schur)
         K = lh_inv @ W
         KL = K @ lz_inv
         # trace(G^-1) = ||L^-1||_F^2 >= ||G^-1||, from the blocks of L^-1
@@ -639,24 +638,21 @@ def _near_minimum(screened: np.ndarray, slack: np.ndarray) -> np.ndarray:
     return np.where(trusted, screened - slack, -np.inf) <= ceiling
 
 
-def _cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched lower Cholesky factors and the mask of matrices that have one.
-
-    The rare matrices that are not clearly positive definite (rank-deficient
-    candidates) get the identity instead.
+def _inverse_cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L^-1 for each G = L L' of a batch (read from G's upper triangle), and
+    the mask of those whose pivots are all positive: row reduction of [G | I]
+    to [L' | L^-1] (outer-product form, Golub and Van Loan section 4.2). Step
+    j divides row j by the root of its pivot and subtracts its multiples from
+    the rows below, elementwise over the batch (last) axis, so a matrix gets
+    the same bits in any batch. A pivot that is not positive is read as 1,
+    keeping the entries finite, and stays on L's diagonal to clear the flag.
     """
-    try:
-        return np.linalg.cholesky(G), np.ones(len(G), dtype=bool)
-    except np.linalg.LinAlgError:
-        ok = np.linalg.eigvalsh(G)[:, 0] > 1e-10
-        return np.linalg.cholesky(np.where(ok[:, None, None], G, np.eye(G.shape[1]))), ok
-
-
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Batched inverse of lower-triangular matrices by forward substitution."""
-    linv = np.zeros_like(L)
-    for i in range(L.shape[1]):
-        linv[:, i, :i] = -np.einsum("ck,ckj->cj", L[:, i, :i], linv[:, :i, :i])
-        linv[:, i, i] = 1.0
-        linv[:, i, :i + 1] /= L[:, i, i, None]
-    return linv
+    n, p = G.shape[:2]
+    B = np.empty((p, 2 * p, n))
+    B[:, :p] = G.transpose(1, 2, 0)
+    B[:, p:] = np.eye(p)[:, :, None]
+    for j in range(p):
+        pivot = B[j, j]
+        B[j, j:] /= np.sqrt(np.where(pivot > 0, pivot, 1.0))
+        B[j + 1:, j + 1:] -= B[j, j + 1:p, None] * B[j, None, j + 1:]
+    return B[:, p:].transpose(2, 0, 1).copy(), np.all(np.diagonal(B) > 0, axis=1)

@@ -183,6 +183,7 @@ class TestIpsTest:
 
     @pytest.mark.parametrize("call, argument, value", [
         ("ips_test", "max_lag", 1.5), ("ips_test", "moment_draws", 100.5),
+        ("ips_test", "seed", -1),
     ])
     def test_mistyped_argument_is_a_config_error(self, rng, call, argument, value):
         panel = _series_panel(rng.standard_normal((3, 20)))

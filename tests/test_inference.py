@@ -181,12 +181,15 @@ class TestLinearityTest:
         ("additional_threshold_test", "B", 99.5), ("additional_threshold_test", "B", "99"),
         ("additional_threshold_test", "seed", 1.5), ("additional_threshold_test", "seed", True),
         ("critical_value", "alpha", "0.05"), ("threshold_ci", "alpha", "0.05"),
+        *((call, "threads", value) for call in ("linearity_test", "additional_threshold_test")
+          for value in (1.5, 0, "2", True)),
     ])
     def test_mistyped_argument_is_a_config_error(
         self, fitted, monkeypatch, call, argument, value
     ):
-        # A float is not truncated, a string not parsed and True not read as
-        # 1: each is a ConfigError naming the argument, before any scan.
+        # A float is not truncated, a string not parsed, True not read as 1
+        # and no thread count below 1 taken: each is a ConfigError naming the
+        # argument, before any scan.
         panel, _, spec, fit = fitted
 
         def scanned(*args, **kwargs):

@@ -48,7 +48,9 @@ class TestDgpValidation:
                 theta0=1.0,
             )
 
-    @pytest.mark.parametrize("field,value", [("n_units", 4.5), ("n_periods", True), ("seed", 1.0)])
+    @pytest.mark.parametrize("field,value", [
+        ("n_units", 4.5), ("n_periods", True), ("seed", 1.0), ("seed", -1),
+    ])
     def test_integer_fields_checked(self, field, value):
         kwargs = dict(n_units=4, n_periods=10, gamma0=0.5, beta_low=(0.0,), beta_high=(1.0,))
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
@@ -242,10 +244,13 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("call, argument, value", [
         ("monte_carlo", "trials", 60.5), ("monte_carlo", "master_seed", -1),
+        ("monte_carlo", "threads", 1.5), ("monte_carlo", "threads", 0),
+        ("monte_carlo", "threads", "2"), ("monte_carlo", "threads", True),
     ])
     def test_mistyped_argument_is_a_config_error(self, call, argument, value):
-        # A fractional trial count and a negative master seed are ConfigErrors
-        # naming the argument, not a TypeError or ValueError mid-run.
+        # A fractional trial count, a negative master seed and a thread count
+        # that is not a positive integer are ConfigErrors naming the argument,
+        # not a TypeError or ValueError mid-run.
         kwargs = {"trials": 50, "master_seed": 0, argument: value}
         with pytest.raises(ConfigError, match=rf"^{argument} must be an integer"):
             getattr(simulate, call)("recovery", kwargs.pop("trials"), benchmark_dgp(), **kwargs)

@@ -27,7 +27,7 @@ from panelthresh import (
     threshold_ci,
     within_transform,
 )
-from panelthresh.threshold import _ssr_ws
+from panelthresh.threshold import _inverse_cholesky, _ssr_ws
 
 from conftest import conditional_profile, make_panel, profile_argmin
 
@@ -720,6 +720,33 @@ class TestFactorPerScan:
         assert fit.gammas[:2] == (a, b)
         c = fit.gammas[2]
         assert calls == Counter({(): 1, (a,): 1, (b,): 1, (a, b): 2, (a, c): 1, (b, c): 1})
+
+
+class TestInverseCholesky:
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    @pytest.mark.parametrize("batch", [1, 30])
+    def test_matches_inverse_of_lapack_factor(self, rng, p, batch):
+        A = rng.standard_normal((batch, p + 3, p)) * 10.0 ** rng.uniform(-3, 3, p)
+        G = A.transpose(0, 2, 1) @ A
+        inverse, ok = _inverse_cholesky(G)
+        expected = np.linalg.inv(np.linalg.cholesky(G))
+        assert ok.all()
+        err = np.abs(inverse - expected).max(axis=(1, 2)) / np.abs(expected).max(axis=(1, 2))
+        assert err.max() < 1e-12
+
+    def test_each_matrix_is_factored_as_if_alone(self, rng):
+        # Trust comes from a matrix's own pivots: a positive definite one
+        # with lambda_min = 1e-12 keeps its flag next to an indefinite one,
+        # and every member gets the bits it gets alone, all finite.
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        batch = np.stack([Q @ np.diag(lam) @ Q.T for lam in
+                          ([1.0, 2.0, 3.0, 4.0], [1e-12, 1.0, 2.0, 3.0], [-1.0, 1.0, 2.0, 3.0])])
+        inverse, ok = _inverse_cholesky(batch)
+        assert ok.tolist() == [True, True, False]
+        assert np.isfinite(inverse).all()
+        for i in range(len(batch)):
+            alone, ok_alone = _inverse_cholesky(batch[i:i + 1])
+            assert np.array_equal(alone[0], inverse[i]) and ok_alone[0] == ok[i]
 
 
 @settings(max_examples=40, deadline=None)
