@@ -98,18 +98,19 @@ def _label_key(label: str):
 def ingest_csv(path, unit_col: str, time_col: str) -> PanelDataset:
     """Read a long-format CSV (one row per unit-period) into a PanelDataset.
 
-    Strict dialect: comma separator, ``.`` decimal point, UTF-8, header row
-    required. Missing cells, duplicate (unit, time) pairs and non-numeric
-    values are rejected with the offending location named. Units and periods
-    are ordered by ``_label_key``: labels that parse as numbers first, in
-    numeric order with equal values ("1", "01") ordered by their text, then
-    the others ("nan" among them) by their text. The order depends on the
-    labels alone, not on the row order or the interpreter's hash seed.
+    Strict dialect: comma separator, ``.`` decimal point, UTF-8 (a leading
+    byte-order mark is skipped), header row required. Missing cells,
+    duplicate (unit, time) pairs and non-numeric values are rejected with
+    the offending location named. Units and periods are ordered by
+    ``_label_key``: labels that parse as numbers first, in numeric order
+    with equal values ("1", "01") ordered by their text, then the others
+    ("nan" among them) by their text. The order depends on the labels
+    alone, not on the row order or the interpreter's hash seed.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -210,9 +211,12 @@ def _read_json(path) -> Any:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def load_config(path) -> RunConfig:
@@ -746,11 +750,12 @@ def render_markdown(report: Mapping[str, Any]) -> str:
 
 
 def _resolve(output_dir: str | None, path: str) -> Path:
+    """``path``, under ``output_dir`` when one is given and ``path`` is
+    relative, with its parent directory made."""
     p = Path(path)
     if output_dir and not p.is_absolute():
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        return out / p
+        p = Path(output_dir) / p
+    p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 

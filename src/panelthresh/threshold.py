@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -389,8 +389,8 @@ def sequential_estimates(
 
     The responses go through one scan step at a time (first threshold,
     second, refinement, third), grouped by their fixed thresholds. Each group
-    is one ``run_indexed`` task: one factor, then its members' ``locate``
-    calls in order. So a step factors each fixed set once, and at most
+    is one ``run_indexed`` task, one ``locate`` call over its members'
+    responses in order. So a step factors each fixed set once, and at most
     ``threads`` conditional factors are alive at once.
     """
     response = response or (lambda i: scan.ws.y)
@@ -399,15 +399,10 @@ def sequential_estimates(
         groups: dict[tuple[float, ...], list[int]] = {}
         for i, fixed in fixed_of.items():
             groups.setdefault(fixed, []).append(i)
-        items = list(groups.items())
-
-        def task(g: int) -> list[float | None]:
-            fixed, members = items[g]
-            factor = scan.factor(fixed)
-            return [scan.locate(fixed, response(i), factor) for i in members]
-
-        found = run_indexed(len(items), threads, task)
-        return {i: hit for (_, members), hits in zip(items, found) for i, hit in zip(members, hits)}
+        sets, members = list(groups), list(groups.values())
+        found = run_indexed(
+            len(sets), threads, lambda g: scan.locate(sets[g], map(response, members[g])))
+        return {i: hit for group, hits in zip(members, found) for i, hit in zip(group, hits)}
 
     stages: list[list[tuple[float, ...]]] = [[] for _ in range(count)]
     live = dict.fromkeys(range(count), ())
@@ -445,10 +440,10 @@ class SSRScan:
     sum of u * demeaned y, one product with Z and batched m x m solves.
 
     A factor depends only on its fixed thresholds, not on the response, so
-    a caller that screens many responses conditional on one set factors it
-    once (``factor``) and passes it to each ``locate``, as
-    ``sequential_estimates`` does per group of a step. The factor without
-    fixed thresholds (Z = [x, controls]) is made at construction.
+    ``locate`` takes one fixed set and a group of responses, and screens
+    them all under that set's one factor, as ``sequential_estimates`` does
+    per group of a step. The factor without fixed thresholds (Z = [x,
+    controls]) is made at construction and reused.
 
     The normal-equation SSRs only screen the grid (``_screen``); only
     ``_resolve`` re-evaluates entries, by pivoted QR (``_ssr_ws``). An entry
@@ -504,18 +499,7 @@ class SSRScan:
         counts = np.diff(np.sort(n_le, axis=1), axis=1, prepend=0, append=self.ws.n_obs)
         return np.nonzero(counts.min(axis=1) >= self.ws.floor)[0]
 
-    def shared_columns(self, fixed: tuple[float, ...]) -> np.ndarray:
-        """Z: the demeaned cumulative columns u * I(q <= b) of each fixed b,
-        then the demeaned x and controls (for no b, the linear model's design)."""
-        ws, blocks = self.ws, []
-        for b in fixed:
-            rv_cum, ind_cum = ws.cum(b)
-            blocks.append(rv_cum)
-            if ws.spec.include_intercept_shift:
-                blocks.append(ind_cum[:, None])
-        return np.hstack([*blocks, ws.rv_full_dem, ws.controls_dem])
-
-    def factor(self, fixed: tuple[float, ...]):
+    def _factor_of(self, fixed: tuple[float, ...]):
         """``_factor(fixed)``: the one built at construction for no fixed
         thresholds, a new one otherwise."""
         return self._factor(fixed) if fixed else self._unconditional
@@ -528,11 +512,15 @@ class SSRScan:
         not positive or the conditioning leaves the first-order bound
         meaningless. The result depends only on ``fixed``, in the order given
         (Z's columns follow it)."""
-        ws = self.ws
+        ws, blocks = self.ws, []
         rows = self._admissible(fixed)
-        Z = self.shared_columns(fixed)
-        z_dem = ws._demean_cols(Z)[self._order]
-        cross = self._cumulative(self._u_sorted[:, :, None] * z_dem[:, None, :])[rows]
+        # Z: the demeaned cumulative columns u * I(q <= b) of each fixed b, then
+        # the demeaned x and controls (for no b, the linear model's design).
+        for b in fixed:
+            rv_cum, ind_cum = ws.cum(b)
+            blocks += [rv_cum, ind_cum[:, None]] if ws.spec.include_intercept_shift else [rv_cum]
+        Z = np.hstack([*blocks, ws.rv_full_dem, ws.controls_dem])
+        cross = self._cumulative(self._u_sorted[:, :, None] * Z[self._order][:, None, :])[rows]
         Gzz, Gcc = Z.T @ Z, self._Gcc[rows]
         nz = np.sqrt(np.diag(Gzz))
         nc = np.sqrt(np.maximum(np.diagonal(Gcc, axis1=1, axis2=2), 0.0))
@@ -581,13 +569,11 @@ class SSRScan:
         P = (Z * dz) @ lz_inv.T
         return rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf)
 
-    def _screen(
-        self, fixed: tuple[float, ...], y: np.ndarray, factor=None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Admissible candidates, their screened SSRs for response ``y`` and
-        each one's slack, a bound on its distance from the pivoted SSR.
-        ``factor`` is ``factor(fixed)``, made here when not given."""
-        rows, P, R, K, bound = self.factor(fixed) if factor is None else factor
+    def _screen(self, factor, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The candidates admissible under ``factor`` (a ``_factor`` result),
+        their screened SSRs for response ``y`` and each one's slack, a bound
+        on its distance from the pivoted SSR."""
+        rows, P, R, K, bound = factor
         rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self._order])
         sz = P.T @ y
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
@@ -599,18 +585,19 @@ class SSRScan:
         """Pivoted-QR SSRs for ``y`` at each of ``cands`` joined to ``fixed``."""
         return np.array([_ssr_ws(self.ws, (*fixed, float(c)), y) for c in cands])
 
-    def locate(
-        self, fixed: tuple[float, ...], y: np.ndarray | None = None, factor=None
-    ) -> float | None:
-        """The first candidate of least pivoted SSR among those jointly
-        admissible with ``fixed``, None when none is. ``y`` defaults to the
-        workspace response, ``factor`` to ``factor(fixed)``."""
-        y = self.ws.y if y is None else y
-        cands, ssrs, slack = self._screen(fixed, y, factor)
-        near = cands[_near_minimum(ssrs, slack)]
-        if near.size > 1:
-            return float(near[np.argmin(self._resolve(fixed, near, y))])
-        return float(near[0]) if near.size else None
+    def locate(self, fixed: tuple[float, ...], ys: Iterable[np.ndarray]) -> list[float | None]:
+        """For each response of ``ys``, in order, the first candidate of least
+        pivoted SSR among those jointly admissible with ``fixed``, None when
+        none is. Every response is screened under ``fixed``'s one factor and
+        read only when its turn comes, so ``ys`` may be lazy."""
+        factor, found = self._factor_of(fixed), []
+        for y in ys:
+            cands, ssrs, slack = self._screen(factor, y)
+            near = cands[_near_minimum(ssrs, slack)]
+            if near.size > 1:
+                near = near[[np.argmin(self._resolve(fixed, near, y))]]
+            found.append(float(near[0]) if near.size else None)
+        return found
 
     def profile(
         self, fixed: tuple[float, ...], keep: Sequence[float] = ()
@@ -622,7 +609,7 @@ class SSRScan:
         ``conditional_profile`` (``tests/conftest.py``), with slack 0; every
         other entry is screened, within its slack of the pivoted value.
         """
-        cands, ssrs, slack = self._screen(fixed, self.ws.y)
+        cands, ssrs, slack = self._screen(self._factor_of(fixed), self.ws.y)
         exact = _near_minimum(ssrs, slack) | np.isin(cands, keep)
         ssrs[exact] = self._resolve(fixed, cands[exact], self.ws.y)
         slack[exact] = 0.0

@@ -89,6 +89,13 @@ class TestIngest:
         assert panel.n_units * panel.n_periods == 288
         assert len(panel.variable_names) == 8
 
+    def test_byte_order_mark_skipped(self, panel_csv, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+        path, _ = panel_csv
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert ingest_csv(marked, "unit", "time").equals(ingest_csv(path, "unit", "time"))
+
     def test_missing_cell_named(self, tmp_path):
         p = tmp_path / "gap.csv"
         rows = ["unit,time,v"]
@@ -532,6 +539,14 @@ class TestMainExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "fit"]) == 2
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    @pytest.mark.parametrize("top", [[1, 2], "abc", 5])
+    def test_config_not_an_object_exit_two(self, tmp_path, capsys, command, top):
+        cfg_path = self._write_config(tmp_path, top)
+        assert main(["--config", str(cfg_path), command]) == 2
+        err = capsys.readouterr().err
+        assert f"top level must be a JSON object, got {type(top).__name__}" in err
+
     @staticmethod
     def _simulate_config(master_seed):
         return {
@@ -616,6 +631,21 @@ class TestMainExitCodes:
         assert (out_dir / "report.md").exists()
         sidecar = json.loads((out_dir / "report.json.timings.json").read_text())
         assert list(sidecar) == ["timings_ms"]
+
+    @pytest.mark.parametrize("output_dir", [False, True])
+    def test_report_makes_output_subdirectories(self, panel_csv, tmp_path, monkeypatch,
+                                                output_dir):
+        # The output paths name subdirectories, made before the files are
+        # written, under --output-dir or under the working directory.
+        path, _ = panel_csv
+        cfg = base_config(path, output={"json": "sub/r.json", "markdown": "sub/deeper/r.md"})
+        cfg_path = self._write_config(tmp_path, cfg)
+        monkeypatch.chdir(tmp_path)
+        flags = ["--output-dir", "out"] if output_dir else []
+        assert main(["--config", str(cfg_path), *flags, "report"]) == 0
+        root = tmp_path / "out" if output_dir else tmp_path
+        assert json.loads((root / "sub" / "r.json").read_text())["blocks"]
+        assert (root / "sub" / "deeper" / "r.md").read_text()
 
     def test_seed_override_changes_report_seed(self, panel_csv, tmp_path):
         path, _ = panel_csv

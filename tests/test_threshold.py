@@ -400,7 +400,7 @@ def _flat_band(rng, band_x):
 def _located(scan, fixed, y=None):
     """``scan.locate``'s threshold and the pivoted SSR there: the pair
     ``_reference`` gives, or None."""
-    gamma = scan.locate(fixed, y)
+    (gamma,) = scan.locate(fixed, [scan.ws.y if y is None else y])
     return None if gamma is None else (gamma, _ssr_ws(scan.ws, (*fixed, gamma), y))
 
 
@@ -581,19 +581,19 @@ class TestSSRScan:
             ws, candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points))
         fixed: tuple[float, ...] = ()
         for _ in range(3):
-            _, ssrs, slack = scan._screen(fixed, ws.y)
+            _, ssrs, slack = scan._screen(scan._factor(fixed), ws.y)
             assert np.count_nonzero(threshold._near_minimum(ssrs, slack)) == 1
-            gamma = scan.locate(fixed)
+            (gamma,) = scan.locate(fixed, [ws.y])
             assert not calls
             assert gamma == _reference(ws, scan.grid, fixed, None)[0]
             fixed = tuple(sorted((*fixed, gamma)))
 
         ws, grid = _flat_band(rng, 0.0)
         scan = threshold.SSRScan(ws, grid)
-        _, ssrs, slack = scan._screen((), ws.y)
+        _, ssrs, slack = scan._screen(scan._factor(()), ws.y)
         near = np.count_nonzero(threshold._near_minimum(ssrs, slack))
         assert near > 5
-        assert scan.locate(()) == _reference(ws, grid, (), None)[0]
+        assert scan.locate((), [ws.y]) == [_reference(ws, grid, (), None)[0]]
         assert len(calls) == near
 
     @staticmethod
@@ -607,8 +607,8 @@ class TestSSRScan:
         ws = threshold._Workspace(_scan_panel(rng, n=8, t=40, **scales), spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
         scan = threshold.SSRScan(ws, grid)
-        g1 = scan.locate(())
-        g2 = scan.locate((g1,))
+        (g1,) = scan.locate((), [ws.y])
+        (g2,) = scan.locate((g1,), [ws.y])
         calls = []
         exact = threshold._ssr_ws
         monkeypatch.setattr(
@@ -722,6 +722,63 @@ class TestFactorPerScan:
         assert calls == Counter({(): 1, (a,): 1, (b,): 1, (a, b): 2, (a, c): 1, (b, c): 1})
 
 
+class TestLocateGroup:
+    """``locate(fixed, ys)`` screens a group of responses under one factor
+    and gives each the threshold it gets alone."""
+
+    @staticmethod
+    def _group(rng):
+        """A flat-band scan, a fixed set under which its workspace response
+        leaves more than 5 candidates that may hold the minimum, and a group
+        of that response and two resampled ones."""
+        from panelthresh import threshold
+
+        ws, grid = _flat_band(rng, 0.0)
+        scan = threshold.SSRScan(ws, grid)
+        fixed = (float(grid[np.searchsorted(grid, 0.2)]),)
+        _, ssrs, slack = scan._screen(scan._factor(fixed), ws.y)
+        assert np.count_nonzero(threshold._near_minimum(ssrs, slack)) > 5
+        n, t = ws.n_units, ws.n_periods
+        ys = [ws.y]
+        for _ in range(2):
+            draw = ws.y.reshape(n, t)[rng.integers(0, n, n)] + rng.standard_normal((n, t))
+            ys.append((draw - draw.mean(axis=1, keepdims=True)).ravel())
+        return scan, fixed, ys
+
+    def test_each_member_gets_the_reference_threshold(self, rng):
+        scan, fixed, ys = self._group(rng)
+        for held in (fixed, ()):
+            located = scan.locate(held, (y for y in ys))
+            assert located == [_reference(scan.ws, scan.grid, held, y)[0] for y in ys]
+            assert located == [scan.locate(held, [y])[0] for y in ys]
+
+    def test_one_factor_per_call(self, rng, monkeypatch):
+        from collections import Counter
+
+        from panelthresh import threshold
+
+        scan, fixed, ys = self._group(rng)
+        calls = Counter()
+        factor = threshold.SSRScan._factor
+        monkeypatch.setattr(
+            threshold.SSRScan, "_factor",
+            lambda self, fixed: calls.update([fixed]) or factor(self, fixed),
+        )
+        scan.locate(fixed, ys)
+        assert calls == Counter({fixed: 1})
+        scan.locate((), ys)
+        assert calls == Counter({fixed: 1})
+
+    def test_empty_group_and_inadmissible_fixed_set(self, rng):
+        scan, fixed, ys = self._group(rng)
+        assert scan.locate(fixed, []) == []
+        # the regime between two adjacent candidates is below the floor
+        k = scan.grid.size // 2
+        crowded = (float(scan.grid[k]), float(scan.grid[k + 1]))
+        assert scan._admissible(crowded).size == 0
+        assert scan.locate(crowded, ys) == [None] * len(ys)
+
+
 class TestInverseCholesky:
     @pytest.mark.parametrize("p", [1, 4, 9])
     @pytest.mark.parametrize("batch", [1, 30])
@@ -793,10 +850,10 @@ def test_conditional_scan_memory_does_not_grow_with_the_grid():
     ))
     scan = build_scan(panel, default_spec(truth, max_grid_points=10_000))
     assert scan.grid.size > 5000
-    g1 = scan.locate(())
+    (g1,) = scan.locate((), [scan.ws.y])
     tracemalloc.start()
     try:
-        hit = scan.locate((g1,))
+        (hit,) = scan.locate((g1,), [scan.ws.y])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,6 +18,11 @@ per-layer numbers. ``outputs_equal`` says whether the two sides' last
 untraced runs wrote the same bytes: ``report.json`` and ``report.md`` of
 child ``inv0``, or its standard output for ``test``. Runs are sequential, so
 the machine's load is one benchmark at a time.
+
+``paths`` records where each checkout lives. Wall times have been seen to
+follow a checkout's location as well as its code, so the script warns
+unless the two checkouts are siblings with paths of the same length, the
+closest placement it can check (even those have differed by a few percent).
 """
 
 from __future__ import annotations
@@ -122,6 +127,10 @@ def main() -> None:
         specs.append((workload, int(seed)))
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    parent, change = sides.values()
+    if parent.parent != change.parent or len(str(parent)) != len(str(change)):
+        print(f"bench_pairs: warning: {parent} and {change} are not sibling checkouts with "
+              "paths of one length; wall times may follow the location", file=sys.stderr)
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     doc: dict = {
@@ -129,6 +138,7 @@ def main() -> None:
         "what": args.what,
         "parent": _revision(sides["parent"]),
         "change": _revision(sides["change"]),
+        "paths": {side: str(path) for side, path in sides.items()},
         "method": (
             f"python3 tools/bench_pairs.py: python3 perfbench/run.py --workload W --seed S at "
             f"BENCHMARK.json's {bench['run_seconds']} s window, run from a checkout of each "
