@@ -18,6 +18,8 @@ import json
 import math
 import sys
 import time
+from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -99,63 +101,81 @@ def ingest_csv(path, unit_col: str, time_col: str) -> PanelDataset:
     """Read a long-format CSV (one row per unit-period) into a PanelDataset.
 
     Strict dialect: comma separator, ``.`` decimal point, UTF-8 (a leading
-    byte-order mark is skipped), header row required. Missing cells,
-    duplicate (unit, time) pairs and non-numeric values are rejected with
-    the offending location named. Units and periods are ordered by
-    ``_label_key``: labels that parse as numbers first, in numeric order
-    with equal values ("1", "01") ordered by their text, then the others
-    ("nan" among them) by their text. The order depends on the labels
-    alone, not on the row order or the interpreter's hash seed.
+    byte-order mark is skipped), header row required. Non-UTF-8 text,
+    missing cells, duplicate (unit, time) pairs and non-numeric values are
+    rejected with the offending location named, the first fault in file
+    order. Units and periods are ordered by ``_label_key``: numbers first,
+    in numeric order with equal values ("1", "01") by their text, then the
+    others ("nan" among them) by their text, whatever the row order or the
+    hash seed. Rows go to label-to-index dicts, per-row index lists and one
+    flat float64 buffer, scattered into the N x T matrices once sorted.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        repeated = [h for i, h in enumerate(header) if h in header[:i]]
-        if repeated:
-            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in header")
-        for required in (unit_col, time_col):
-            if required not in header:
-                raise DataError(f"{path}: column {required!r} not in header {header}")
-        value_cols = [h for h in header if h not in (unit_col, time_col)]
-        if not value_cols:
-            raise DataError(f"{path}: no variable columns besides {unit_col!r} and {time_col!r}")
-        u_idx, t_idx = header.index(unit_col), header.index(time_col)
-        v_idx = [header.index(v) for v in value_cols]
-        cells: dict[tuple[str, str], list[float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            key = (row[u_idx].strip(), row[t_idx].strip())
-            if key in cells:
-                raise DataError(f"{path}: duplicate (unit, time) pair {key}")
-            parsed = []
-            for col, j in zip(value_cols, v_idx):
-                try:
-                    parsed.append(float(row[j]))
-                except ValueError:
+    unit_index, time_index, row_units, row_times = {}, {}, [], []
+    seen = defaultdict(bytearray)  # seen[unit][period] is 1 once the pair is read
+    values = array("d")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            repeated = [h for i, h in enumerate(header) if h in header[:i]]
+            if repeated:
+                raise DataError(f"{path}: column {repeated[0]!r} appears more than once in header")
+            for required in (unit_col, time_col):
+                if required not in header:
+                    raise DataError(f"{path}: column {required!r} not in header {header}")
+            value_cols = [h for h in header if h not in (unit_col, time_col)]
+            if not value_cols:
+                raise DataError(
+                    f"{path}: no variable columns besides {unit_col!r} and {time_col!r}")
+            u_idx, t_idx = header.index(unit_col), header.index(time_col)
+            v_idx = [header.index(v) for v in value_cols]
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
                     raise DataError(
-                        f"{path}:{lineno}: non-numeric value {row[j]!r} in column {col!r}"
-                    ) from None
-            cells[key] = parsed
-    units = sorted({k[0] for k in cells}, key=_label_key)
-    periods = sorted({k[1] for k in cells}, key=_label_key)
-    missing = [(u, t) for u in units for t in periods if (u, t) not in cells]
-    if missing:
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                unit, period = row[u_idx].strip(), row[t_idx].strip()
+                u = unit_index.setdefault(unit, len(unit_index))
+                t = time_index.setdefault(period, len(time_index))
+                marks = seen[u]
+                marks.extend(bytes(max(0, t + 1 - len(marks))))
+                if marks[t]:
+                    raise DataError(f"{path}: duplicate (unit, time) pair {(unit, period)}")
+                marks[t] = 1
+                for col, j in zip(value_cols, v_idx):
+                    try:
+                        values.append(float(row[j]))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: non-numeric value {row[j]!r} in column {col!r}"
+                        ) from None
+                row_units.append(u)
+                row_times.append(t)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read input ({exc.strerror})") from None
+    units, periods = sorted(unit_index, key=_label_key), sorted(time_index, key=_label_key)
+    rows = np.argsort([unit_index[u] for u in units])[row_units]
+    cols = np.argsort([time_index[t] for t in periods])[row_times]
+    if len(row_units) != len(units) * len(periods):
+        filled = np.zeros((len(units), len(periods)), dtype=bool)
+        filled[rows, cols] = True
+        missing = [(units[i], periods[j]) for i, j in np.argwhere(~filled)]
         shown = ", ".join(str(m) for m in missing[:10])
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise DataError(f"{path}: unbalanced panel, missing cells: {shown}{more}")
-    variables = {name: np.array([[cells[(u, t)][j] for t in periods] for u in units])
-                 for j, name in enumerate(value_cols)}
-    return PanelDataset(units, periods, variables, metadata={"source": str(path)})
+    data = np.empty((len(value_cols), len(units), len(periods)))
+    data[:, rows, cols] = np.frombuffer(values).reshape(len(row_units), len(value_cols)).T
+    return PanelDataset(units, periods, dict(zip(value_cols, data)), {"source": str(path)})
 
 
 def write_csv(panel: PanelDataset, path) -> None:
@@ -212,8 +232,8 @@ def _read_json(path) -> Any:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, not JSON
+        raise ConfigError(f"{path}: not readable as UTF-8 JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object, got {type(raw).__name__}")
     return raw
@@ -751,18 +771,21 @@ def render_markdown(report: Mapping[str, Any]) -> str:
 
 def _resolve(output_dir: str | None, path: str) -> Path:
     """``path``, under ``output_dir`` when one is given and ``path`` is
-    relative, with its parent directory made."""
+    relative, with its parent directory made or a ConfigError naming it."""
     p = Path(path)
     if output_dir and not p.is_absolute():
         p = Path(output_dir) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output path {p}: cannot make its directory ({exc.strerror})") from None
     return p
 
 
 def _cmd_report(config: RunConfig, args) -> int:
-    report, markdown, timings = run_pipeline(config, threads=args.threads)
     json_path = _resolve(args.output_dir, config.output_json)
     md_path = _resolve(args.output_dir, config.output_markdown)
+    report, markdown, timings = run_pipeline(config, threads=args.threads)
     json_path.write_text(dumps_report(report), encoding="utf-8")
     md_path.write_text(markdown, encoding="utf-8")
     sidecar_path = json_path.with_name(json_path.name + ".timings.json")
@@ -781,6 +804,7 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
     except TypeError as exc:
         raise ConfigError(f"invalid dgp section: {exc}") from None
     master_seed = sim.get("master_seed", 0) if args.seed is None else args.seed
+    out = _resolve(args.output_dir, "simulate.json") if args.output_dir else None
     summary = monte_carlo(
         check_str(sim.get("experiment", "recovery"), "simulate.experiment"),
         check_int(sim.get("trials", MIN_TRIALS_DEFAULT), "simulate.trials", MIN_TRIALS),
@@ -792,8 +816,7 @@ def _cmd_simulate(config_raw: Mapping[str, Any], args) -> int:
         threads=args.threads,
     )
     text = dumps_report(asdict(summary))
-    if args.output_dir:
-        out = _resolve(args.output_dir, "simulate.json")
+    if out:
         out.write_text(text, encoding="utf-8")
     print(text, end="")
     return 0

@@ -113,6 +113,33 @@ class TestIngest:
         with pytest.raises(DataError, match=r"duplicate.*\('a', '1'\)"):
             ingest_csv(p, "unit", "time")
 
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # A duplicate pair on line 3 comes before a non-numeric cell on line 5.
+        p = tmp_path / "two_faults.csv"
+        p.write_text("unit,time,v\na,1,1.0\na,1,2.0\nb,1,3.0\nb,2,oops\na,2,0.0\n")
+        with pytest.raises(DataError, match=r"duplicate.*\('a', '1'\)"):
+            ingest_csv(p, "unit", "time")
+
+    def test_short_row_names_its_line(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("unit,time,v\na,1,1.0\na,2,2.0\nb,1\nb,2,4.0\n")
+        with pytest.raises(DataError, match=r"short.csv:4: expected 3 fields, got 2"):
+            ingest_csv(p, "unit", "time")
+
+    def test_missing_cells_listed_in_unit_then_period_order(self, tmp_path):
+        # 3 units x 6 periods with 6 cells present, written in reverse order:
+        # the 12 missing cells are named in label order, the first 10 shown.
+        units, periods = ("b", "a", "10"), ("5", "1", "20", "x", "3", "2")
+        present = [(u, t) for i, u in enumerate(units) for j, t in enumerate(periods)
+                   if (i + j) % 3 == 0]
+        p = tmp_path / "holes.csv"
+        p.write_text("unit,time,v\n" + "".join(f"{u},{t},1.0\n" for u, t in reversed(present)))
+        shown = ("('10', '2'), ('10', '5'), ('10', '20'), ('10', 'x'), ('a', '1'), "
+                 "('a', '3'), ('a', '5'), ('a', 'x'), ('b', '1'), ('b', '2')")
+        with pytest.raises(DataError) as err:
+            ingest_csv(p, "unit", "time")
+        assert str(err.value) == f"{p}: unbalanced panel, missing cells: {shown} and 2 more"
+
     @pytest.mark.parametrize("header, name", [
         ("unit,time,y,q,y", "y"), ("unit,time,y,q,unit", "unit"), ("unit,time,y,q,time", "time"),
     ])
@@ -526,6 +553,56 @@ class TestMainExitCodes:
         bad.write_text("unit,time,y,q\na,1,1.0,2.0\na,2,1.0,2.0\nb,1,1.0,2.0\n")
         cfg_path = self._write_config(tmp_path, base_config(bad))
         assert main(["--config", str(cfg_path), "fit"]) == 3
+
+    def test_non_utf8_csv_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("unit,time,y,q\na,1,1.0,2.0\nJos\u00e9,1,1.0,2.0\n".encode("latin-1"))
+        cfg_path = self._write_config(tmp_path, base_config(p))
+        assert main(["--config", str(cfg_path), "fit"]) == 3
+        assert f"{p}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_input_directory_exit_three(self, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path, base_config(tmp_path))
+        assert main(["--config", str(cfg_path), "fit"]) == 3
+        assert f"{tmp_path}: cannot read input" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_two(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(base_config(path)), encoding="utf-16")
+        assert main(["--config", str(cfg_path), "fit"]) == 2
+        assert f"{cfg_path}: not readable as UTF-8 JSON" in capsys.readouterr().err
+
+    def test_config_directory_exit_two(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "fit"]) == 2
+        assert f"{tmp_path}: not readable as UTF-8 JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("report", "json"), ("report", "markdown"), ("simulate", None),
+    ])
+    def test_unmakeable_output_path_stops_before_any_stage(
+        self, panel_csv, tmp_path, capsys, monkeypatch, command, key
+    ):
+        # An output path under an existing file ends the run with a config
+        # error naming it before any stage runs, not after the bootstrap.
+        from panelthresh import cli
+
+        def stage_ran(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "build_scan", stage_ran)
+        monkeypatch.setattr(cli, "monte_carlo", stage_ran)
+        path, _ = panel_csv
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        if command == "simulate":
+            cfg, out_dir, target = self._simulate_config(4), blocker, blocker / "simulate.json"
+        else:
+            cfg, out_dir, target = base_config(path), tmp_path, blocker / "r.out"
+            cfg["output"][key] = "blocker/r.out"
+        cfg_path = self._write_config(tmp_path, cfg)
+        assert main(["--config", str(cfg_path), "--output-dir", str(out_dir), command]) == 2
+        assert f"output path {target}: cannot make its directory" in capsys.readouterr().err
 
     def test_estimation_error_exit_four(self, tmp_path, rng):
         # constant threshold variable: degenerate grid

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from panelthresh import (
     regime_descriptives,
 )
 
+from panelthresh import diagnostics
 from panelthresh.diagnostics import (
     DETERMINISTIC_CHOICES,
     _MOMENT_CHUNK,
@@ -289,6 +291,47 @@ class TestAdfBatch:
         got = _ips_moments(12, "intercept", 1, draws, 17)
         want = _reference_moments(12, "intercept", 1, draws, seed=17)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_moments_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # Every chunk size draws the walks in the same order and fits each
+        # walk alone, so the moments agree to the bit.
+        moments = set()
+        for chunk in (1, 7, 512, 4096):
+            monkeypatch.setattr(diagnostics, "_MOMENT_CHUNK", chunk)
+            _ips_moments.cache_clear()
+            mean, var = _ips_moments(20, "intercept+trend", 2, 300, 5)
+            moments.add((mean.hex(), var.hex()))
+        _ips_moments.cache_clear()
+        assert len(moments) == 1
+
+    @pytest.mark.parametrize("kind", ["random_walk", "white_noise", "trending"])
+    @pytest.mark.parametrize("deterministic", ["intercept", "intercept+trend"])
+    def test_rows_fitted_alone(self, kind, deterministic, rng):
+        # Each row of a batch gets the bits it gets in a batch of one.
+        Y = _series(kind, rng, 40, 30)
+        t, lags = _adf_batch(Y, deterministic, 3)
+        for i in range(Y.shape[0]):
+            t_i, lag_i = _adf_batch(Y[i:i + 1], deterministic, 3)
+            assert t_i[0].hex() == t[i].hex() and lag_i[0] == lags[i]
+
+    def test_moment_simulation_memory_does_not_grow_with_draws(self):
+        # Only the draws' t statistics (8 bytes each) grow with the draw
+        # count; the walks and their ADF stacks are held one chunk at a time.
+        # A 4 096-walk chunk holds about 7 MB at 2 000 draws and 13 MB at 20 000.
+        _ips_moments.cache_clear()
+        _ips_moments(12, "intercept", 1, 2, 0)  # the first call imports numpy.random
+        peaks = {}
+        for draws in (2_000, 20_000):
+            _ips_moments.cache_clear()
+            tracemalloc.start()
+            try:
+                _ips_moments(40, "intercept", 3, draws, 11)
+                _, peaks[draws] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        _ips_moments.cache_clear()
+        assert peaks[20_000] - peaks[2_000] <= 8 * 18_000 + 64 * 2**10
+        assert peaks[2_000] < 2.5 * 2**20
 
     # Moments of the former one-walk-at-a-time simulation (hex, so the pin
     # carries every bit); they guard the order the generator is consumed in.
