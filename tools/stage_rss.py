@@ -11,7 +11,9 @@ with its outputs sent to a temporary directory. After the import and after
 every stage the CLI times (ingest, transforms, workspace, the command's
 stages, render) it records the process's ``ru_maxrss`` high-water mark.
 
-Runs are sequential. The table printed to standard output gives, per stage,
+The parent process imports no numpy and stays small: on Linux a child's
+``ru_maxrss`` starts from its parent's RSS at the fork, so a large parent
+would floor every row. Runs are sequential. The table printed to standard output gives, per stage,
 the median over the ``--runs`` runs of the high-water mark after the stage
 (MB) and of the stage's wall time (ms, the CLI's own stage clock; the
 import row is the import's wall time).
