@@ -5,7 +5,10 @@ schema-versioned JSON report plus a markdown report with five table blocks
 (regime descriptives, correlations, panel unit roots, threshold inference,
 regime regression). Given the same config and seed the JSON output is byte
 identical regardless of the thread budget; per-stage wall times, which
-are not reproducible, go to a ``*.timings.json`` sidecar.
+are not reproducible, go to a ``*.timings.json`` sidecar. Each pipeline
+stage returns a JSON-ready block; ``fit``, ``test``, ``ci`` and ``diagnose``
+run a subset of the stages, and every output, the report's blocks included,
+is assembled from the blocks by ``_command_payload``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 estimation error.
 """
@@ -243,14 +246,6 @@ def load_config(path) -> RunConfig:
     return parse_config(_read_json(path))
 
 
-def parse_config(raw: Mapping[str, Any]) -> RunConfig:
-    """Validate a config mapping; every problem is a ConfigError."""
-    try:
-        return _parse_config(raw)
-    except (TypeError, KeyError, AttributeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
-
-
 def _section(raw: Mapping[str, Any], name: str, known) -> dict[str, Any]:
     """``raw[name]`` (empty when absent), every key of it one of ``known``."""
     section = raw.get(name, {})
@@ -262,21 +257,29 @@ def _section(raw: Mapping[str, Any], name: str, known) -> dict[str, Any]:
     return dict(section)
 
 
-# Each transform op's required and optional fields besides ``op``.
-_TRANSFORM_FIELDS = {
-    "within": ((), ("vars",)),
-    "lag": (("var",), ("k",)),
-    "period_average": (("k",), ()),
-    "composite_index": (("components", "name"), ("weights",)),
+# Each transform op's required and optional fields besides ``op``, and how it applies.
+_TRANSFORMS = {
+    "within": ((), ("vars",), lambda panel, t: within_transform(
+        panel, tuple(t.get("vars", panel.variable_names)))),
+    "lag": (("var",), ("k",), lambda panel, t: make_lag(panel, str(t["var"]), int(t.get("k", 1)))),
+    "period_average": (("k",), (), lambda panel, t: period_average(panel, int(t["k"]))),
+    "composite_index": (("components", "name"), ("weights",), lambda panel, t: composite_index(
+        panel, tuple(t["components"]), tuple(t.get("weights", (1.0,) * len(t["components"]))),
+        str(t["name"]))),
 }
 
 
-def _check_transform(index: int, t: Mapping[str, Any]) -> None:
+def _transform(t: Mapping[str, Any]):
+    """The ``_TRANSFORMS`` entry of ``t``'s op, or a ConfigError naming the op."""
     op = t.get("op")
-    if op not in _TRANSFORM_FIELDS:
+    if not isinstance(op, str) or op not in _TRANSFORMS:
         raise ConfigError(f"unknown transform op {op!r}")
-    where = f"transforms[{index}] ({op})"
-    required, optional = _TRANSFORM_FIELDS[op]
+    return _TRANSFORMS[op]
+
+
+def _check_transform(index: int, t: Mapping[str, Any]) -> None:
+    required, optional, _ = _transform(t)
+    where = f"transforms[{index}] ({t['op']})"
     missing = [name for name in required if name not in t]
     if missing:
         raise ConfigError(f"{where} missing fields: {missing}")
@@ -293,7 +296,8 @@ def _check_transform(index: int, t: Mapping[str, Any]) -> None:
             check_list(t[key], f"{where} {key}", kind)
 
 
-def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
+def parse_config(raw: Mapping[str, Any]) -> RunConfig:
+    """Validate a config mapping; every problem is a ConfigError."""
     def need(section: Mapping, key: str, where: str):
         if key not in section:
             raise ConfigError(f"config missing {where}{key!r}")
@@ -335,10 +339,8 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
         _check_transform(index, t)
     estimator = check_str(raw.get("estimator", "OLS"), "estimator").upper()
     if estimator in ("SGMM", "GMM", "SYSTEM-GMM"):
-        raise ConfigError(
-            "system GMM is out of scope for this package; use estimator '2SLS' "
-            "(see README non-goals)"
-        )
+        raise ConfigError("system GMM is out of scope for this package; use estimator '2SLS' "
+                          "(see README non-goals)")
     if estimator not in ("OLS", "2SLS"):
         raise ConfigError(f"estimator must be OLS or 2SLS, got {estimator!r}")
     if estimator == "2SLS" and not roles.instruments:
@@ -377,19 +379,8 @@ def _parse_config(raw: Mapping[str, Any]) -> RunConfig:
 def apply_transforms(panel: PanelDataset, transforms: Sequence[Mapping[str, Any]]) -> PanelDataset:
     """Apply the configured transform list in order."""
     for t in transforms:
-        op = t["op"]
-        if op == "within":
-            panel = within_transform(panel, tuple(t.get("vars", panel.variable_names)))
-        elif op == "lag":
-            panel = make_lag(panel, str(t["var"]), int(t.get("k", 1)))
-        elif op == "period_average":
-            panel = period_average(panel, int(t["k"]))
-        elif op == "composite_index":
-            components = tuple(t["components"])
-            weights = tuple(t.get("weights", (1.0,) * len(components)))
-            panel = composite_index(panel, components, weights, str(t["name"]))
-        else:
-            raise ConfigError(f"unknown transform op {op!r}")
+        *_, apply = _transform(t)
+        panel = apply(panel, t)
     return panel
 
 
@@ -428,21 +419,32 @@ class _Session:
     fit: ThresholdFit | None = None
 
 
-def _estimate(s: _Session) -> ThresholdFit:
-    s.fit = estimate_on(s.scan)
-    return s.fit
+def _estimate(s: _Session) -> dict[str, Any]:
+    """Records the fit for the later stages; returns the ``fit`` block."""
+    fit = s.fit = estimate_on(s.scan)
+    return {
+        "gammas": list(fit.gammas),
+        "regime_varying": list(fit.regime_varying),
+        "betas_by_regime": [list(map(float, b)) for b in fit.betas_by_regime],
+        "delta": list(fit.delta) if fit.delta is not None else None,
+        "control_betas": fit.control_betas,
+        "ssr": fit.ssr,
+        "sigma2": fit.sigma2,
+        "regime_counts": list(fit.regime_counts),
+    }
+
+
+def _bootstrap_block(test, **extra) -> dict[str, Any]:
+    """The keys of a linearity and a regime-count block, then ``extra``."""
+    shared = ("f_statistic", "bootstrap_p", "replications", "degenerate_replications")
+    return {**{key: getattr(test, key) for key in shared}, **extra}
 
 
 def _linearity(s: _Session) -> dict[str, Any]:
     lin = regime_count_on(s.scan, 0, s.config.replications, s.config.seed, threads=s.threads)
-    return {
-        "f_statistic": lin.f_statistic,
-        "bootstrap_p": lin.bootstrap_p,
-        "critical_values": {f"{int(a * 100)}%": v for a, v in lin.critical_values.items()},
-        "replications": lin.replications,
-        "degenerate_replications": lin.degenerate_replications,
-        "seed": lin.seed,
-    }
+    return _bootstrap_block(
+        lin, seed=lin.seed,
+        critical_values={f"{int(a * 100)}%": v for a, v in lin.critical_values.items()})
 
 
 def _regime_count(s: _Session) -> dict[str, Any] | None:
@@ -455,19 +457,10 @@ def _regime_count(s: _Session) -> dict[str, Any] | None:
     if k == 3:
         return {"skipped": "no 3-vs-4 threshold test"}
     try:
-        extra = regime_count_on(
-            s.scan, k, s.config.replications, s.config.seed, threads=s.threads,
-        )
+        extra = regime_count_on(s.scan, k, s.config.replications, s.config.seed, threads=s.threads)
     except EstimationError as exc:
         return {"skipped": str(exc)}
-    return {
-        "f_statistic": extra.f_statistic,
-        "bootstrap_p": extra.bootstrap_p,
-        "null_model": extra.null_model,
-        "alt_model": extra.alt_model,
-        "replications": extra.replications,
-        "degenerate_replications": extra.degenerate_replications,
-    }
+    return _bootstrap_block(extra, null_model=extra.null_model, alt_model=extra.alt_model)
 
 
 def _confidence_sets(s: _Session) -> list[dict[str, Any]]:
@@ -521,9 +514,7 @@ def _unit_roots(s: _Session) -> dict[str, dict[str, Any]]:
 
 
 def _regression(s: _Session) -> dict[str, Any]:
-    reg = regime_equation_on(
-        s.scan.ws, s.fit, s.config.estimator, s.config.instruments or None,
-    )
+    reg = regime_equation_on(s.scan.ws, s.fit, s.config.estimator, s.config.instruments or None)
     return {
         "estimator": reg.estimator,
         "coefficients": {
@@ -543,7 +534,7 @@ def _regression(s: _Session) -> dict[str, Any]:
     }
 
 
-# The pipeline's stages in run order; each builds one block of the report.
+# The pipeline's stages in run order; each returns one JSON-ready block.
 _STAGES = {
     "threshold_estimation": _estimate,
     "linearity_test": _linearity,
@@ -567,7 +558,7 @@ _COMMAND_STAGES = {
 
 def _run_stages(config: RunConfig, stages: Sequence[str], *, threads: int = 1):
     """Ingest, transform, build the estimation scan once, then run ``stages``
-    in order; returns (session, {stage: block}, stage clock)."""
+    in order; returns (transformed panel, {stage: block}, stage clock)."""
     clock = _StageClock()
     panel = ingest_csv(config.input_path, config.unit_col, config.time_col)
     clock.lap("ingest")
@@ -583,7 +574,7 @@ def _run_stages(config: RunConfig, stages: Sequence[str], *, threads: int = 1):
     for stage in stages:
         blocks[stage] = _STAGES[stage](session)
         clock.lap(stage)
-    return session, blocks, clock
+    return panel, blocks, clock
 
 
 def run_pipeline(config: RunConfig, *, threads: int = 1):
@@ -594,33 +585,15 @@ def run_pipeline(config: RunConfig, *, threads: int = 1):
     sets, regime descriptives, correlations, panel unit roots, regime
     regression.
     """
-    session, blocks, clock = _run_stages(config, _COMMAND_STAGES["report"], threads=threads)
-    panel, fit = session.panel, blocks["threshold_estimation"]
+    panel, blocks, clock = _run_stages(config, _COMMAND_STAGES["report"], threads=threads)
     report = {
         "schema_version": SCHEMA_VERSION,
         "generator": {"package": "panelthresh", "version": __version__, "rng": RNG_DESCRIPTOR},
         "seed": config.seed,
         "config": config.raw,
-        "panel": {
-            "n_units": panel.n_units,
-            "n_periods": panel.n_periods,
-            "variables": list(panel.variable_names),
-        },
-        "blocks": {
-            "descriptives": blocks["descriptives"],
-            "correlation": blocks["correlation"],
-            "unit_roots": blocks["unit_roots"],
-            "threshold": {
-                "gammas": list(fit.gammas),
-                "ssr": fit.ssr,
-                "sigma2": fit.sigma2,
-                "regime_counts": list(fit.regime_counts),
-                "confidence_sets": blocks["confidence_sets"],
-                "linearity": blocks["linearity_test"],
-                "regime_count_test": blocks["regime_count_test"],
-            },
-            "regression": blocks["regression"],
-        },
+        "panel": {"n_units": panel.n_units, "n_periods": panel.n_periods,
+                  "variables": list(panel.variable_names)},
+        "blocks": _command_payload("report", blocks),
     }
     markdown = render_markdown(report)
     clock.lap("render")
@@ -628,32 +601,29 @@ def run_pipeline(config: RunConfig, *, threads: int = 1):
 
 
 def _command_payload(command: str, blocks: Mapping[str, Any]) -> dict[str, Any]:
-    """The stdout JSON of the ``fit``, ``test``, ``ci`` and ``diagnose``
-    subcommands, from the blocks of their stages."""
+    """Every output's JSON, assembled from the stage blocks of ``command``:
+    the stdout of ``fit``, ``test``, ``ci`` and ``diagnose``, and the
+    ``blocks`` of the ``report``."""
     fit = blocks.get("threshold_estimation")
     if command == "fit":
-        return {
-            "gammas": list(fit.gammas),
-            "regime_varying": list(fit.regime_varying),
-            "betas_by_regime": [list(map(float, b)) for b in fit.betas_by_regime],
-            "delta": list(fit.delta) if fit.delta is not None else None,
-            "control_betas": fit.control_betas,
-            "ssr": fit.ssr,
-            "sigma2": fit.sigma2,
-            "regime_counts": list(fit.regime_counts),
-        }
-    if command == "test":
-        payload = {"linearity": blocks["linearity_test"]}
-        if blocks["regime_count_test"] is not None:
-            payload["regime_count"] = blocks["regime_count_test"]
-        return payload
+        return fit
     if command == "ci":
-        return {"gammas": list(fit.gammas), "confidence_sets": blocks["confidence_sets"]}
+        return {"gammas": fit["gammas"], "confidence_sets": blocks["confidence_sets"]}
+    if command == "test":  # the regime-count block is None when the config switches it off
+        tests = {"linearity": blocks["linearity_test"], "regime_count": blocks["regime_count_test"]}
+        return {key: block for key, block in tests.items() if block is not None}
+    diagnostics = {key: blocks[key] for key in ("descriptives", "correlation", "unit_roots")}
+    if command == "diagnose":
+        return {"gamma": fit["gammas"][0], **diagnostics}
     return {
-        "gamma": fit.gammas[0],
-        "descriptives": blocks["descriptives"],
-        "correlation": blocks["correlation"],
-        "unit_roots": blocks["unit_roots"],
+        **diagnostics,
+        "threshold": {
+            **{key: fit[key] for key in ("gammas", "ssr", "sigma2", "regime_counts")},
+            "confidence_sets": blocks["confidence_sets"],
+            "linearity": blocks["linearity_test"],
+            "regime_count_test": blocks["regime_count_test"],
+        },
+        "regression": blocks["regression"],
     }
 
 
@@ -724,7 +694,7 @@ def render_markdown(report: Mapping[str, Any]) -> str:
     out.append(f"| Thresholds (gamma) | {', '.join(_fmt(g) for g in th['gammas'])} |")
     for ci in th["confidence_sets"]:
         out.append(
-            f"| {int(ci['level'] * 100)}% CI (threshold {ci['threshold_index'] + 1}) "
+            f"| {ci['level'] * 100:.6g}% CI (threshold {ci['threshold_index'] + 1}) "
             f"| [{_fmt(ci['lower'])} - {_fmt(ci['upper'])}] |"
         )
     out.append(f"| Linearity F (bootstrap) | {_fmt(lin['f_statistic'])} |")

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from panelthresh import DataError, benchmark_dgp, simulate_threshold_panel, within_transform
+from panelthresh import (ConfigError, DataError, benchmark_dgp, simulate_threshold_panel,
+                         within_transform)
 from panelthresh.cli import (
     REPORT_SCHEMA,
     _label_key,
@@ -26,6 +27,7 @@ from panelthresh.cli import (
     load_config,
     main,
     parse_config,
+    render_markdown,
     run_pipeline,
     write_csv,
 )
@@ -316,6 +318,13 @@ class TestConfig:
         every = apply_transforms(panel, [{"op": "within"}])
         assert every.equals(within_transform(panel, ("y", "a")))
 
+    @pytest.mark.parametrize("op", ["bogus", ["lag"], {"op": "lag"}, None])
+    def test_apply_transforms_rejects_an_unknown_op(self, rng, op):
+        # A direct caller, whose transforms parse_config has not checked.
+        panel = make_panel({"y": rng.standard_normal((3, 5))})
+        with pytest.raises(ConfigError, match=re.escape(f"unknown transform op {op!r}")):
+            apply_transforms(panel, [{"op": op}])
+
 
 @pytest.fixture(scope="module")
 def report(panel_csv):
@@ -365,6 +374,18 @@ class TestPipeline:
         ):
             assert row in markdown, row
 
+    def test_markdown_labels_each_confidence_level(self, report):
+        # A level whose percentage is not a whole number keeps its digits:
+        # 97.5% and 97% are two rows, and 1 - 0.55 reads 45%, not 44%.
+        rep, _, _ = report
+        th = rep["blocks"]["threshold"]
+        alphas = [0.025, 0.03, 0.55, 0.01, 0.05, 0.1, 0.2]
+        sets = [{**th["confidence_sets"][0], "alpha": a, "level": 1.0 - a} for a in alphas]
+        markdown = render_markdown(
+            {**rep, "blocks": {**rep["blocks"], "threshold": {**th, "confidence_sets": sets}}})
+        labels = re.findall(r"^\| (\S+) CI \(threshold 1\) \|", markdown, re.MULTILINE)
+        assert labels == ["97.5%", "97%", "45%", "99%", "95%", "90%", "80%"]
+
     def test_per_stage_timings_collected(self, report):
         _, _, timings = report
         assert {"ingest", "threshold_estimation", "linearity_test", "unit_roots"} <= set(timings)
@@ -410,6 +431,14 @@ class TestMainExitCodes:
         path, _ = panel_csv
         cfg_path = self._write_config(tmp_path, base_config(path, estimator="2SLS"))
         assert main(["--config", str(cfg_path), "fit"]) == 2
+
+    @pytest.mark.parametrize("op", [["lag"], {"op": "lag"}], ids=["list", "object"])
+    def test_non_string_transform_op_exit_two(self, panel_csv, tmp_path, capsys, op):
+        path, _ = panel_csv
+        cfg_path = self._write_config(tmp_path, base_config(path, transforms=[{"op": op}]))
+        assert main(["--config", str(cfg_path), "fit"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: unknown transform op {op!r}" in err, err
 
     def test_mistyped_spec_field_exit_two(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
@@ -770,6 +799,50 @@ def test_wrong_typed_config_value_names_its_key(panel_csv, tmp_path_factory, key
         code = main(["--config", str(cfg_path), command])
     assert code == 2, err.getvalue()
     assert leaf in err.getvalue() and "malformed config" not in err.getvalue()
+
+
+# parse_config's keys besides simulate's, whole sections included, with
+# every field of a transform entry; ``transforms.F`` puts the value at field
+# F of an entry that carries the other fields F's op needs.
+_PARSE_KEYS = sorted({key for key in _CONFIG_KEY_TYPES if not key.startswith("simulate.")} | {
+    "csv", "roles", "spec", "inference", "diagnostics", "output", "instruments",
+    "spec.include_intercept_shift", "inference.regime_count_test", "diagnostics.variables",
+    "transforms.op", "transforms.var", "transforms.k", "transforms.vars",
+    "transforms.components", "transforms.name", "transforms.weights",
+})
+_TRANSFORM_BASES = {
+    "op": {"var": "y"}, "var": {"op": "lag"}, "k": {"op": "lag", "var": "y"},
+    "vars": {"op": "within"}, "components": {"op": "composite_index", "name": "idx"},
+    "name": {"op": "composite_index", "components": ["q"]},
+    "weights": {"op": "composite_index", "components": ["q"], "name": "idx"},
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 10**30, -(2**70)])
+    | st.sampled_from(["y", "q", "lag", "within", "OLS"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(key=st.sampled_from(_PARSE_KEYS), value=_JSON_VALUES)
+def test_parse_config_raises_only_config_errors(panel_csv, key, value):
+    # Any JSON value at any key either parses or is a ConfigError that says
+    # what is wrong: no other exception and no catch-all message.
+    cfg = base_config(panel_csv[0])
+    section, _, leaf = key.rpartition(".")
+    if section == "transforms":
+        cfg["transforms"] = [{**_TRANSFORM_BASES[leaf], leaf: value}]
+    elif section:
+        cfg[section] = {**cfg.get(section, {}), leaf: value}
+    else:
+        cfg[leaf] = value
+    try:
+        parse_config(cfg)
+    except ConfigError as exc:
+        assert "malformed config" not in str(exc)
 
 
 def _main_stdout(argv) -> str:

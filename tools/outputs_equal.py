@@ -1,0 +1,97 @@
+"""Byte-compare every CLI output of two checkouts on the benchmark's workload inputs.
+
+    python3 tools/outputs_equal.py PARENT CHANGE [--run WORKLOAD:SEED ...] [--threads N ...]
+
+For each ``--run`` (default: report-large at seeds 3 and 7, test-mid at
+seeds 2 and 11) it writes the workload's ``panel.csv`` and ``config.json``
+once, with PARENT's ``perfbench/workloads.write_inputs``. Then it runs
+``report``, ``test``, ``fit``, ``ci`` and ``diagnose`` from each checkout at
+each ``--threads`` value (default 1 and 2), one fresh interpreter at a time
+on the checkout's own ``src``, BLAS pinned to one thread. It compares
+``report.json`` and ``report.md`` of ``report`` and the standard output of
+the other commands; the report's timings sidecar is not reproducible and
+is left out. One line per output gives its sha256 and whether the two
+checkouts wrote the same bytes. The exit code is 1 when any output
+differs or any run fails, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+COMMANDS = ("report", "test", "fit", "ci", "diagnose")
+DEFAULT_RUNS = ("report-large:3", "report-large:7", "test-mid:2", "test-mid:11")
+WRITE_INPUTS = ("import sys; from pathlib import Path; from workloads import WORKLOADS, "
+                "write_inputs; write_inputs(WORKLOADS[sys.argv[1]], int(sys.argv[2]), "
+                "Path(sys.argv[3]))")
+
+
+def _run(argv: list[str], cwd: Path, pythonpath: list[Path]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **BLAS_PIN, PYTHONPATH=os.pathsep.join(map(str, pythonpath)))
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
+
+
+def _outputs(side: str, checkout: Path, run_dir: Path, command: str,
+             threads: int) -> dict[str, bytes]:
+    """One CLI run's deterministic outputs, by name; exits on a failed run."""
+    out_dir = run_dir / side / f"threads{threads}-{command}"
+    argv = [sys.executable, "-m", "panelthresh.cli", "--config", "config.json",
+            "--threads", str(threads), "--output-dir", str(out_dir), command]
+    proc = _run(argv, run_dir, [checkout / "src"])
+    if proc.returncode != 0:
+        sys.exit(f"outputs_equal: {command} from {checkout} exited {proc.returncode}:\n"
+                 f"{proc.stderr.decode(errors='replace')}")
+    if command == "report":
+        return {name: (out_dir / name).read_bytes() for name in ("report.json", "report.md")}
+    return {"stdout": proc.stdout}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--run", action="append", metavar="WORKLOAD:SEED")
+    parser.add_argument("--threads", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args()
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    specs = []
+    for item in args.run or DEFAULT_RUNS:
+        workload, _, seed = item.partition(":")
+        if not workload or not seed.isdigit():
+            parser.error(f"--run takes WORKLOAD:SEED, got {item!r}")
+        specs.append((workload, int(seed)))
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
+        for workload, seed in specs:
+            run_dir = Path(tmp) / f"{workload}-seed{seed}"
+            run_dir.mkdir()
+            proc = _run([sys.executable, "-c", WRITE_INPUTS, workload, str(seed), str(run_dir)],
+                        run_dir, [sides["parent"] / "perfbench", sides["parent"] / "src"])
+            if proc.returncode != 0:
+                sys.exit(f"outputs_equal: writing {workload} seed {seed} inputs failed:\n"
+                         f"{proc.stderr.decode(errors='replace')}")
+            for threads in args.threads:
+                for command in COMMANDS:
+                    parent, change = (_outputs(side, checkout, run_dir, command, threads)
+                                      for side, checkout in sides.items())
+                    for name, data in parent.items():
+                        same = change[name] == data
+                        differ += not same
+                        digests = hashlib.sha256(data).hexdigest()[:16]
+                        if not same:
+                            digests += " != " + hashlib.sha256(change[name]).hexdigest()[:16]
+                        print(f"{workload} seed {seed} --threads {threads} {command} {name}: "
+                              f"{'equal' if same else 'DIFFERENT'} {digests}", flush=True)
+    print(f"outputs_equal: {differ} output(s) differ")
+    sys.exit(1 if differ else 0)
+
+
+if __name__ == "__main__":
+    main()
