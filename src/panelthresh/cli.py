@@ -514,7 +514,7 @@ def _unit_roots(s: _Session) -> dict[str, dict[str, Any]]:
 
 
 def _regression(s: _Session) -> dict[str, Any]:
-    reg = regime_equation_on(s.scan.ws, s.fit, s.config.estimator, s.config.instruments or None)
+    reg = regime_equation_on(s.scan.ws, s.fit, s.config.estimator)
     return {
         "estimator": reg.estimator,
         "coefficients": {
@@ -834,15 +834,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _, blocks, _ = _run_stages(config, _COMMAND_STAGES[args.command], threads=args.threads)
         print(dumps_report(_command_payload(args.command, blocks)), end="")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except EstimationError as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        return 4
+    except (ConfigError, DataError, EstimationError) as exc:
+        print(f"{exc.label} error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

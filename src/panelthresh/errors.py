@@ -1,5 +1,5 @@
-"""Exception hierarchy and the type checks on outside input; the CLI maps
-the exceptions onto process exit codes.
+"""Exception hierarchy and the type checks on outside input. Each error
+class carries the CLI's exit code for it and the label of its message.
 
 The entry points check the values they are given with ``check_int``,
 ``check_number``, ``check_flag``, ``check_str`` and ``check_list``. Each
@@ -23,13 +23,19 @@ class PanelThreshError(Exception):
 class ConfigError(PanelThreshError):
     """Invalid run configuration (CLI exit code 2)."""
 
+    exit_code, label = 2, "config"
+
 
 class DataError(PanelThreshError):
     """Malformed or unbalanced input data (CLI exit code 3)."""
 
+    exit_code, label = 3, "data"
+
 
 class EstimationError(PanelThreshError):
     """Estimation failed: rank deficiency, empty regime, degenerate grid (CLI exit code 4)."""
+
+    exit_code, label = 4, "estimation"
 
 
 def _is_number(value: Any) -> bool:

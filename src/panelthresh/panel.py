@@ -233,8 +233,13 @@ def composite_index(
 ) -> PanelDataset:
     """Add a weighted average of the component variables.
 
-    Weights are rescaled to sum to one, so only their ratios matter.
+    Weights are rescaled to sum to one, so only their ratios matter. The
+    name must be new and the components must not be empty.
     """
+    if name in panel.variables:
+        raise DataError(f"variable {name!r} already exists")
+    if not components:
+        raise DataError("components must not be empty")
     if len(components) != len(weights):
         raise DataError(
             f"{len(components)} components but {len(weights)} weights"

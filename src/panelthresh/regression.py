@@ -1,8 +1,11 @@
 """OLS and two-stage least squares for the regime equation.
 
-Standard errors are homoskedastic by default (a heteroskedasticity-robust
-HC0 option sits behind a flag); p-values use the large-sample normal and
-chi-square reference distributions, computed with ``math`` (no scipy).
+The 2SLS instrument set is the design's exogenous columns, then the
+excluded instruments: each instrument not among them. ``_stack`` builds it
+and every design, checking each column's length against the response's.
+Standard errors are homoskedastic by default (HC0 behind a flag); p-values
+use the large-sample normal and chi-square references, computed with
+``math`` (no scipy).
 """
 
 from __future__ import annotations
@@ -48,19 +51,16 @@ class RegressionResult:
     residuals: np.ndarray = field(repr=False)
 
 
-def _stack(X: Mapping[str, np.ndarray]) -> tuple[np.ndarray, list[str]]:
+def _stack(X: Mapping[str, np.ndarray], rows: int) -> tuple[np.ndarray, list[str]]:
+    """The columns of ``X`` side by side and their names; each must have ``rows`` rows."""
     names = list(X)
     if not names:
         raise EstimationError("empty design")
     cols = [np.asarray(X[n], dtype=float).ravel() for n in names]
-    lengths = {c.shape[0] for c in cols}
-    if len(lengths) != 1:
-        raise EstimationError("design columns have unequal lengths")
+    for n, c in zip(names, cols):
+        if c.shape[0] != rows:
+            raise EstimationError(f"column {n!r} has {c.shape[0]} rows, y has {rows}")
     return np.column_stack(cols), names
-
-
-def _is_constant(col: np.ndarray) -> bool:
-    return bool(np.ptp(col) == 0.0)
 
 
 def _chi2_sf(x: float, df: int) -> float:
@@ -89,9 +89,9 @@ def _chi2_sf(x: float, df: int) -> float:
     return tail
 
 
-def _wald_all_slopes(beta: np.ndarray, cov: np.ndarray, M: np.ndarray) -> WaldTest:
-    slopes = [j for j in range(M.shape[1]) if not _is_constant(M[:, j])]
-    if not slopes:
+def _wald_all_slopes(beta: np.ndarray, cov: np.ndarray, constant: np.ndarray) -> WaldTest:
+    slopes = np.flatnonzero(~constant)
+    if not slopes.size:
         return WaldTest(0.0, 1.0, 0)
     b = beta[slopes]
     sub = cov[np.ix_(slopes, slopes)]
@@ -126,8 +126,8 @@ def _package(
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.inf)
     pvals = [math.erfc(abs(v) / math.sqrt(2.0)) for v in z.tolist()]
-    has_const = any(_is_constant(M[:, j]) for j in range(k))
-    tss = float(np.sum((y - y.mean()) ** 2)) if has_const else float(y @ y)
+    constant = np.ptp(M, axis=0) == 0
+    tss = float(np.sum((y - y.mean()) ** 2)) if constant.any() else float(y @ y)
     r2 = 1.0 - ssr / tss if tss > 0 else float("nan")
     return RegressionResult(
         coefficients={nm: float(b) for nm, b in zip(names, beta)},
@@ -136,7 +136,7 @@ def _package(
         r_squared=r2,
         rmse=float(np.sqrt(ssr / dof)),
         sargan=sargan,
-        wald=_wald_all_slopes(beta, cov, M),
+        wald=_wald_all_slopes(beta, cov, constant),
         n_obs=n,
         estimator=estimator,
         ssr=ssr,
@@ -152,9 +152,7 @@ def ols(y, X: Mapping[str, np.ndarray], *, robust: bool = False) -> RegressionRe
     otherwise; RMSE is sqrt(SSR / (n - k)).
     """
     yv = np.asarray(y, dtype=float).ravel()
-    M, names = _stack(X)
-    if M.shape[0] != yv.shape[0]:
-        raise EstimationError(f"y has {yv.shape[0]} rows, design has {M.shape[0]}")
+    M, names = _stack(X, yv.shape[0])
     res = pivoted_lstsq(M, yv, on_deficient="raise", names=names)
     return _package(yv, M, names, res.beta, res.residuals, M, "OLS", None, robust)
 
@@ -169,7 +167,8 @@ def two_sls(
 ) -> RegressionResult:
     """Two-stage least squares with Sargan overidentification test.
 
-    Exogenous columns of ``X`` are automatically part of the instrument set.
+    The exogenous columns of ``X`` join the instruments of ``Z``; an
+    instrument named like one of them is that column, not an excluded one.
     Standard errors use residuals from the original (not projected)
     regressors. The Sargan statistic is n times the R-squared of the 2SLS
     residuals regressed on the full instrument set, chi-square with
@@ -181,16 +180,13 @@ def two_sls(
     unknown = [e for e in endog if e not in X]
     if unknown:
         raise EstimationError(f"endogenous names not in design: {', '.join(unknown)}")
-    excluded = [z for z in Z if z not in X or z in endog]
+    exogenous = {n: v for n, v in X.items() if n not in endog}
+    excluded = {n: v for n, v in Z.items() if n not in exogenous}
     if len(excluded) < len(endog):
-        raise EstimationError(
-            f"under-identified: {len(excluded)} excluded instruments for "
-            f"{len(endog)} endogenous regressors"
-        )
-    M, names = _stack(X)
-    if M.shape[0] != yv.shape[0]:
-        raise EstimationError(f"y has {yv.shape[0]} rows, design has {M.shape[0]}")
-    Zfull, znames = _instrument_matrix(X, endog, Z)
+        raise EstimationError(f"under-identified: {len(excluded)} excluded instruments for "
+                              f"{len(endog)} endogenous regressors")
+    M, names = _stack(X, yv.shape[0])
+    Zfull, znames = _stack({**exogenous, **excluded}, yv.shape[0])
     M_hat = M.copy()
     for e in endog:
         j = names.index(e)
@@ -201,18 +197,6 @@ def two_sls(
     df = len(excluded) - len(endog)
     sargan = _sargan(residuals, Zfull, df) if df > 0 else None
     return _package(yv, M, names, second.beta, residuals, M_hat, "2SLS", sargan, robust)
-
-
-def _instrument_matrix(
-    X: Mapping[str, np.ndarray], endog: Sequence[str], Z: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, list[str]]:
-    cols: dict[str, np.ndarray] = {
-        n: np.asarray(v, dtype=float).ravel() for n, v in X.items() if n not in endog
-    }
-    for n, v in Z.items():
-        if n not in cols:
-            cols[n] = np.asarray(v, dtype=float).ravel()
-    return np.column_stack(list(cols.values())), list(cols)
 
 
 def _sargan(residuals: np.ndarray, Zfull: np.ndarray, df: int) -> SarganTest:

@@ -642,6 +642,19 @@ class TestMainExitCodes:
         cfg_path = self._write_config(tmp_path, base_config(p))
         assert main(["--config", str(cfg_path), "fit"]) == 4
 
+    @pytest.mark.parametrize("transform, message", [
+        ({"op": "composite_index", "components": ["c2"], "name": "c1"},
+         "data error: variable 'c1' already exists"),
+        ({"op": "composite_index", "components": [], "name": "idx"},
+         "data error: components must not be empty"),
+    ], ids=["name_clash", "empty_components"])
+    def test_composite_index_fault_exit_three(self, panel_csv, tmp_path, capsys, transform,
+                                              message):
+        path, _ = panel_csv
+        cfg_path = self._write_config(tmp_path, base_config(path, transforms=[transform]))
+        assert main(["--config", str(cfg_path), "fit"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "fit"]) == 2
 

@@ -200,6 +200,17 @@ class TestCompositeIndex:
         with pytest.raises(DataError, match="positive"):
             composite_index(panel, ["a"], [0.0], "idx")
 
+    def test_name_collision(self):
+        # an existing variable is not overwritten, as make_lag's name is not
+        panel = make_panel({"a": [[1.0, 2.0]] * 2, "b": [[3.0, 4.0]] * 2})
+        with pytest.raises(DataError, match="variable 'a' already exists"):
+            composite_index(panel, ["b"], [1.0], "a")
+
+    def test_empty_components(self):
+        panel = make_panel({"a": [[1.0, 2.0]] * 2})
+        with pytest.raises(DataError, match="components must not be empty"):
+            composite_index(panel, [], [], "idx")
+
 
 def test_lag_then_within_matches_manual(rng):
     mat = rng.standard_normal((2, 4))

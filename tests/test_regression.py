@@ -160,6 +160,35 @@ class TestTwoSls:
         res = two_sls(y, {"C": np.ones(n), "x": x}, ["x"], {"z": z})
         assert res.r_squared <= 1.0
 
+    def test_wrong_length_instrument_names_the_column(self, rng):
+        y, X, Z = _endogenous_draw(rng)
+        with pytest.raises(EstimationError, match="column 'z2' has 399 rows, y has 400"):
+            two_sls(y, X, ["x"], {"z1": Z["z1"], "z2": Z["z2"][:-1]})
+
+    def test_short_response_errors(self, rng):
+        y, X, Z = _endogenous_draw(rng)
+        with pytest.raises(EstimationError, match="column 'C' has 400 rows, y has 399"):
+            ols(y[:-1], X)
+        with pytest.raises(EstimationError, match="column 'C' has 400 rows, y has 399"):
+            two_sls(y[:-1], X, ["x"], Z)
+
+    def test_unknown_endogenous_name_errors(self, rng):
+        y, X, Z = _endogenous_draw(rng)
+        with pytest.raises(EstimationError, match="endogenous names not in design: w$"):
+            two_sls(y, X, ["x", "w"], Z)
+
+    def test_instrument_named_like_exogenous_column_is_not_excluded(self, rng):
+        # "C" is the design's own column, whatever values the instrument
+        # mapping gives it, so z1 alone identifies x: just-identified
+        y, X, Z = _endogenous_draw(rng)
+        base = two_sls(y, X, ["x"], {"z1": Z["z1"]})
+        named = two_sls(y, X, ["x"], {"C": rng.standard_normal(400), "z1": Z["z1"]})
+        assert named.sargan is None
+        assert named.coefficients == base.coefficients
+        assert named.std_errors == base.std_errors
+        assert named.ssr == base.ssr
+        assert named.residuals.tobytes() == base.residuals.tobytes()
+
 
 def _regime_panel(seed=11, rho=0.0, fe_sd=0.0):
     dgp = ThresholdDGP(

@@ -14,10 +14,11 @@ Per workload and seed the output holds each side's median and quartiles
 (linear interpolation) over its run medians, the pairs the change won (a
 lower run median wins; ties count for neither), every run median, the
 failed child processes against those attempted, and each side's traced
-per-layer numbers. ``outputs_equal`` says whether the two sides' last
-untraced runs wrote the same bytes: ``report.json`` and ``report.md`` of
-child ``inv0``, or its standard output for ``test``. Runs are sequential, so
-the machine's load is one benchmark at a time.
+per-layer numbers. ``outputs_equal`` is the verdict of
+``tools/outputs_equal.py``'s ``compare`` on the workload's inputs at that
+seed: whether the two checkouts write the same bytes for all five CLI
+commands at ``--threads`` 1 and 2. Runs are sequential, so the machine's
+load is one benchmark at a time.
 
 ``paths`` records where each checkout lives. Wall times have been seen to
 follow a checkout's location as well as its code, so the script warns
@@ -33,6 +34,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from outputs_equal import compare
 
 
 def _revision(checkout: Path) -> str:
@@ -55,15 +58,6 @@ def _bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     env = checkout / ".perfbench_out" / workload / f"seed{seed}-trace{int(trace)}" / "env.json"
     result["env"] = json.loads(env.read_text(encoding="utf-8"))
     return result
-
-
-def _outputs(checkout: Path, workload: str, seed: int) -> dict[str, bytes | None]:
-    """The deterministic outputs of a checkout's last untraced run."""
-    run_dir = checkout / ".perfbench_out" / workload / f"seed{seed}-trace0"
-    paths = [run_dir / "inv0" / "report.json", run_dir / "inv0" / "report.md"]
-    if not (run_dir / "inv0").is_dir():
-        paths = [run_dir / "inv0.stdout"]
-    return {p.name: p.read_bytes() if p.exists() else None for p in paths}
 
 
 def _spread(values: list[float]) -> dict:
@@ -160,8 +154,7 @@ def main() -> None:
             print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} wall_s {runs[side][-1]['metrics']['wall_s']['value']:.3f}"
                 for side in ("parent", "change")), flush=True)
-        parent_out, change_out = (_outputs(sides[side], workload, seed) for side in sides)
-        outputs_equal = parent_out == change_out and None not in change_out.values()
+        outputs_equal = compare(sides, workload, seed) == 0
         print(f"{workload} seed {seed}: outputs_equal {outputs_equal}", flush=True)
         traced = {side: _bench(sides[side], workload, seed, trace=True) for side in sides}
         env = runs["change"][0]["env"]

@@ -12,7 +12,8 @@ on the checkout's own ``src``, BLAS pinned to one thread. It compares
 the other commands; the report's timings sidecar is not reproducible and
 is left out. One line per output gives its sha256 and whether the two
 checkouts wrote the same bytes. The exit code is 1 when any output
-differs or any run fails, else 0.
+differs or any run fails, else 0. ``compare`` is the check for one
+workload and seed; ``tools/bench_pairs.py`` imports it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,35 @@ def _outputs(side: str, checkout: Path, run_dir: Path, command: str,
     return {"stdout": proc.stdout}
 
 
+def compare(sides: dict[str, Path], workload: str, seed: int,
+            threads: tuple[int, ...] = (1, 2)) -> int:
+    """Print one line per output of one workload and seed; return how many differ.
+
+    ``sides`` maps ``parent`` and ``change`` to their checkouts; exits on a failed run.
+    """
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
+        run_dir = Path(tmp)
+        proc = _run([sys.executable, "-c", WRITE_INPUTS, workload, str(seed), str(run_dir)],
+                    run_dir, [sides["parent"] / "perfbench", sides["parent"] / "src"])
+        if proc.returncode != 0:
+            sys.exit(f"outputs_equal: writing {workload} seed {seed} inputs failed:\n"
+                     f"{proc.stderr.decode(errors='replace')}")
+        for n in threads:
+            for command in COMMANDS:
+                parent, change = (_outputs(side, checkout, run_dir, command, n)
+                                  for side, checkout in sides.items())
+                for name, data in parent.items():
+                    same = change[name] == data
+                    differ += not same
+                    digests = hashlib.sha256(data).hexdigest()[:16]
+                    if not same:
+                        digests += " != " + hashlib.sha256(change[name]).hexdigest()[:16]
+                    print(f"{workload} seed {seed} --threads {n} {command} {name}: "
+                          f"{'equal' if same else 'DIFFERENT'} {digests}", flush=True)
+    return differ
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -67,28 +97,7 @@ def main() -> None:
         if not workload or not seed.isdigit():
             parser.error(f"--run takes WORKLOAD:SEED, got {item!r}")
         specs.append((workload, int(seed)))
-    differ = 0
-    with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
-        for workload, seed in specs:
-            run_dir = Path(tmp) / f"{workload}-seed{seed}"
-            run_dir.mkdir()
-            proc = _run([sys.executable, "-c", WRITE_INPUTS, workload, str(seed), str(run_dir)],
-                        run_dir, [sides["parent"] / "perfbench", sides["parent"] / "src"])
-            if proc.returncode != 0:
-                sys.exit(f"outputs_equal: writing {workload} seed {seed} inputs failed:\n"
-                         f"{proc.stderr.decode(errors='replace')}")
-            for threads in args.threads:
-                for command in COMMANDS:
-                    parent, change = (_outputs(side, checkout, run_dir, command, threads)
-                                      for side, checkout in sides.items())
-                    for name, data in parent.items():
-                        same = change[name] == data
-                        differ += not same
-                        digests = hashlib.sha256(data).hexdigest()[:16]
-                        if not same:
-                            digests += " != " + hashlib.sha256(change[name]).hexdigest()[:16]
-                        print(f"{workload} seed {seed} --threads {threads} {command} {name}: "
-                              f"{'equal' if same else 'DIFFERENT'} {digests}", flush=True)
+    differ = sum(compare(sides, workload, seed, tuple(args.threads)) for workload, seed in specs)
     print(f"outputs_equal: {differ} output(s) differ")
     sys.exit(1 if differ else 0)
 
