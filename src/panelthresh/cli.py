@@ -307,6 +307,8 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     csv_section = _section(raw, "csv", ("unit", "time"))
     unit_col = check_str(csv_section.get("unit", "unit"), "csv.unit")
     time_col = check_str(csv_section.get("time", "time"), "csv.time")
+    if unit_col == time_col:
+        raise ConfigError(f"csv.unit and csv.time name the same column {unit_col!r}")
     need(raw, "roles", "")
     roles_raw = _section(raw, "roles", (
         "dependent", "threshold", "regime_varying", "invariant_controls", "instruments"))

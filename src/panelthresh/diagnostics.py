@@ -34,6 +34,11 @@ _MOMENT_CHUNK = 512  # random walks per batch in the moment simulation
 DETERMINISTIC_CHOICES = ("intercept", "intercept+trend")
 
 
+def _normal_cdf(z: float) -> float:
+    """Phi(z) = erfc(-z / sqrt(2)) / 2, computed with ``math``."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
 class VarStats(NamedTuple):
     mean: float
     std: float
@@ -200,8 +205,7 @@ def ips_test(
     """Im-Pesaran-Shin panel unit-root test for one variable.
 
     Small standardized statistics (large negative) reject the unit-root
-    null; the p-value is the one-sided normal left tail,
-    Phi(z) = erfc(-z / sqrt(2)) / 2, computed with ``math``.
+    null; the p-value is the one-sided normal left tail, ``_normal_cdf(z)``.
     """
     if deterministic not in DETERMINISTIC_CHOICES:
         raise ConfigError(
@@ -231,7 +235,7 @@ def ips_test(
     return IpsResult(
         t_bar=t_bar,
         statistic=z,
-        p_value=0.5 * math.erfc(-z / math.sqrt(2.0)),
+        p_value=_normal_cdf(z),
         per_unit_t=tuple(per_unit.tolist()),
         lags=tuple(lags.tolist()),
         deterministic=deterministic,

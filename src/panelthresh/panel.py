@@ -110,7 +110,7 @@ class VariableRole:
 
     ``threshold`` may also appear in ``regime_varying`` (the threshold
     variable can be its own regime-switching regressor); ``dependent`` must
-    not appear in any other role.
+    not appear in any other role, and no regressor may be named twice.
     """
 
     dependent: str
@@ -142,6 +142,11 @@ class VariableRole:
             raise DataError(f"dependent variable {self.dependent!r} also appears in another role")
         if not self.regime_varying:
             raise DataError("at least one regime-varying regressor is required")
+        regressors = [*self.regime_varying, *self.invariant_controls]
+        repeated = [n for n in dict.fromkeys(regressors) if regressors.count(n) > 1]
+        if repeated:
+            raise DataError(f"regressor {repeated[0]!r} is named more than once in "
+                            "regime_varying and invariant_controls")
 
     def validate(self, panel: PanelDataset) -> None:
         """Check that every named variable resolves in ``panel``."""

@@ -176,7 +176,7 @@ def two_sls(
     when over-identified.
     """
     yv = np.asarray(y, dtype=float).ravel()
-    endog = list(endogenous)
+    endog = list(dict.fromkeys(endogenous))
     unknown = [e for e in endog if e not in X]
     if unknown:
         raise EstimationError(f"endogenous names not in design: {', '.join(unknown)}")

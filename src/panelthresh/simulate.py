@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .diagnostics import _normal_cdf
 from .errors import (ConfigError, EstimationError, check_flag, check_int, check_list,
                      check_number, check_str)
 from .inference import ci_on, regime_count_on
@@ -141,9 +142,7 @@ def _parse_dist(descriptor: str) -> tuple[str, float, float]:
 
 def _from_gaussian(kind: str, a: float, b: float, g: np.ndarray) -> np.ndarray:
     if kind == "uniform":
-        from scipy.special import ndtr
-
-        return a + (b - a) * ndtr(g)
+        return a + (b - a) * np.frompyfunc(_normal_cdf, 1, 1)(g).astype(float)
     return np.exp(a + b * g)
 
 

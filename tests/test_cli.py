@@ -497,6 +497,16 @@ class TestMainExitCodes:
          "diagnostics.variables needs at least 2 names"),
         ("report", {"diagnostics": {"variables": ["y", "c1_typo"]}}, 3,
          "variables not in panel: c1_typo"),
+        # a column named twice is a config error, not a duplicate-pair data
+        # error or a rank deficiency
+        ("fit", {"csv": {"time": "unit"}}, 2,
+         "config error: csv.unit and csv.time name the same column 'unit'"),
+        ("fit", {"roles": {"regime_varying": ["q", "q"]}}, 2,
+         "config error: regressor 'q' is named more than once"),
+        ("fit", {"roles": {"invariant_controls": ["c1", "c1"]}}, 2,
+         "config error: regressor 'c1' is named more than once"),
+        ("fit", {"roles": {"regime_varying": ["q", "c1"], "invariant_controls": ["c1"]}}, 2,
+         "config error: regressor 'c1' is named more than once"),
     ], ids=["csv", "roles", "replications", "alphas", "regime_count_test", "max_lag", "json",
             "simulate", "lag_var", "period_average_k", "lag_k_string", "lag_k_float",
             "within_vars", "instruments", "regime_varying_string", "controls_string",
@@ -505,7 +515,8 @@ class TestMainExitCodes:
             "alphas_strings", "alphas_bool", "transforms_string", "transforms_number",
             "transforms_object", "transforms_null", "trim_fraction_string", "trim_fraction_null",
             "diagnostics_variables_one",
-            "diagnostics_variables_unknown"])
+            "diagnostics_variables_unknown", "unit_is_time", "regime_varying_twice",
+            "controls_twice", "varying_and_control"])
     def test_config_fault_stops_before_any_stage(
         self, panel_csv, tmp_path, capsys, monkeypatch, command, fault, code, message
     ):
@@ -1011,8 +1022,8 @@ class TestOneEstimationSample:
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs most of a second to import; the package needs only
-    # scipy.special's ndtr, in simulate.
+    # scipy.stats costs most of a second to import; the package needs no
+    # scipy at all.
     import panelthresh
 
     src = str(Path(panelthresh.__file__).resolve().parents[1])
@@ -1026,10 +1037,10 @@ def test_cli_import_skips_scipy_stats():
 
 
 def test_fit_test_and_ci_load_no_scipy(stage_config, tmp_path):
-    # The least-squares kernel is numpy only and every p-value comes from
-    # math, so no analysis subcommand loads scipy. Only simulate's uniform
-    # threshold draws on the endogenous path (endogeneity_rho != 0) use it:
-    # they load scipy.special and no other subpackage.
+    # The least-squares kernel is numpy only and every normal or chi-square
+    # tail comes from math, so every subcommand runs with scipy unimportable,
+    # simulate's endogenous uniform threshold draws (endogeneity_rho != 0)
+    # included: a meta-path finder placed first refuses scipy and scipy.*.
     import panelthresh
 
     src = str(Path(panelthresh.__file__).resolve().parents[1])
@@ -1044,6 +1055,11 @@ def test_fit_test_and_ci_load_no_scipy(stage_config, tmp_path):
         }}))
     code = (
         "import contextlib, io, sys\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError('blocked scipy')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
         "from panelthresh.cli import main\n"
         "def scipy_subpackages():\n"
         "    return sorted(m[6:] for m, mod in sys.modules.items() if m.startswith('scipy.')\n"
@@ -1062,7 +1078,7 @@ def test_fit_test_and_ci_load_no_scipy(stage_config, tmp_path):
     )
     assert out.stdout.strip().splitlines() == [
         "fit False []", "test False []", "ci False []", "diagnose False []",
-        "report False []", "simulate False []", "simulate True ['special']",
+        "report False []", "simulate False []", "simulate False []",
     ]
 
 

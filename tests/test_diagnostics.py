@@ -21,6 +21,7 @@ from panelthresh.diagnostics import (
     _MOMENT_SEED,
     _adf_batch,
     _ips_moments,
+    _normal_cdf,
 )
 
 from conftest import make_panel
@@ -141,6 +142,21 @@ class TestIpsTest:
         res = ips_test(_series_panel(data), "v", "intercept", moment_draws=MOMENT_DRAWS)
         ref = float(ndtr(res.statistic))
         assert ref > 0.0 and abs(res.p_value - ref) <= 1e-12 * ref
+
+    def test_normal_cdf_matches_scipy_ndtr(self, rng):
+        # The one normal CDF (IPS p-values, simulate's uniform threshold on
+        # the endogenous path) against scipy's ndtr as an outside reference,
+        # on a grid over [-38, 38] and on standard normal draws: within
+        # 4.5e-16 absolute everywhere, and 1e-12 relative wherever ndtr is at
+        # least 1e-300 (the relative error grows in the far left tail).
+        from scipy.special import ndtr
+
+        z = np.concatenate([np.linspace(-38.0, 38.0, 200_001), rng.standard_normal(100_000)])
+        got = np.frompyfunc(_normal_cdf, 1, 1)(z).astype(float)
+        ref = ndtr(z)
+        assert np.all(np.abs(got - ref) <= 4.5e-16)
+        tail = ref >= 1e-300
+        assert np.all(np.abs(got[tail] - ref[tail]) <= 1e-12 * ref[tail])
 
     def test_t_too_small(self, rng):
         panel = _series_panel(rng.standard_normal((4, 7)))

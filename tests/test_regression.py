@@ -189,6 +189,23 @@ class TestTwoSls:
         assert named.ssr == base.ssr
         assert named.residuals.tobytes() == base.residuals.tobytes()
 
+    def test_repeated_endogenous_name_counts_once(self, rng):
+        # ["x", "x"] names one endogenous regressor: the fit, its Sargan test
+        # (df 1 with two instruments) and just-identification with one
+        # instrument are those of ["x"]
+        y, X, Z = _endogenous_draw(rng)
+        for instruments in (Z, {"z1": Z["z1"]}):
+            once = two_sls(y, X, ["x"], instruments)
+            twice = two_sls(y, X, ["x", "x"], instruments)
+            assert twice.coefficients == once.coefficients
+            assert twice.std_errors == once.std_errors
+            assert twice.p_values == once.p_values
+            assert twice.ssr == once.ssr
+            assert twice.sargan == once.sargan
+            assert twice.residuals.tobytes() == once.residuals.tobytes()
+        assert two_sls(y, X, ["x", "x"], Z).sargan.df == 1
+        assert two_sls(y, X, ["x", "x"], {"z1": Z["z1"]}).sargan is None
+
 
 def _regime_panel(seed=11, rho=0.0, fe_sd=0.0):
     dgp = ThresholdDGP(

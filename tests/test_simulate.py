@@ -161,14 +161,23 @@ class TestSimulateThresholdPanel:
         assert 5.0 <= low.mean() <= 11.0
         assert 18.0 <= high.mean() <= 34.0
 
-    @pytest.mark.parametrize("which", ["benchmark", "test_mid", "endogenous"])
-    def test_threshold_variable_bitwise_equals_scipy_ndtr_build(self, which):
-        # The threshold variable rebuilt from the DGP's own stream, with
-        # scipy.special.ndtr on the endogenous path: simulated panels (and so
-        # the benchmark's inputs) stay bit for bit what they were.
-        import math
+    @pytest.mark.parametrize("dist, a, b", [("uniform(1,5)", 1.0, 5.0),
+                                            ("uniform(-0.3,0.7)", -0.3, 0.7)])
+    def test_endogenous_uniform_threshold_stays_in_bounds(self, dist, a, b):
+        dgp = ThresholdDGP(
+            n_units=50, n_periods=40, gamma0=0.5 * (a + b), beta_low=(0.0,), beta_high=(1.0,),
+            threshold_dist=dist, endogeneity_rho=0.9, seed=5,
+        )
+        q = simulate_threshold_panel(dgp)[0].values("q")
+        assert a <= q.min() and q.max() <= b
 
-        from scipy.special import ndtr
+    @pytest.mark.parametrize("which", ["benchmark", "test_mid", "endogenous"])
+    def test_threshold_variable_bitwise_equals_stream_rebuild(self, which):
+        # The threshold variable rebuilt from the DGP's own stream, with the
+        # stdlib normal CDF erfc(-g / sqrt(2)) / 2 on the endogenous path:
+        # simulated panels (and so the benchmark's inputs) stay bit for bit
+        # what this build gives.
+        import math
 
         dgp = {
             "benchmark": benchmark_dgp(seed=42),
@@ -190,7 +199,9 @@ class TestSimulateThresholdPanel:
         if which == "endogenous":
             v, z1, z2 = (rng.standard_normal(shape) for _ in range(3))
             u_q = 0.6 * eta + math.sqrt(1.0 - 0.36) * v
-            expected = 1.0 + 4.0 * ndtr((z1 + z2 + u_q) / math.sqrt(3.0))
+            g = (z1 + z2 + u_q) / math.sqrt(3.0)
+            cdf = [0.5 * math.erfc(-x / math.sqrt(2.0)) for x in g.ravel().tolist()]
+            expected = 1.0 + 4.0 * np.array(cdf).reshape(shape)
         elif which == "benchmark":
             expected = rng.lognormal(2.45, 0.75, size=shape)
         else:
