@@ -175,8 +175,8 @@ class TestSimulateThresholdPanel:
     def test_threshold_variable_bitwise_equals_stream_rebuild(self, which):
         # The threshold variable rebuilt from the DGP's own stream, with the
         # stdlib normal CDF erfc(-g / sqrt(2)) / 2 on the endogenous path:
-        # simulated panels (and so the benchmark's inputs) stay bit for bit
-        # what this build gives.
+        # simulated panels (and so the benchmark's inputs) are fixed bit for
+        # bit by the seed.
         import math
 
         dgp = {
