@@ -8,7 +8,8 @@ identical regardless of the thread budget; per-stage wall times, which
 are not reproducible, go to a ``*.timings.json`` sidecar. Each pipeline
 stage returns a JSON-ready block; ``fit``, ``test``, ``ci`` and ``diagnose``
 run a subset of the stages, and every output, the report's blocks included,
-is assembled from the blocks by ``_command_payload``.
+is assembled from the blocks by ``_command_payload``. The bootstraps run
+last, so a stage that rejects the data stops the run before them.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 estimation error.
 """
@@ -303,6 +304,10 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
             raise ConfigError(f"config missing {where}{key!r}")
         return section[key]
 
+    unknown = set(raw) - {"input_path", "csv", "roles", "spec", "inference", "transforms",
+                          "estimator", "diagnostics", "output", "instruments", "simulate"}
+    if unknown:
+        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
     input_path = check_str(need(raw, "input_path", ""), "input_path")
     csv_section = _section(raw, "csv", ("unit", "time"))
     unit_col = check_str(csv_section.get("unit", "unit"), "csv.unit")
@@ -536,16 +541,16 @@ def _regression(s: _Session) -> dict[str, Any]:
     }
 
 
-# The pipeline's stages in run order; each returns one JSON-ready block.
+# The pipeline's stages in run order, the bootstraps last; each returns one JSON-ready block.
 _STAGES = {
     "threshold_estimation": _estimate,
-    "linearity_test": _linearity,
-    "regime_count_test": _regime_count,
-    "confidence_sets": _confidence_sets,
     "descriptives": _descriptives,
     "correlation": _correlation,
     "unit_roots": _unit_roots,
     "regression": _regression,
+    "confidence_sets": _confidence_sets,
+    "linearity_test": _linearity,
+    "regime_count_test": _regime_count,
 }
 
 # The stages each subcommand runs, a subset of ``report``'s.
@@ -583,9 +588,9 @@ def run_pipeline(config: RunConfig, *, threads: int = 1):
     """Execute the full pipeline; returns (report dict, markdown str, timings).
 
     Stage order: ingest, transforms, workspace (the shared estimation scan),
-    threshold estimation, linearity test, regime-count test, confidence
-    sets, regime descriptives, correlations, panel unit roots, regime
-    regression.
+    threshold estimation, regime descriptives, correlations, panel unit
+    roots, regime regression, confidence sets, linearity test, regime-count
+    test. The bootstraps come last, after every stage that can reject the data.
     """
     panel, blocks, clock = _run_stages(config, _COMMAND_STAGES["report"], threads=threads)
     report = {

@@ -260,9 +260,8 @@ def ci_on(ws: _Workspace, fit: ThresholdFit, alpha: float, threshold_index: int 
     accepted = [g for g, v in lr_profile if v <= c_alpha]
     accepted.append(gamma_hat)
     hi = max(accepted)
-    observed = np.unique(ws.q)
-    nxt = np.searchsorted(observed, hi, side="right")
-    upper = float(observed[nxt]) if nxt < observed.size else float(hi)
+    nxt = np.searchsorted(ws.q_sorted, hi, side="right")
+    upper = float(ws.q_sorted[nxt]) if nxt < ws.n_obs else float(hi)
     return ThresholdCI(
         level=1.0 - alpha,
         lower=float(min(accepted)),

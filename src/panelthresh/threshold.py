@@ -155,10 +155,11 @@ class _Workspace:
     the dependent variable's one-period lag is added as ``<dependent>_lag1``
     and the first period is dropped. That panel is kept as ``panel`` and the
     lag column's name as ``lag`` (None without the lag); the matrices are
-    flattened unit-major. Regime columns are assembled as differences of the
-    demeaned cumulative columns I(q <= c) * x, recomputed on each use so the
-    workspace stays read-only and its size does not grow with the number of
-    candidates.
+    flattened unit-major, q sorted once (``order``, ``q_sorted``) for the one
+    regime count (``regime_counts``) every floor check reads. Regime columns
+    are differences of the demeaned cumulative columns I(q <= c) * x,
+    recomputed on each use so the workspace stays read-only and its size does
+    not grow with the number of candidates.
     """
 
     def __init__(self, panel: PanelDataset, spec: ThresholdSpec):
@@ -176,6 +177,8 @@ class _Workspace:
         self.floor = observation_floor(spec.trim_fraction, self.n_obs)
         self.y = _demean_rows(est_panel.values(roles.dependent)).ravel()
         self.q = est_panel.values(roles.threshold).ravel()
+        self.order = np.argsort(self.q, kind="stable")
+        self.q_sorted = self.q[self.order]
         self.rv_names = roles.regime_varying
         self.rv_raw = np.column_stack([est_panel.values(v).ravel() for v in self.rv_names])
         self.rv_full_dem = self._demean_cols(self.rv_raw, exact_constants=True)
@@ -204,9 +207,10 @@ class _Workspace:
         mask = (self.q <= gamma).astype(float)[:, None]
         return self._demean_cols(self.rv_raw * mask), self._demean_cols(mask)[:, 0]
 
-    def regime_counts(self, gammas: Sequence[float]) -> np.ndarray:
-        n_le = np.sum(self.q[:, None] <= np.sort(gammas), axis=0)
-        return np.diff(n_le, prepend=0, append=self.n_obs)
+    def regime_counts(self, gammas) -> np.ndarray:
+        """Regime sizes at ``gammas``: one set of thresholds, or one set per row."""
+        n_le = np.searchsorted(self.q_sorted, np.sort(gammas, axis=-1), side="right")
+        return np.diff(n_le, axis=-1, prepend=0, append=self.n_obs)
 
     def design(self, gammas: Sequence[float]) -> tuple[np.ndarray, list[str]]:
         """Regressor matrix at the given strictly-sorted thresholds.
@@ -243,13 +247,10 @@ class _Workspace:
 def _fit_ws(ws: _Workspace, gammas: Sequence[float]) -> ThresholdFit:
     spec = ws.spec
     counts = ws.regime_counts(gammas)
-    low = np.nonzero(counts < ws.floor)[0]
-    if low.size:
-        r = int(low[0])
+    if counts.min() < ws.floor:
+        r = int(np.argmax(counts < ws.floor))
         raise EstimationError(
-            f"regime {r + 1} has {int(counts[r])} observations, "
-            f"below the floor of {ws.floor}"
-        )
+            f"regime {r + 1} has {counts[r]} observations, below the floor of {ws.floor}")
     X, names = ws.design(gammas)
     res = pivoted_lstsq(X, ws.y, on_deficient="raise", names=names)
     k1 = len(ws.rv_names)
@@ -411,7 +412,8 @@ def sequential_estimates(
         if stage == 1:
             refined = step({i: (gamma,) for i, gamma in hits.items()})
         for i, gamma in hits.items():
-            fixed = (refined[i],) if stage == 1 and refined[i] is not None else live[i]
+            # refined[i] is found: the pair it was refined from cleared the floor.
+            fixed = (refined[i],) if stage == 1 else live[i]
             live[i] = tuple(sorted((*fixed, gamma)))
             stages[i].append(live[i])
         live = {i: live[i] for i in hits}
@@ -468,13 +470,11 @@ class SSRScan:
         u = ws.rv_raw
         if ws.spec.include_intercept_shift:
             u = np.column_stack([u, np.ones(ws.n_obs)])
-        self._order = np.argsort(ws.q, kind="stable")
-        self._q_sorted = ws.q[self._order]
-        self._n_le = np.searchsorted(self._q_sorted, self.grid, side="right")
-        self._u_sorted = us = u[self._order]
+        self._n_le = np.searchsorted(ws.q_sorted, self.grid, side="right")
+        self._u_sorted = us = u[ws.order]
         # s: each observation's unit sum of u over the observations sorted
         # before it. Entering it grows sum_i S_i S_i' by u s' + s u' + u u'.
-        by_unit = np.argsort(self._order // t, kind="stable")
+        by_unit = np.argsort(ws.order // t, kind="stable")
         within = us[by_unit].reshape(n_units, t, -1)
         s = np.empty_like(us)
         s[by_unit] = (np.cumsum(within, axis=1) - within).reshape(us.shape)
@@ -491,14 +491,6 @@ class SSRScan:
         """Sums of q-sorted rows over q <= each candidate."""
         return np.cumsum(sorted_rows, axis=0)[self._n_le - 1]
 
-    def _admissible(self, fixed: tuple[float, ...]) -> np.ndarray:
-        """Indices of the candidates whose regimes all clear the floor jointly
-        with the fixed thresholds (a fixed value itself leaves an empty regime)."""
-        fixed_le = np.searchsorted(self._q_sorted, fixed, side="right")
-        n_le = np.column_stack([np.tile(fixed_le, (self.grid.size, 1)), self._n_le])
-        counts = np.diff(np.sort(n_le, axis=1), axis=1, prepend=0, append=self.ws.n_obs)
-        return np.nonzero(counts.min(axis=1) >= self.ws.floor)[0]
-
     def _factor_of(self, fixed: tuple[float, ...]):
         """``_factor(fixed)``: the one built at construction for no fixed
         thresholds, a new one otherwise."""
@@ -513,14 +505,16 @@ class SSRScan:
         meaningless. The result depends only on ``fixed``, in the order given
         (Z's columns follow it)."""
         ws, blocks = self.ws, []
-        rows = self._admissible(fixed)
+        # Candidates clearing the floor with ``fixed`` (a fixed value leaves an empty regime)
+        sets = np.column_stack([np.tile(fixed, (self.grid.size, 1)), self.grid])
+        rows = np.nonzero(ws.regime_counts(sets).min(axis=1) >= ws.floor)[0]
         # Z: the demeaned cumulative columns u * I(q <= b) of each fixed b, then
         # the demeaned x and controls (for no b, the linear model's design).
         for b in fixed:
             rv_cum, ind_cum = ws.cum(b)
             blocks += [rv_cum, ind_cum[:, None]] if ws.spec.include_intercept_shift else [rv_cum]
         Z = np.hstack([*blocks, ws.rv_full_dem, ws.controls_dem])
-        cross = self._cumulative(self._u_sorted[:, :, None] * Z[self._order][:, None, :])[rows]
+        cross = self._cumulative(self._u_sorted[:, :, None] * Z[ws.order][:, None, :])[rows]
         Gzz, Gcc = Z.T @ Z, self._Gcc[rows]
         nz = np.sqrt(np.diag(Gzz))
         nc = np.sqrt(np.maximum(np.diagonal(Gcc, axis1=1, axis2=2), 0.0))
@@ -574,7 +568,7 @@ class SSRScan:
         their screened SSRs for response ``y`` and each one's slack, a bound
         on its distance from the pivoted SSR."""
         rows, P, R, K, bound = factor
-        rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self._order])
+        rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self.ws.order])
         sz = P.T @ y
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
         yy = float(y @ y)

@@ -46,7 +46,8 @@ def conditional_profile(ws, grid, fixed, y=None) -> list[tuple[float, float]]:
         if c in fixed:
             continue
         gammas = tuple(sorted((*fixed, c)))
-        if np.min(ws.regime_counts(gammas)) < ws.floor:
+        n_le = np.sum(ws.q[:, None] <= np.array(gammas), axis=0)
+        if np.min(np.diff(n_le, prepend=0, append=ws.n_obs)) < ws.floor:
             continue
         profile.append((c, _ssr_ws(ws, gammas, y)))
     return profile

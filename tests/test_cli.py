@@ -507,6 +507,7 @@ class TestMainExitCodes:
          "config error: regressor 'c1' is named more than once"),
         ("fit", {"roles": {"regime_varying": ["q", "c1"], "invariant_controls": ["c1"]}}, 2,
          "config error: regressor 'c1' is named more than once"),
+        ("fit", {"inferance": {"replications": 199}}, 2, "['inferance']"),
     ], ids=["csv", "roles", "replications", "alphas", "regime_count_test", "max_lag", "json",
             "simulate", "lag_var", "period_average_k", "lag_k_string", "lag_k_float",
             "within_vars", "instruments", "regime_varying_string", "controls_string",
@@ -516,7 +517,7 @@ class TestMainExitCodes:
             "transforms_object", "transforms_null", "trim_fraction_string", "trim_fraction_null",
             "diagnostics_variables_one",
             "diagnostics_variables_unknown", "unit_is_time", "regime_varying_twice",
-            "controls_twice", "varying_and_control"])
+            "controls_twice", "varying_and_control", "top_level_key"])
     def test_config_fault_stops_before_any_stage(
         self, panel_csv, tmp_path, capsys, monkeypatch, command, fault, code, message
     ):
@@ -652,6 +653,46 @@ class TestMainExitCodes:
         write_csv(panel, p)
         cfg_path = self._write_config(tmp_path, base_config(p))
         assert main(["--config", str(cfg_path), "fit"]) == 4
+
+    def test_no_admissible_candidate_exit_four(self, tmp_path, capsys):
+        # 6 observations, floor 3, grid {1, 2}: neither candidate leaves 3 above it
+        panel = make_panel({"y": [[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]],
+                            "q": [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]})
+        p = tmp_path / "tiny.csv"
+        write_csv(panel, p)
+        cfg_path = self._write_config(tmp_path, base_config(p))
+        assert main(["--config", str(cfg_path), "fit"]) == 4
+        err = capsys.readouterr().err
+        assert "estimation error: no admissible threshold candidate after trimming" in err, err
+
+    def test_report_rejects_data_before_any_bootstrap(self, tmp_path, capsys, monkeypatch):
+        # A control constant within one unit fails the unit-root stage; the
+        # bootstraps run after it, so no replication is spent on a report
+        # that is never written. The estimate itself is fine.
+        from dataclasses import replace
+
+        from panelthresh import cli, inference
+
+        def bootstrap_ran(*args, **kwargs):
+            raise AssertionError("a bootstrap ran")
+
+        monkeypatch.setattr(cli, "regime_count_on", bootstrap_ran)
+        monkeypatch.setattr(inference, "regime_count_on", bootstrap_ran)
+        panel, _ = simulate_threshold_panel(
+            replace(benchmark_dgp(seed=5), n_units=6, n_periods=30, control_betas=(0.3,)))
+        variables = {name: values.copy() for name, values in panel.variables.items()}
+        variables["c1"][0] = 1.0
+        p = tmp_path / "panel.csv"
+        write_csv(make_panel(variables), p)
+        cfg = base_config(p)
+        cfg["roles"]["invariant_controls"] = ["c1"]
+        cfg["inference"].update(replications=199, regime_count_test=True)
+        cfg_path = self._write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--output-dir", str(out), "report"]) == 3
+        assert "unit 'u1' has a constant series for 'c1'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert main(["--config", str(cfg_path), "fit"]) == 0
 
     @pytest.mark.parametrize("transform, message", [
         ({"op": "composite_index", "components": ["c2"], "name": "c1"},

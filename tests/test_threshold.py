@@ -183,6 +183,18 @@ class TestEstimateSingle:
         with pytest.raises(ConfigError):
             estimate_single(panel, spec)
 
+    def test_no_admissible_candidate_errors(self):
+        # 6 observations, floor 3, grid {1, 2}: neither candidate leaves 3 above it
+        from panelthresh.threshold import build_scan, estimate_on
+
+        panel = make_panel({"y": [[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]],
+                            "q": [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]})
+        scan = build_scan(panel, ThresholdSpec(VariableRole("y", "q", ["q"])))
+        assert scan.ws.floor == 3 and scan.grid.tolist() == [1.0, 2.0]
+        with pytest.raises(EstimationError,
+                           match="^no admissible threshold candidate after trimming$"):
+            estimate_on(scan)
+
 
 class TestSsrInvariants:
     def test_piecewise_constant_between_observed(self, rng):
@@ -775,7 +787,7 @@ class TestLocateGroup:
         # the regime between two adjacent candidates is below the floor
         k = scan.grid.size // 2
         crowded = (float(scan.grid[k]), float(scan.grid[k + 1]))
-        assert scan._admissible(crowded).size == 0
+        assert scan.ws.regime_counts(crowded).min() < scan.ws.floor
         assert scan.locate(crowded, ys) == [None] * len(ys)
 
 

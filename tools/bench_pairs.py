@@ -20,7 +20,10 @@ seed: whether the two checkouts write the same bytes for all five CLI
 commands at ``--threads`` 1 and 2. Runs are sequential, so the machine's
 load is one benchmark at a time.
 
-``paths`` records where each checkout lives. Wall times have been seen to
+``machine`` records the first run's environment and the value of
+``PYTHONDONTWRITEBYTECODE``, which perfbench's children inherit: when it is
+set, no bytecode is cached and every CLI run compiles ``src/`` from source,
+inside ``setup_s``. ``paths`` records where each checkout lives. Wall times have been seen to
 follow a checkout's location as well as its code, so the script warns
 unless the two checkouts are siblings with paths of the same length, the
 closest placement it can check (even those have differed by a few percent).
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -159,8 +163,9 @@ def main() -> None:
         traced = {side: _bench(sides[side], workload, seed, trace=True) for side in sides}
         env = runs["change"][0]["env"]
         doc["machine"] = doc["machine"] or {
-            key: env[key]
-            for key in ("nproc", "python", "numpy", "scipy", "blas", "blas_thread_pin", "platform")
+            **{key: env[key] for key in (
+                "nproc", "python", "numpy", "scipy", "blas", "blas_thread_pin", "platform")},
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         }
         summary = _summary(runs, traced, bounds)
         doc["workloads"][f"{workload}/seed{seed}"] = {
