@@ -23,7 +23,9 @@ load is one benchmark at a time.
 ``machine`` records the first run's environment and the value of
 ``PYTHONDONTWRITEBYTECODE``, which perfbench's children inherit: when it is
 set, no bytecode is cached and every CLI run compiles ``src/`` from source,
-inside ``setup_s``. ``paths`` records where each checkout lives. Wall times have been seen to
+inside ``setup_s``.
+
+``paths`` records where each checkout lives. Wall times have been seen to
 follow a checkout's location as well as its code, so the script warns
 unless the two checkouts are siblings with paths of the same length, the
 closest placement it can check (even those have differed by a few percent).
