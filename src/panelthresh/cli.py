@@ -363,6 +363,9 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     diagnostics_vars = check_list(diag.get("variables", role_vars), "diagnostics.variables", str)
     if len(diagnostics_vars) < 2:
         raise ConfigError(f"diagnostics.variables needs at least 2 names, got {diagnostics_vars}")
+    for i, name in enumerate(diagnostics_vars):
+        if name in diagnostics_vars[:i]:
+            raise ConfigError(f"diagnostics.variables names {name!r} more than once")
     return RunConfig(
         input_path=input_path,
         unit_col=unit_col,
@@ -762,10 +765,12 @@ def _resolve(output_dir: str | None, path: str) -> Path:
 def _cmd_report(config: RunConfig, args) -> int:
     json_path = _resolve(args.output_dir, config.output_json)
     md_path = _resolve(args.output_dir, config.output_markdown)
+    sidecar_path = json_path.with_name(json_path.name + ".timings.json")
+    if md_path.resolve() in (json_path.resolve(), sidecar_path.resolve()):
+        raise ConfigError(f"output.markdown {md_path} is also the JSON report or its timings")
     report, markdown, timings = run_pipeline(config, threads=args.threads)
     json_path.write_text(dumps_report(report), encoding="utf-8")
     md_path.write_text(markdown, encoding="utf-8")
-    sidecar_path = json_path.with_name(json_path.name + ".timings.json")
     sidecar_path.write_text(json.dumps({"timings_ms": timings}, indent=2) + "\n", encoding="utf-8")
     print(f"report written: {json_path} {md_path}")
     return 0

@@ -4,12 +4,13 @@ class carries the CLI's exit code for it and the label of its message.
 The entry points check the values they are given with ``check_int``,
 ``check_number``, ``check_flag``, ``check_str`` and ``check_list``. Each
 returns its value or raises a ``ConfigError`` naming the key: a string is
-neither parsed nor split into characters, and a boolean is not read as a
-number. Range rules stay with the code that owns them.
+neither parsed nor split into characters, a boolean is not read as a number,
+and a number must be finite. Range rules stay with the code that owns them.
 """
 
 from __future__ import annotations
 
+import math
 from numbers import Integral, Real
 from typing import Any, Mapping
 
@@ -39,7 +40,10 @@ class EstimationError(PanelThreshError):
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)  # np.bool_ is no Real
+    try:  # np.bool_ is no Real
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 _SEQUENCES = (list, tuple, np.ndarray)
@@ -65,7 +69,7 @@ def check_int(value: Any, name: str, low: int | None = None):
 
 
 def check_number(value: Any, name: str):
-    """A real number, integers and numpy's included, booleans not."""
+    """A finite real number, integers and numpy's included, booleans not."""
     return _check(_is_number(value), value, name, "a number")
 
 

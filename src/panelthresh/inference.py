@@ -28,12 +28,11 @@ from .threshold import (
     SSRScan,
     ThresholdFit,
     ThresholdSpec,
-    _demean_rows,
     _fit_ws,
     _ssr_ws,
     _Workspace,
     build_scan,
-    no_split_message,
+    observed_stages,
     sequential_estimates,
 )
 
@@ -147,9 +146,9 @@ def regime_count_on(
     """Sequential bootstrap F test of k_null thresholds against k_null + 1 on a
     built scan, for k_null = 0 (linearity), 1 or 2.
 
-    F = (S_null - S_alt) / (S_alt / dof), with S_null and S_alt the SSRs at
-    ``chain[k_null]`` and ``chain[k_null + 1]`` of ``chain = [(), *stages]``:
-    by ``_fit_ws`` on the observed sequential stages, by ``_ssr_ws`` on each
+    F = (S_null - S_alt) / (S_alt / N(T - 1)), with S_null and S_alt the SSRs
+    at ``chain[k_null]`` and ``chain[k_null + 1]`` of ``chain = [(), *stages]``:
+    by ``_fit_ws`` on ``observed_stages``, by ``_ssr_ws`` on each
     replication's own. A replication whose estimate stops short of k_null + 1
     thresholds, or whose S_alt is not positive, scores F* = 0 and counts as
     degenerate.
@@ -168,18 +167,15 @@ def regime_count_on(
     check_int(seed, "seed", 0)
     check_int(threads, "threads", 1)
     ws = scan.ws
-    n, t = ws.n_units, ws.n_periods
-    dof = n * (t - 1)
-    (stages,) = sequential_estimates(scan, k_null + 1)
-    if len(stages) <= k_null:
-        raise EstimationError(no_split_message(len(stages)))
+    n = ws.n_units
+    stages = observed_stages(scan, k_null + 1)
     null_fit, alt_fit = (_fit_ws(ws, g) for g in [(), *stages][k_null:k_null + 2])
-    f_obs = (null_fit.ssr - alt_fit.ssr) / (alt_fit.ssr / dof)
-    fitted_null = ws.y.reshape(n, t) - null_fit.residuals
+    f_obs = (null_fit.ssr - alt_fit.ssr) / (alt_fit.ssr / ws.dof)
+    fitted_null = ws.y - null_fit.residuals.ravel()
     picks = np.array([_rep_rng(seed, rep).integers(0, n, size=n) for rep in range(B)], np.int32)
 
     def response(rep: int) -> np.ndarray:
-        return _demean_rows(fitted_null + alt_fit.residuals[picks[rep]]).ravel()
+        return ws._demean_cols(fitted_null + alt_fit.residuals[picks[rep]].ravel())
 
     found = sequential_estimates(scan, k_null + 1, B, response, threads=threads)
 
@@ -191,7 +187,7 @@ def regime_count_on(
         s_alt = _ssr_ws(ws, chain[k_null + 1], y)
         if s_alt <= 0:
             return None
-        return (_ssr_ws(ws, chain[k_null], y) - s_alt) / (s_alt / dof)
+        return (_ssr_ws(ws, chain[k_null], y) - s_alt) / (s_alt / ws.dof)
 
     draws = [price(rep) for rep in range(B)]
     f_boot = np.array([0.0 if f is None else f for f in draws])

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from ._linalg import RANK_TOL, pivoted_lstsq
-from .errors import ConfigError, EstimationError, check_flag, check_int, check_number
+from .errors import ConfigError, DataError, EstimationError, check_flag, check_int, check_number
 from .panel import PanelDataset, VariableRole, make_lag
 
 DEFAULT_TRIM = 0.05
@@ -144,22 +144,18 @@ def candidate_grid(
     return survivors
 
 
-def _demean_rows(mat: np.ndarray) -> np.ndarray:
-    return mat - mat.mean(axis=1, keepdims=True)
-
-
 class _Workspace:
     """Estimation-ready arrays for one (panel, spec) pair.
 
-    The one place that decides the estimation sample: with ``dynamic_lag``
-    the dependent variable's one-period lag is added as ``<dependent>_lag1``
-    and the first period is dropped. That panel is kept as ``panel`` and the
-    lag column's name as ``lag`` (None without the lag); the matrices are
-    flattened unit-major, q sorted once (``order``, ``q_sorted``) for the one
-    regime count (``regime_counts``) every floor check reads. Regime columns
-    are differences of the demeaned cumulative columns I(q <= c) * x,
-    recomputed on each use so the workspace stays read-only and its size does
-    not grow with the number of candidates.
+    The one place that decides the estimation sample: with ``dynamic_lag`` the
+    dependent variable's one-period lag is added as ``<dependent>_lag1`` and the
+    first period is dropped. That panel is kept as ``panel`` and the lag
+    column's name as ``lag`` (None without the lag); the matrices are flattened
+    unit-major, q sorted once (``order``, ``q_sorted``) for the one regime count
+    (``regime_counts``) every floor check reads, and ``dof`` = N(T - 1) divides
+    every sigma2_hat. Regime columns are differences of the demeaned cumulative
+    columns I(q <= c) * x, recomputed on each use so the workspace stays
+    read-only and its size does not grow with the number of candidates.
     """
 
     def __init__(self, panel: PanelDataset, spec: ThresholdSpec):
@@ -174,8 +170,12 @@ class _Workspace:
         self.n_units = est_panel.n_units
         self.n_periods = est_panel.n_periods
         self.n_obs = self.n_units * self.n_periods
+        self.dof = self.n_units * (self.n_periods - 1)
         self.floor = observation_floor(spec.trim_fraction, self.n_obs)
-        self.y = _demean_rows(est_panel.values(roles.dependent)).ravel()
+        values = est_panel.values(roles.dependent)
+        if np.all(np.ptp(values, axis=1) == 0):
+            raise DataError(f"dependent variable {roles.dependent!r} has no within-unit variation")
+        self.y = self._demean_cols(values.ravel())
         self.q = est_panel.values(roles.threshold).ravel()
         self.order = np.argsort(self.q, kind="stable")
         self.q_sorted = self.q[self.order]
@@ -192,15 +192,15 @@ class _Workspace:
             self.controls_dem = np.empty((self.n_obs, 0))
 
     def _demean_cols(self, cols: np.ndarray, exact_constants: bool = False) -> np.ndarray:
-        """Within-demeaned columns. With ``exact_constants``, a series that
-        is constant over a unit's periods demeans to exact zeros there, not
-        to the rounding noise of its mean, which the scale-free rank rule
-        would keep as a column."""
+        """Within-demeaned columns, in the shape of ``cols``. With
+        ``exact_constants``, a series that is constant over a unit's periods
+        demeans to exact zeros there, not to the rounding noise of its mean,
+        which the scale-free rank rule would keep as a column."""
         shaped = cols.reshape(self.n_units, self.n_periods, -1)
         dem = shaped - shaped.mean(axis=1, keepdims=True)
         if exact_constants:
             dem.transpose(0, 2, 1)[np.all(shaped == shaped[:, :1], axis=1)] = 0.0
-        return dem.reshape(self.n_obs, -1)
+        return dem.reshape(cols.shape)
 
     def cum(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Demeaned x * I(q <= gamma) columns and the demeaned indicator."""
@@ -262,7 +262,6 @@ def _fit_ws(ws: _Workspace, gammas: Sequence[float]) -> ThresholdFit:
         delta = tuple(float(b) for b in res.beta[offset:offset + len(gammas)])
         offset += len(gammas)
     control_betas = {name: float(b) for name, b in zip(ws.control_names, res.beta[offset:])}
-    sigma2 = res.ssr / (ws.n_units * (ws.n_periods - 1))
     return ThresholdFit(
         gammas=tuple(float(g) for g in gammas),
         regime_varying=ws.rv_names,
@@ -270,7 +269,7 @@ def _fit_ws(ws: _Workspace, gammas: Sequence[float]) -> ThresholdFit:
         delta=delta,
         control_betas=control_betas,
         ssr=res.ssr,
-        sigma2=sigma2,
+        sigma2=res.ssr / ws.dof,
         residuals=res.residuals.reshape(ws.n_units, ws.n_periods),
         regime_counts=tuple(int(c) for c in counts),
         n_units=ws.n_units,
@@ -348,20 +347,19 @@ def estimate_on(scan: SSRScan) -> ThresholdFit:
     within the slack attached beside it elsewhere (see ``ThresholdFit``).
     """
     k = scan.ws.spec.num_thresholds
-    (stages,) = sequential_estimates(scan, k)
-    if len(stages) < k:
-        raise EstimationError(no_split_message(len(stages)))
-    gammas = stages[-1]
+    gammas = observed_stages(scan, k)[-1]
     profiles, slacks = zip(*(scan.profile(gammas[:j] + gammas[j + 1:], gammas[j:j + 1])
                              for j in range(k)))
     return replace(_fit_ws(scan.ws, gammas), ssr_profiles=profiles, ssr_profile_slacks=slacks)
 
 
-def no_split_message(found: int) -> str:
-    """Error text for a sequential estimate that stopped after ``found`` stages."""
-    if found == 0:
-        return "no admissible threshold candidate after trimming"
-    return f"no admissible {found + 1}-threshold split"
+def observed_stages(scan: SSRScan, depth: int) -> list[tuple[float, ...]]:
+    """The workspace response's ``depth`` sequential stages; an EstimationError if fewer exist."""
+    (stages,) = sequential_estimates(scan, depth)
+    if len(stages) < depth:
+        raise EstimationError(f"no admissible {len(stages) + 1}-threshold split" if stages
+                              else "no admissible threshold candidate after trimming")
+    return stages
 
 
 def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
@@ -568,7 +566,7 @@ class SSRScan:
         their screened SSRs for response ``y`` and each one's slack, a bound
         on its distance from the pivoted SSR."""
         rows, P, R, K, bound = factor
-        rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self.ws.order])
+        rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self.ws.order, None])
         sz = P.T @ y
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
         yy = float(y @ y)

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from panelthresh import (ConfigError, DataError, benchmark_dgp, simulate_threshold_panel,
-                         within_transform)
+from panelthresh import (ConfigError, DataError, ThresholdDGP, benchmark_dgp,
+                         simulate_threshold_panel, within_transform)
 from panelthresh.cli import (
     REPORT_SCHEMA,
     _label_key,
@@ -508,6 +508,13 @@ class TestMainExitCodes:
         ("fit", {"roles": {"regime_varying": ["q", "c1"], "invariant_controls": ["c1"]}}, 2,
          "config error: regressor 'c1' is named more than once"),
         ("fit", {"inferance": {"replications": 199}}, 2, "['inferance']"),
+        # one output path for two files would keep only the last one written
+        ("report", {"output": {"json": "same.out", "markdown": "same.out"}}, 2,
+         "config error: output.markdown same.out is also the JSON report or its timings"),
+        ("report", {"output": {"markdown": "report.json.timings.json"}}, 2,
+         "output.markdown report.json.timings.json is also the JSON report or its timings"),
+        ("report", {"diagnostics": {"variables": ["q", "c1", "q"]}}, 2,
+         "config error: diagnostics.variables names 'q' more than once"),
     ], ids=["csv", "roles", "replications", "alphas", "regime_count_test", "max_lag", "json",
             "simulate", "lag_var", "period_average_k", "lag_k_string", "lag_k_float",
             "within_vars", "instruments", "regime_varying_string", "controls_string",
@@ -517,7 +524,8 @@ class TestMainExitCodes:
             "transforms_object", "transforms_null", "trim_fraction_string", "trim_fraction_null",
             "diagnostics_variables_one",
             "diagnostics_variables_unknown", "unit_is_time", "regime_varying_twice",
-            "controls_twice", "varying_and_control", "top_level_key"])
+            "controls_twice", "varying_and_control", "top_level_key", "json_is_markdown",
+            "markdown_is_sidecar", "diagnostics_variables_twice"])
     def test_config_fault_stops_before_any_stage(
         self, panel_csv, tmp_path, capsys, monkeypatch, command, fault, code, message
     ):
@@ -694,6 +702,23 @@ class TestMainExitCodes:
         assert not (out / "report.json").exists()
         assert main(["--config", str(cfg_path), "fit"]) == 0
 
+    @pytest.mark.parametrize("command", ["fit", "test", "ci", "diagnose", "report"])
+    def test_dependent_without_within_variation_exit_three(self, tmp_path, capsys, command):
+        # y is the unit index: the within transform leaves nothing to explain,
+        # so every subcommand stops with a data error instead of a zero
+        # sigma2_hat, a division by it or an arbitrary threshold.
+        panel, _ = simulate_threshold_panel(ThresholdDGP(
+            n_units=6, n_periods=30, gamma0=0.5, beta_low=(1.0,), beta_high=(2.0,),
+            control_betas=(0.5,), seed=1))
+        variables = {**panel.variables, "y": np.repeat(np.arange(6.0)[:, None], 30, axis=1)}
+        write_csv(make_panel(variables), tmp_path / "panel.csv")
+        cfg_path = self._write_config(tmp_path, base_config(tmp_path / "panel.csv"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--output-dir", str(out), command]) == 3
+        err = capsys.readouterr().err
+        assert "data error: dependent variable 'y' has no within-unit variation" in err, err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("transform, message", [
         ({"op": "composite_index", "components": ["c2"], "name": "c1"},
          "data error: variable 'c1' already exists"),
@@ -757,6 +782,11 @@ class TestMainExitCodes:
         ("dgp", "gamma0", "0.5", "gamma0 must be a number"),
         ("dgp", "threshold_in_regressors", "false", "threshold_in_regressors must be true or false"),
         ("dgp", "threshold_dist", 5, "threshold_dist must be a string"),
+        ("dgp", "gamma0", math.nan, "gamma0 must be a number, got nan"),
+        ("dgp", "noise_sd", math.nan, "noise_sd must be a number, got nan"),
+        ("dgp", "noise_sd", math.inf, "noise_sd must be a number, got inf"),
+        ("dgp", "beta_low", [-math.inf], "beta_low must be a list of numbers"),
+        ("simulate", "alpha", math.nan, "simulate.alpha must be a number, got nan"),
     ])
     def test_simulate_mistyped_field_exit_two(self, tmp_path, capsys, section, key, value, message):
         cfg = self._simulate_config(4)

@@ -34,7 +34,7 @@ from panelthresh._linalg import pivoted_lstsq
 from panelthresh import inference, threshold
 from panelthresh.inference import _rep_rng, ci_on, regime_count_on
 from panelthresh.threshold import (
-    SSRScan, _demean_rows, _fit_ws, _Workspace, build_scan, run_indexed,
+    SSRScan, _fit_ws, _Workspace, build_scan, run_indexed,
 )
 
 from conftest import conditional_profile, make_panel, profile_argmin
@@ -101,7 +101,8 @@ def reference_bootstrap(ws, resid_null, resid_alt, ssr_pair, B, seed):
     f_boot, degenerate = [], 0
     for rep in range(B):
         draw = _rep_rng(seed, rep).integers(0, n, size=n)
-        pair = ssr_pair(_demean_rows(fitted_null + resid_alt[draw]).ravel())
+        y = fitted_null + resid_alt[draw]
+        pair = ssr_pair((y - y.mean(axis=1, keepdims=True)).ravel())
         if pair is None or pair[1] <= 0:
             degenerate += 1
             f_boot.append(0.0)

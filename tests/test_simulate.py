@@ -63,10 +63,16 @@ class TestDgpValidation:
         ("control_betas", "5", "a list of numbers"), ("delta0", "0.3", "a number"),
         ("theta0", "0.5", "a number"), ("fixed_effect_sd", "1", "a number"),
         ("noise_sd", True, "a number"), ("endogeneity_rho", "0.2", "a number"),
+        ("gamma0", float("nan"), "a number"), ("noise_sd", float("inf"), "a number"),
+        ("delta0", float("-inf"), "a number"),
+        ("gamma0", [0.3, float("nan")], "a list of numbers"),
+        ("control_betas", [float("inf")], "a list of numbers"),
+        pytest.param("fixed_effect_sd", 10**400, "a number", id="fixed_effect_sd-10**400"),
     ])
     def test_number_fields_checked(self, field, value, message):
-        # A string is neither split into characters nor parsed, and a boolean
-        # is not read as 0 or 1.
+        # A string is neither split into characters nor parsed, a boolean is
+        # not read as 0 or 1, and NaN, an infinity or an integer too large for
+        # a float is no number.
         kwargs = dict(n_units=4, n_periods=10, gamma0=0.5, beta_low=(0.0,), beta_high=(1.0,))
         with pytest.raises(ConfigError, match=rf"{field}(\[\d\])? must be {message}"):
             ThresholdDGP(**{**kwargs, field: value})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from panelthresh import (
     ConfigError,
+    DataError,
     EstimationError,
     ThresholdDGP,
     ThresholdFit,
@@ -142,6 +144,18 @@ class TestFitAt:
         fit = fit_at(panel, spec, [0.5])
         assert sum(fit.regime_counts) == panel.n_units * panel.n_periods
         assert fit.sigma2 == fit.ssr / (panel.n_units * (panel.n_periods - 1))
+
+    def test_dependent_constant_in_the_estimation_sample_errors(self, rng):
+        # y varies only in the first period, which the dynamic lag drops: the
+        # rule reads the estimation sample, not the panel as given.
+        q, x = rng.uniform(0, 1, (3, 12)), rng.standard_normal((3, 12))
+        y = np.ones((3, 12))
+        y[:, 0] = [0.0, 2.0, 5.0]
+        panel = make_panel({"y": y, "q": q, "x": x})
+        static = ThresholdSpec(VariableRole("y", "q", ["x"]), trim_fraction=0.1)
+        assert fit_at(panel, static, [float(np.median(q))]).ssr > 0
+        with pytest.raises(DataError, match="dependent variable 'y' has no within-unit variation"):
+            fit_at(panel, replace(static, dynamic_lag=True), [float(np.median(q[:, 1:]))])
 
 
 class TestEstimateSingle:

@@ -10,10 +10,13 @@ each ``--threads`` value (default 1 and 2), one fresh interpreter at a time
 on the checkout's own ``src``, BLAS pinned to one thread. It compares
 ``report.json`` and ``report.md`` of ``report`` and the standard output of
 the other commands; the report's timings sidecar is not reproducible and
-is left out. One line per output gives its sha256 and whether the two
-checkouts wrote the same bytes. The exit code is 1 when any output
-differs or any run fails, else 0. ``compare`` is the check for one
-workload and seed; ``tools/bench_pairs.py`` imports it.
+is left out. Then, at each ``--threads`` value, it runs ``simulate`` from
+each checkout with the ``recovery`` and the ``size`` experiment on
+PARENT's ``benchmark_dgp()`` (8x36, 50 trials, B = 99, master seed 0) and
+compares the standard output. One line per output gives its sha256 and
+whether the two checkouts wrote the same bytes. The exit code is 1 when
+any output differs or any run fails, else 0. ``compare`` is the check for
+one workload and seed; ``tools/bench_pairs.py`` imports it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,20 @@ DEFAULT_RUNS = ("report-large:3", "report-large:7", "test-mid:2", "test-mid:11")
 WRITE_INPUTS = ("import sys; from pathlib import Path; from workloads import WORKLOADS, "
                 "write_inputs; write_inputs(WORKLOADS[sys.argv[1]], int(sys.argv[2]), "
                 "Path(sys.argv[3]))")
+WRITE_SIMULATE = ("import dataclasses, json, sys; from panelthresh import benchmark_dgp; "
+                  "json.dump({'simulate': {'experiment': sys.argv[1], 'trials': 50, "
+                  "'replications': 99, 'master_seed': 0, "
+                  "'dgp': dataclasses.asdict(benchmark_dgp())}}, sys.stdout)")
+
+
+def _same(label: str, parent: bytes, change: bytes) -> bool:
+    """Print one output's verdict line; whether the two sides wrote the same bytes."""
+    same = change == parent
+    digests = hashlib.sha256(parent).hexdigest()[:16]
+    if not same:
+        digests += " != " + hashlib.sha256(change).hexdigest()[:16]
+    print(f"{label}: {'equal' if same else 'DIFFERENT'} {digests}", flush=True)
+    return same
 
 
 def _run(argv: list[str], cwd: Path, pythonpath: list[Path]) -> subprocess.CompletedProcess:
@@ -73,13 +90,28 @@ def compare(sides: dict[str, Path], workload: str, seed: int,
                 parent, change = (_outputs(side, checkout, run_dir, command, n)
                                   for side, checkout in sides.items())
                 for name, data in parent.items():
-                    same = change[name] == data
-                    differ += not same
-                    digests = hashlib.sha256(data).hexdigest()[:16]
-                    if not same:
-                        digests += " != " + hashlib.sha256(change[name]).hexdigest()[:16]
-                    print(f"{workload} seed {seed} --threads {n} {command} {name}: "
-                          f"{'equal' if same else 'DIFFERENT'} {digests}", flush=True)
+                    differ += not _same(f"{workload} seed {seed} --threads {n} {command} {name}",
+                                        data, change[name])
+    return differ
+
+
+def compare_simulate(sides: dict[str, Path], threads: tuple[int, ...] = (1, 2)) -> int:
+    """Print one line per ``simulate`` experiment and thread count; return how many differ."""
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
+        for experiment in ("recovery", "size"):
+            run_dir = Path(tmp) / experiment
+            run_dir.mkdir()
+            proc = _run([sys.executable, "-c", WRITE_SIMULATE, experiment], run_dir,
+                        [sides["parent"] / "src"])
+            if proc.returncode != 0:
+                sys.exit(f"outputs_equal: writing the {experiment} simulate config failed:\n"
+                         f"{proc.stderr.decode(errors='replace')}")
+            (run_dir / "config.json").write_bytes(proc.stdout)
+            for n in threads:
+                parent, change = (_outputs(side, checkout, run_dir, "simulate", n)["stdout"]
+                                  for side, checkout in sides.items())
+                differ += not _same(f"simulate {experiment} --threads {n} stdout", parent, change)
     return differ
 
 
@@ -98,6 +130,7 @@ def main() -> None:
             parser.error(f"--run takes WORKLOAD:SEED, got {item!r}")
         specs.append((workload, int(seed)))
     differ = sum(compare(sides, workload, seed, tuple(args.threads)) for workload, seed in specs)
+    differ += compare_simulate(sides, tuple(args.threads))
     print(f"outputs_equal: {differ} output(s) differ")
     sys.exit(1 if differ else 0)
 
