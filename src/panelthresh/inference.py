@@ -106,8 +106,9 @@ def linearity_test(
     single-threshold residual variance: ``regime_count_on`` with k_null = 0.
     The candidate Gram matrices are fixed across replications, so the
     screened scan factorizes them once; each replication costs one
-    cumulative sum of the regenerated response to locate its threshold,
-    plus its two exact SSRs, S0 and S1, priced on the calling thread.
+    cumulative sum of the regenerated response, which locates its threshold
+    and screens both S0 and S1. Pivoted QR prices only the few replications
+    whose F* could move the p-value or a critical value.
     """
     return regime_count_on(build_scan(panel, spec), 0, B, seed, threads=threads)
 
@@ -147,18 +148,31 @@ def regime_count_on(
     built scan, for k_null = 0 (linearity), 1 or 2.
 
     F = (S_null - S_alt) / (S_alt / N(T - 1)), with S_null and S_alt the SSRs
-    at ``chain[k_null]`` and ``chain[k_null + 1]`` of ``chain = [(), *stages]``:
-    by ``_fit_ws`` on ``observed_stages``, by ``_ssr_ws`` on each
-    replication's own. A replication whose estimate stops short of k_null + 1
-    thresholds, or whose S_alt is not positive, scores F* = 0 and counts as
-    degenerate.
+    at entries k_null and k_null + 1 of a sequential chain: by ``_fit_ws`` on
+    ``observed_stages``, and for each replication from the records of its own
+    ``sequential_estimates`` chain. A replication whose chain stops short of
+    k_null + 1 thresholds, or whose S_alt is not positive, scores F* = 0 and
+    counts as degenerate.
 
     B, the seed and ``threads`` are checked before any scan. The unit picks
     are drawn up front (B x N int32), each replication's from its own stream,
     and one ``sequential_estimates`` call runs all B responses, so
-    ``threads`` spreads the fixed-threshold groups of each step. The
-    replications' two exact SSRs each are then priced in order on the
-    calling thread.
+    ``threads`` spreads the fixed-threshold groups of each step.
+
+    Each F* is then priced from its chain's two records. Their SSRs, within
+    their slacks (padded as in ``ci_on``), bound F* to an interval, padded
+    for the rounding of the formula. A p-value reads only the side of the
+    observed F each F* falls on, and a critical value only the order
+    statistics ``np.quantile`` reads (Davidson and MacKinnon 2000). So a
+    replication is priced exactly, by ``_ssr_ws`` on the calling thread in
+    replication order for each side with a nonzero slack, only when its
+    interval holds the observed F, when S_alt's lower end is not positive,
+    when the interval is not finite, or, repeated until no more are, when
+    its possible ranks meet a position one of ``CRITICAL_LEVELS`` reads.
+    Every other F* is its interval's lower end, on the side and at the ranks
+    of its exact value. So ``bootstrap_p``, ``critical_values`` and
+    ``degenerate_replications`` are bitwise those of pricing every
+    replication exactly.
     """
     if k_null not in (0, 1, 2):
         raise ConfigError(f"k_null must be 0, 1 or 2, got {k_null}")
@@ -177,30 +191,66 @@ def regime_count_on(
     def response(rep: int) -> np.ndarray:
         return ws._demean_cols(fitted_null + alt_fit.residuals[picks[rep]].ravel())
 
-    found = sequential_estimates(scan, k_null + 1, B, response, threads=threads)
+    chains = sequential_estimates(scan, k_null + 1, B, response, threads=threads)
+    pairs = [chain[k_null:k_null + 2] for chain in chains]
+    # A chain short of k_null + 1 thresholds is F* = 0: exact and degenerate.
+    exact = np.array([len(pair) < 2 for pair in pairs])
+    degenerate = exact.copy()
+    ssr, slack = np.zeros((B, 2)), np.zeros((B, 2))
+    for rep in np.nonzero(~exact)[0]:
+        ssr[rep] = [stage.ssr for stage in pairs[rep]]
+        slack[rep] = [stage.slack for stage in pairs[rep]]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    pad = slack + 4.0 * eps * (np.abs(ssr) + slack)
+    ends = np.stack([ssr - pad, ssr + pad], axis=2)
+    with np.errstate(all="ignore"):
+        # F rises with S_null and is monotone in S_alt > 0: the corners bound it.
+        alt_ends = ends[:, 1, None, :]
+        corners = ((ends[:, 0, :, None] - alt_ends) / (alt_ends / ws.dof)).reshape(B, 4)
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        lo, hi = lo - 16.0 * eps * np.abs(lo) - tiny, hi + 16.0 * eps * np.abs(hi) + tiny
+    lo[exact] = hi[exact] = 0.0
+    todo = ~exact & ((lo < f_obs) & (f_obs <= hi) | (ends[:, 1, 0] <= 0)
+                     | ~np.isfinite(lo + hi))
 
-    def price(rep: int) -> float | None:
-        chain = [(), *found[rep]]
-        if len(chain) <= k_null + 1:
-            return None
+    def price(rep: int) -> float:
+        null, alt = pairs[rep]
         y = response(rep)
-        s_alt = _ssr_ws(ws, chain[k_null + 1], y)
+        s_alt = _ssr_ws(ws, alt.gammas, y) if alt.slack else alt.ssr
         if s_alt <= 0:
-            return None
-        return (_ssr_ws(ws, chain[k_null], y) - s_alt) / (s_alt / ws.dof)
+            degenerate[rep] = True
+            return 0.0
+        s_null = _ssr_ws(ws, null.gammas, y) if null.slack else null.ssr
+        return (s_null - s_alt) / (s_alt / ws.dof)
 
-    draws = [price(rep) for rep in range(B)]
-    f_boot = np.array([0.0 if f is None else f for f in draws])
+    reads = np.array(sorted({i for a in CRITICAL_LEVELS for i in _quantile_reads(B, 1.0 - a)}))
+    while True:
+        for rep in np.nonzero(todo)[0]:
+            lo[rep] = hi[rep] = price(rep)
+        exact |= todo
+        # ranks from #{hi_k < lo_i} to B - 1 - #{lo_k > hi_i}
+        lowest = np.searchsorted(np.sort(hi), lo, side="left")
+        highest = np.searchsorted(np.sort(lo), hi, side="right") - 1
+        todo = ~exact & np.any((lowest[:, None] <= reads) & (reads <= highest[:, None]), axis=1)
+        if not todo.any():
+            break
     return BootstrapTestResult(
         f_statistic=float(f_obs),
-        bootstrap_p=float(np.count_nonzero(f_boot >= f_obs)) / B,
-        critical_values={a: float(np.quantile(f_boot, 1.0 - a)) for a in CRITICAL_LEVELS},
+        bootstrap_p=float(np.count_nonzero(lo >= f_obs)) / B,
+        critical_values={a: float(np.quantile(lo, 1.0 - a)) for a in CRITICAL_LEVELS},
         replications=B,
         seed=int(seed),
         null_model=_MODEL_NAMES[k_null],
         alt_model=_MODEL_NAMES[k_null + 1],
-        degenerate_replications=sum(f is None for f in draws),
+        degenerate_replications=int(np.count_nonzero(degenerate)),
     )
+
+
+def _quantile_reads(count: int, q: float) -> tuple[int, int]:
+    """The two sorted positions ``np.quantile`` (linear method) reads for
+    quantile ``q`` of ``count`` values."""
+    below = math.floor((count - 1) * q)
+    return below, min(below + 1, count - 1)
 
 
 def threshold_ci(

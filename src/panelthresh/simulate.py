@@ -132,9 +132,15 @@ def _parse_dist(descriptor: str) -> tuple[str, float, float]:
         raise ConfigError(
             f"threshold_dist must look like 'uniform(a,b)' or 'lognormal(mu,sigma)', got {descriptor!r}"
         )
-    kind, a, b = m.group(1), float(m.group(2)), float(m.group(3))
-    if kind == "uniform" and b <= a:
-        raise ConfigError(f"uniform bounds must satisfy a < b, got {descriptor!r}")
+    kind = m.group(1)
+    try:
+        a, b = float(m.group(2)), float(m.group(3))
+    except ValueError:
+        a = b = math.nan
+    if not math.isfinite(a) or not math.isfinite(b):
+        raise ConfigError(f"threshold_dist must be a distribution of finite numbers, got {descriptor!r}")
+    if kind == "uniform" and not (b > a and math.isfinite(b - a)):
+        raise ConfigError(f"uniform bounds must satisfy a < b with b - a finite, got {descriptor!r}")
     if kind == "lognormal" and b <= 0:
         raise ConfigError(f"lognormal sigma must be positive, got {descriptor!r}")
     return kind, a, b
@@ -178,6 +184,9 @@ def simulate_threshold_panel(dgp: ThresholdDGP) -> tuple[PanelDataset, TruthReco
             q = rng.uniform(a, b, size=(n, t_gen))
         else:
             q = rng.lognormal(a, b, size=(n, t_gen))
+    if not np.all(np.isfinite(q)):
+        raise ConfigError(f"threshold_dist must be a distribution of finite draws, got "
+                          f"{dgp.threshold_dist!r}, which drew a non-finite threshold")
 
     rv_names = ["q"] if dgp.threshold_in_regressors else []
     regressors: dict[str, np.ndarray] = {}

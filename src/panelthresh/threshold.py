@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -355,7 +355,8 @@ def estimate_on(scan: SSRScan) -> ThresholdFit:
 
 def observed_stages(scan: SSRScan, depth: int) -> list[tuple[float, ...]]:
     """The workspace response's ``depth`` sequential stages; an EstimationError if fewer exist."""
-    (stages,) = sequential_estimates(scan, depth)
+    (chain,) = sequential_estimates(scan, depth)
+    stages = [stage.gammas for stage in chain[1:]]
     if len(stages) < depth:
         raise EstimationError(f"no admissible {len(stages) + 1}-threshold split" if stages
                               else "no admissible threshold candidate after trimming")
@@ -373,18 +374,43 @@ def run_indexed(count: int, threads: int, worker: Callable[[int], Any]) -> list:
         return list(pool.map(worker, range(count)))
 
 
+class Located(NamedTuple):
+    """One response's ``SSRScan.locate`` result under a fixed set: the
+    located candidate ``gamma``, and ``ssr``, the SSR of the fixed set joined
+    by it, within ``slack`` of the pivoted-QR value (slack 0: bitwise
+    ``_ssr_ws``). ``fixed_ssr`` is the screened SSR of the fixed set's own
+    model, within ``fixed_slack`` (infinite unless the set is empty)."""
+
+    gamma: float
+    ssr: float
+    slack: float
+    fixed_ssr: float
+    fixed_slack: float
+
+
+class Stage(NamedTuple):
+    """One model of a sequential chain: its sorted thresholds and its SSR,
+    within ``slack`` of ``_ssr_ws`` there (slack 0: bitwise that value)."""
+
+    gammas: tuple[float, ...]
+    ssr: float
+    slack: float
+
+
 def sequential_estimates(
     scan: SSRScan, k: int, count: int = 1,
     response: Callable[[int], np.ndarray] | None = None, *, threads: int = 1,
-) -> list[list[tuple[float, ...]]]:
-    """Sequential sorted thresholds for 1 up to ``k`` thresholds, one list for
-    each of ``count`` responses ``response(i)`` (by default the workspace
-    response).
+) -> list[list[Stage]]:
+    """The sequential chain of each of ``count`` responses ``response(i)``
+    (by default the workspace response), for 0 up to ``k`` thresholds.
 
-    Entry j of a list is the (j + 1)-threshold stage: the minimizer given the
-    thresholds of the stage before. The two-threshold stage then makes one
-    refinement pass, re-estimating the first threshold given the second. A
-    list stops early at the first stage without an admissible split.
+    Entry j of a chain is the j-threshold model. Entry 0 is the linear model,
+    priced from the first step's own screen (``Located.fixed_ssr`` under no
+    fixed thresholds). Entry j >= 1 is the minimizer given the thresholds of
+    entry j - 1, with the SSR of the record that located it; the
+    two-threshold entry is the refinement pass's, which re-estimates the
+    first threshold given the second. A chain stops early at the first step
+    without an admissible split.
 
     The responses go through one scan step at a time (first threshold,
     second, refinement, third), grouped by their fixed thresholds. Each group
@@ -394,7 +420,7 @@ def sequential_estimates(
     """
     response = response or (lambda i: scan.ws.y)
 
-    def step(fixed_of: dict[int, tuple[float, ...]]) -> dict[int, float | None]:
+    def step(fixed_of: dict[int, tuple[float, ...]]) -> dict[int, Located | None]:
         groups: dict[tuple[float, ...], list[int]] = {}
         for i, fixed in fixed_of.items():
             groups.setdefault(fixed, []).append(i)
@@ -403,19 +429,22 @@ def sequential_estimates(
             len(sets), threads, lambda g: scan.locate(sets[g], map(response, members[g])))
         return {i: hit for group, hits in zip(members, found) for i, hit in zip(group, hits)}
 
-    stages: list[list[tuple[float, ...]]] = [[] for _ in range(count)]
+    chains: list[list[Stage]] = [[] for _ in range(count)]
     live = dict.fromkeys(range(count), ())
     for stage in range(k):
-        hits = {i: gamma for i, gamma in step(live).items() if gamma is not None}
+        hits = {i: hit for i, hit in step(live).items() if hit is not None}
+        if stage == 0:
+            for i, hit in hits.items():
+                chains[i].append(Stage((), hit.fixed_ssr, hit.fixed_slack))
         if stage == 1:
-            refined = step({i: (gamma,) for i, gamma in hits.items()})
-        for i, gamma in hits.items():
+            refined = step({i: (hit.gamma,) for i, hit in hits.items()})
+        for i, hit in hits.items():
             # refined[i] is found: the pair it was refined from cleared the floor.
-            fixed = (refined[i],) if stage == 1 else live[i]
-            live[i] = tuple(sorted((*fixed, gamma)))
-            stages[i].append(live[i])
+            held, hit = ((hit.gamma,), refined[i]) if stage == 1 else (live[i], hit)
+            live[i] = tuple(sorted((*held, hit.gamma)))
+            chains[i].append(Stage(live[i], hit.ssr, hit.slack))
         live = {i: live[i] for i in hits}
-    return stages
+    return chains
 
 
 class SSRScan:
@@ -454,7 +483,9 @@ class SSRScan:
     those only when there are several: a lone one is the minimum, every
     other lying strictly above it. So its argmin and tie-break (the first
     candidate) are bitwise those of ``profile_argmin(conditional_profile(ws,
-    grid, fixed, y))`` in ``tests/conftest.py``. ``profile`` re-evaluates
+    grid, fixed, y))`` in ``tests/conftest.py``, and its record (``Located``)
+    keeps the winner's screened SSR, or its pivoted one when the winner was
+    re-evaluated. ``profile`` re-evaluates
     all of them, and those at ``keep``, and returns every entry.
 
     Nothing changes after construction, and the unconditional factor's
@@ -501,7 +532,25 @@ class SSRScan:
         pivoted SSR| per unit of y'y. The bound is infinite where a pivot is
         not positive or the conditioning leaves the first-order bound
         meaningless. The result depends only on ``fixed``, in the order given
-        (Z's columns follow it)."""
+        (Z's columns follow it).
+
+        Last comes the bound of the fixed set's own model, Z alone, screened
+        as y'y - |P'y|^2; it is the candidates' argument with m = 0. Z'Z is
+        made from Z itself, so each entry is off by acc * sqrt(raw_a * raw_b)
+        with raw its diagonal (raw * dz^2 = 1), the equilibrated Gram by
+        acc * p_z in norm, and |P'y|^2 <= y'y by acc * p_z * ||G^-1|| * y'y
+        at first order, with ||G^-1|| <= trace(G^-1) = ||Lz^-1||_F^2. So
+        kappa_z = p_z * ||Lz^-1||_F^2 is the candidates' kappa with m = 0,
+        the pivoted reference adds acc * sqrt(kappa_z) per column (kb = 1),
+        and the bound is 8 * acc * (kappa_z + 4 * p_z * sqrt(kappa_z)) per
+        unit of y'y, acc also taken with m = 0. First order holds only when
+        Z factored, every nz > 0 and acc * kappa_z < 1e-2. For no fixed
+        thresholds Z is bitwise the linear design ``design(())``, whose
+        unit-norm columns are the equilibrated basis itself (M = I below),
+        with sigma_min >= 1 / ||Lz^-1||_F; the pivoted path keeps every
+        column when that clears 40 * RANK_TOL. With fixed thresholds Z's
+        cumulative columns are not the design's regime columns, and the
+        bound is left infinite."""
         ws, blocks = self.ws, []
         # Candidates clearing the floor with ``fixed`` (a fixed value leaves an empty regime)
         sets = np.column_stack([np.tile(fixed, (self.grid.size, 1)), self.grid])
@@ -525,7 +574,8 @@ class SSRScan:
         K = lh_inv @ W
         KL = K @ lz_inv
         # trace(G^-1) = ||L^-1||_F^2 >= ||G^-1||, from the blocks of L^-1
-        trace = (np.sum(lz_inv * lz_inv) + np.einsum("cij,cij->c", KL, KL)
+        trace_z = np.sum(lz_inv * lz_inv)
+        trace = (trace_z + np.einsum("cij,cij->c", KL, KL)
                  + np.einsum("cij,cij->c", lh_inv, lh_inv))
         # First-order bound: each moment is a running sum over at most N*T
         # observations of terms made in at most T + 4 rounded steps, whose
@@ -536,7 +586,8 @@ class SSRScan:
         # in norm, amplified by ||G^-1||; the pivoted reference adds acc *
         # sqrt(condition). Z'Z comes from Z itself (raw = its diagonal).
         kb, p = len(fixed) + 1, Z.shape[1] + nc.shape[1]
-        acc = (2 * (ws.n_obs + ws.n_periods + 4) + p**3) * np.finfo(float).eps
+        runs = 2 * (ws.n_obs + ws.n_periods + 4)
+        acc = (runs + p**3) * np.finfo(float).eps
         kappa = p * np.maximum(1.0, np.max(self._raw[rows] * dc * dc, axis=1)) * trace
         ok = np.all(nc > 0, axis=1) & np.all(nz > 0) & z_factored[0] & factored
         ok &= acc * kappa < 1e-2
@@ -559,36 +610,58 @@ class SSRScan:
         ok &= 1.0 / np.sqrt(trace) / (kb + 1) > 40.0 * RANK_TOL * ratio
         bound = 8.0 * acc * (kappa + 4.0 * kb * p * np.sqrt(kappa))
         P = (Z * dz) @ lz_inv.T
-        return rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf)
+        pz = Z.shape[1]
+        acc_z = (runs + pz**3) * np.finfo(float).eps
+        kappa_z = pz * trace_z
+        z_ok = (not fixed and np.all(nz > 0) and z_factored[0] and acc_z * kappa_z < 1e-2
+                and 1.0 / np.sqrt(trace_z) > 40.0 * RANK_TOL)
+        z_bound = 8.0 * acc_z * (kappa_z + 4.0 * pz * np.sqrt(kappa_z)) if z_ok else np.inf
+        return (rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf),
+                np.array(z_bound))
 
     def _screen(self, factor, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The candidates admissible under ``factor`` (a ``_factor`` result),
         their screened SSRs for response ``y`` and each one's slack, a bound
         on its distance from the pivoted SSR."""
-        rows, P, R, K, bound = factor
+        return self._screen_with_fixed(factor, y)[:3]
+
+    def _screen_with_fixed(self, factor, y: np.ndarray):
+        """``_screen``'s three results, then the screened SSR of the fixed
+        set's own model, y'y - |P'y|^2 (the first term of every candidate's
+        SSR), and its slack."""
+        rows, P, R, K, bound, z_bound = factor
         rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self.ws.order, None])
         sz = P.T @ y
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
         yy = float(y @ y)
-        ssrs = yy - sz @ sz - np.einsum("cij,cij->c", sc, sc)
-        return self.grid[rows], ssrs, bound * yy
+        fixed_ssr = yy - sz @ sz
+        ssrs = fixed_ssr - np.einsum("cij,cij->c", sc, sc)
+        return self.grid[rows], ssrs, bound * yy, float(fixed_ssr), float(z_bound * yy)
 
     def _resolve(self, fixed: tuple[float, ...], cands: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Pivoted-QR SSRs for ``y`` at each of ``cands`` joined to ``fixed``."""
         return np.array([_ssr_ws(self.ws, (*fixed, float(c)), y) for c in cands])
 
-    def locate(self, fixed: tuple[float, ...], ys: Iterable[np.ndarray]) -> list[float | None]:
-        """For each response of ``ys``, in order, the first candidate of least
-        pivoted SSR among those jointly admissible with ``fixed``, None when
-        none is. Every response is screened under ``fixed``'s one factor and
-        read only when its turn comes, so ``ys`` may be lazy."""
+    def locate(self, fixed: tuple[float, ...], ys: Iterable[np.ndarray]) -> list[Located | None]:
+        """For each response of ``ys``, in order, the record of the first
+        candidate of least pivoted SSR among those jointly admissible with
+        ``fixed``, None when none is. Every response is screened under
+        ``fixed``'s one factor and read only when its turn comes, so ``ys``
+        may be lazy.
+
+        A record's SSR is the winner's screened value with its slack, or,
+        when several candidates may hold the minimum and were re-evaluated,
+        the winner's pivoted SSR with slack 0. It also carries the screened
+        SSR of ``fixed``'s own model (``Located``)."""
         factor, found = self._factor_of(fixed), []
         for y in ys:
-            cands, ssrs, slack = self._screen(factor, y)
-            near = cands[_near_minimum(ssrs, slack)]
+            cands, ssrs, slack, fixed_ssr, fixed_slack = self._screen_with_fixed(factor, y)
+            near = np.nonzero(_near_minimum(ssrs, slack))[0]
             if near.size > 1:
-                near = near[[np.argmin(self._resolve(fixed, near, y))]]
-            found.append(float(near[0]) if near.size else None)
+                ssrs[near], slack[near] = self._resolve(fixed, cands[near], y), 0.0
+                near = near[[np.argmin(ssrs[near])]]
+            found.append(Located(float(cands[near[0]]), float(ssrs[near[0]]), float(slack[near[0]]),
+                                 fixed_ssr, fixed_slack) if near.size else None)
         return found
 
     def profile(

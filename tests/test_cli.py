@@ -787,6 +787,12 @@ class TestMainExitCodes:
         ("dgp", "noise_sd", math.inf, "noise_sd must be a number, got inf"),
         ("dgp", "beta_low", [-math.inf], "beta_low must be a list of numbers"),
         ("simulate", "alpha", math.nan, "simulate.alpha must be a number, got nan"),
+        ("dgp", "threshold_dist", "uniform(1e,2)",
+         "threshold_dist must be a distribution of finite numbers"),
+        ("dgp", "threshold_dist", "uniform(0,1e400)",
+         "threshold_dist must be a distribution of finite numbers"),
+        ("dgp", "threshold_dist", "lognormal(800,1)",
+         "threshold_dist must be a distribution of finite draws"),
     ])
     def test_simulate_mistyped_field_exit_two(self, tmp_path, capsys, section, key, value, message):
         cfg = self._simulate_config(4)

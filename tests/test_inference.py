@@ -32,9 +32,12 @@ from panelthresh import (
 
 from panelthresh._linalg import pivoted_lstsq
 from panelthresh import inference, threshold
-from panelthresh.inference import _rep_rng, ci_on, regime_count_on
+from panelthresh.inference import (
+    CRITICAL_LEVELS, BootstrapTestResult, _rep_rng, ci_on, regime_count_on,
+)
 from panelthresh.threshold import (
-    SSRScan, _fit_ws, _Workspace, build_scan, run_indexed,
+    SSRScan, _fit_ws, _ssr_ws, _Workspace, build_scan, observed_stages, run_indexed,
+    sequential_estimates,
 )
 
 from conftest import conditional_profile, make_panel, profile_argmin
@@ -109,6 +112,46 @@ def reference_bootstrap(ws, resid_null, resid_alt, ssr_pair, B, seed):
         else:
             f_boot.append((pair[0] - pair[1]) / (pair[1] / (n * (t - 1))))
     return f_boot, degenerate
+
+
+def all_exact_regime_count(scan, k_null, B, seed):
+    """``regime_count_on`` with both SSRs of every F* priced by pivoted QR at
+    the replication's own sequential estimates: the reference that screened
+    pricing must equal bitwise."""
+    ws = scan.ws
+    stages = observed_stages(scan, k_null + 1)
+    null_fit, alt_fit = (_fit_ws(ws, g) for g in [(), *stages][k_null:k_null + 2])
+    f_obs = (null_fit.ssr - alt_fit.ssr) / (alt_fit.ssr / ws.dof)
+    fitted_null = ws.y - null_fit.residuals.ravel()
+    picks = [_rep_rng(seed, rep).integers(0, ws.n_units, size=ws.n_units) for rep in range(B)]
+
+    def response(rep):
+        return ws._demean_cols(fitted_null + alt_fit.residuals[picks[rep]].ravel())
+
+    found = sequential_estimates(scan, k_null + 1, B, response)
+
+    def price(rep):
+        chain = [stage.gammas for stage in found[rep]]
+        if len(chain) <= k_null + 1:
+            return None
+        y = response(rep)
+        s_alt = _ssr_ws(ws, chain[k_null + 1], y)
+        if s_alt <= 0:
+            return None
+        return (_ssr_ws(ws, chain[k_null], y) - s_alt) / (s_alt / ws.dof)
+
+    draws = [price(rep) for rep in range(B)]
+    f_boot = np.array([0.0 if f is None else f for f in draws])
+    return BootstrapTestResult(
+        f_statistic=float(f_obs),
+        bootstrap_p=float(np.count_nonzero(f_boot >= f_obs)) / B,
+        critical_values={a: float(np.quantile(f_boot, 1.0 - a)) for a in CRITICAL_LEVELS},
+        replications=B,
+        seed=int(seed),
+        null_model=["linear", "1 threshold", "2 thresholds"][k_null],
+        alt_model=["1 threshold", "2 thresholds", "3 thresholds"][k_null],
+        degenerate_replications=sum(f is None for f in draws),
+    )
 
 
 def assert_matches_reference(res, f_boot):
@@ -534,13 +577,14 @@ class TestGroupedBootstrap:
     their fixed thresholds: one factor per group, freed with the group."""
 
     @staticmethod
-    def _problem():
-        # Replications on this panel scatter over about 95 fixed sets.
+    def _problem(seed=12):
+        # Replications on this panel scatter over about 95 fixed sets. Other
+        # seeds give the benchmark's test-mid panels.
         dgp = ThresholdDGP(
             n_units=8, n_periods=40, gamma0=(0.3, 0.7),
             beta_low=(1.0, 0.5), beta_high=(2.0, -0.5),
             beta_regimes=((1.0, 0.5), (2.0, -0.5), (0.5, 1.0)),
-            control_betas=(0.5,), seed=12,
+            control_betas=(0.5,), seed=seed,
         )
         panel, truth = simulate_threshold_panel(dgp)
         return panel, default_spec(truth, num_thresholds=2)
@@ -570,7 +614,7 @@ class TestGroupedBootstrap:
             pairs.update(enumerate(scanned))
 
         reference_bootstrap(
-            ws, _fit_ws(ws, observed[1]).residuals, _fit_ws(ws, observed[2]).residuals,
+            ws, _fit_ws(ws, observed[2].gammas).residuals, _fit_ws(ws, observed[3].gammas).residuals,
             record_steps, 99, 4,
         )
         calls = Counter()
@@ -585,10 +629,13 @@ class TestGroupedBootstrap:
 
     @pytest.mark.parametrize("k_null", [0, 1, 2])
     def test_each_replication_prices_two_exact_ssrs(self, monkeypatch, k_null):
-        # The scans only locate thresholds; each replication's F* reads S_null
-        # and S_alt, one pivoted SSR each. On this panel no scan leaves more
-        # than one candidate that may hold the minimum and no replication is
-        # degenerate, so those are all the pivoted SSRs a bootstrap makes.
+        # The scans locate thresholds and price both SSRs of each F*; at most
+        # two pivoted SSRs per replication follow, and only for the few whose
+        # F* interval could move the p-value or a critical value (2 positions
+        # for each of 3 levels, plus any straddling the observed F). On this
+        # panel no scan leaves more than one candidate that may hold the
+        # minimum and no replication is degenerate, so those are all the
+        # pivoted SSRs a bootstrap makes.
         panel, spec = self._problem()
         scan = build_scan(panel, spec)
         calls = []
@@ -599,11 +646,14 @@ class TestGroupedBootstrap:
                 lambda *a, exact=exact, **k: calls.append(1) or exact(*a, **k),
             )
         assert regime_count_on(scan, k_null, 99, 4).degenerate_replications == 0
-        assert len(calls) == 2 * 99
+        assert len(calls) <= 2 * (6 + 2)
+        calls.clear()
+        assert regime_count_on(scan, k_null, 999, 4).degenerate_replications == 0
+        assert len(calls) <= 0.05 * 2 * 999
 
     def test_replications_are_priced_on_the_calling_thread(self, monkeypatch):
-        # Threads spread a step's groups only; every replication's two exact
-        # SSRs are priced in order on the thread that runs the test.
+        # Threads spread a step's groups only; every pricing SSR is made in
+        # order on the thread that runs the test.
         panel, spec = self._problem()
         scan = build_scan(panel, spec)
         idents = []
@@ -613,7 +663,77 @@ class TestGroupedBootstrap:
             lambda *a, **k: idents.append(threading.get_ident()) or exact(*a, **k),
         )
         regime_count_on(scan, 2, 99, 4, threads=3)
-        assert idents == [threading.get_ident()] * (2 * 99)
+        assert idents and idents == [threading.get_ident()] * len(idents)
+
+    @pytest.mark.parametrize("k_null", [0, 1, 2])
+    @pytest.mark.parametrize("panel_seed, seed", [(12, 4), (2, 2), (11, 11)])
+    def test_screened_pricing_equals_all_exact_pricing(self, panel_seed, seed, k_null):
+        # B = 99 and B = 999 read different order statistics for the
+        # critical values.
+        scan = build_scan(*self._problem(panel_seed))
+        for B in (99, 999):
+            assert regime_count_on(scan, k_null, B, seed) == all_exact_regime_count(
+                scan, k_null, B, seed)
+
+    @pytest.mark.parametrize("k_null", [0, 1, 2])
+    def test_widened_slacks_price_more_and_change_nothing(self, monkeypatch, k_null):
+        # Every screen bound x 1e9: locate re-evaluates every candidate, so
+        # the candidates' records turn exact, but the linear model's slack
+        # outgrows every F*, so every linearity replication straddles the
+        # observed F and is priced. A 60-point grid keeps those
+        # re-evaluations to seconds.
+        panel, spec = self._problem()
+        spec = replace(spec, max_grid_points=60)
+        reference = all_exact_regime_count(build_scan(panel, spec), k_null, 99, 4)
+        factor = SSRScan._factor
+
+        def widened(self, fixed):
+            *arrays, bound, z_bound = factor(self, fixed)
+            return (*arrays, bound * 1e9, np.asarray(z_bound * 1e9))
+
+        monkeypatch.setattr(SSRScan, "_factor", widened)
+        calls = []
+        exact = inference._ssr_ws
+        monkeypatch.setattr(
+            inference, "_ssr_ws", lambda *a, **k: calls.append(a[1]) or exact(*a, **k))
+        assert regime_count_on(build_scan(panel, spec), k_null, 99, 4) == reference
+        if k_null == 0:
+            assert calls == [()] * 99
+
+    def test_replication_straddling_the_observed_f_is_priced(self, monkeypatch):
+        # The least F* at or above the observed F (of 1 vs 2 here, p about
+        # 0.95) gets an S_alt slack that puts the observed F inside its
+        # interval, far from the ranks the critical values read: the straddle
+        # alone prices it, and the p-value counts it.
+        panel, spec = self._problem()
+        scan = build_scan(panel, spec)
+        reference = all_exact_regime_count(scan, 2, 99, 4)
+        f_obs, sequential = reference.f_statistic, inference.sequential_estimates
+        straddled = []
+
+        def with_straddle(scan, k, count, response, **kwargs):
+            chains = sequential(scan, k, count, response, **kwargs)
+            f_star = {}
+            for rep, chain in enumerate(chains):
+                s_null, s_alt = (_ssr_ws(scan.ws, stage.gammas, response(rep))
+                                 for stage in chain[2:4])
+                f_star[rep] = (s_null - s_alt) / (s_alt / scan.ws.dof)
+            rep = min((r for r, f in f_star.items() if f >= f_obs), key=f_star.get)
+            null, alt = chains[rep][2:4]
+            # S_alt + slack / 2 would put F* below the observed F
+            s_null = _ssr_ws(scan.ws, null.gammas, response(rep))
+            slack = 2.0 * (s_null / (1.0 + f_obs / scan.ws.dof) - alt.ssr) + 1e-9 * alt.ssr
+            chains[rep][3] = alt._replace(slack=slack)
+            straddled.append(alt.gammas)
+            return chains
+
+        monkeypatch.setattr(inference, "sequential_estimates", with_straddle)
+        calls = []
+        exact = inference._ssr_ws
+        monkeypatch.setattr(
+            inference, "_ssr_ws", lambda *a, **k: calls.append(a[1]) or exact(*a, **k))
+        assert regime_count_on(scan, 2, 99, 4) == reference
+        assert straddled[0] in calls
 
     def test_threads_give_the_one_thread_result(self):
         # Three threads switching every microsecond share one scan and give

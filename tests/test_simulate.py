@@ -81,12 +81,16 @@ class TestDgpValidation:
         ("threshold_in_regressors", "false", "true or false"),
         ("threshold_in_regressors", 0, "true or false"),
         ("threshold_dist", 5, "a string"),
+        ("threshold_dist", "uniform(1e,2)", "a distribution of finite numbers"),
+        ("threshold_dist", "uniform(0,1e400)", "a distribution of finite numbers"),
+        ("threshold_dist", "lognormal(800,1)", "a distribution of finite draws"),
     ])
     def test_flag_and_string_fields_checked(self, field, value, message):
-        # "false" is not read as true, and a number is no distribution.
+        # "false" is not read as true, a number is no distribution, and a
+        # distribution's numbers and draws are finite.
         kwargs = dict(n_units=4, n_periods=10, gamma0=0.5, beta_low=(0.0,), beta_high=(1.0,))
         with pytest.raises(ConfigError, match=f"{field} must be {message}"):
-            ThresholdDGP(**{**kwargs, field: value})
+            simulate_threshold_panel(ThresholdDGP(**{**kwargs, field: value}))
 
     def test_list_fields_stored_as_tuples(self):
         def dgp(seq):

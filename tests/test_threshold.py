@@ -426,11 +426,11 @@ def _flat_band(rng, band_x):
 def _located(scan, fixed, y=None):
     """``scan.locate``'s threshold and the pivoted SSR there: the pair
     ``_reference`` gives, or None."""
-    (gamma,) = scan.locate(fixed, [scan.ws.y if y is None else y])
-    return None if gamma is None else (gamma, _ssr_ws(scan.ws, (*fixed, gamma), y))
+    (hit,) = scan.locate(fixed, [scan.ws.y if y is None else y])
+    return None if hit is None else (hit.gamma, _ssr_ws(scan.ws, (*fixed, hit.gamma), y))
 
 
-_scan_cases = given(
+_SCAN_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 5),
     t=st.integers(5, 12),
@@ -443,6 +443,7 @@ _scan_cases = given(
     tied_q=st.booleans(),
     collinear_control=st.booleans(),
 )
+_scan_cases = given(**_SCAN_CASES)
 
 
 def _random_scan(
@@ -609,7 +610,7 @@ class TestSSRScan:
         for _ in range(3):
             _, ssrs, slack = scan._screen(scan._factor(fixed), ws.y)
             assert np.count_nonzero(threshold._near_minimum(ssrs, slack)) == 1
-            (gamma,) = scan.locate(fixed, [ws.y])
+            gamma = scan.locate(fixed, [ws.y])[0].gamma
             assert not calls
             assert gamma == _reference(ws, scan.grid, fixed, None)[0]
             fixed = tuple(sorted((*fixed, gamma)))
@@ -619,7 +620,7 @@ class TestSSRScan:
         _, ssrs, slack = scan._screen(scan._factor(()), ws.y)
         near = np.count_nonzero(threshold._near_minimum(ssrs, slack))
         assert near > 5
-        assert scan.locate((), [ws.y]) == [_reference(ws, grid, (), None)[0]]
+        assert [hit.gamma for hit in scan.locate((), [ws.y])] == [_reference(ws, grid, (), None)[0]]
         assert len(calls) == near
 
     @staticmethod
@@ -633,8 +634,8 @@ class TestSSRScan:
         ws = threshold._Workspace(_scan_panel(rng, n=8, t=40, **scales), spec)
         grid = candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points)
         scan = threshold.SSRScan(ws, grid)
-        (g1,) = scan.locate((), [ws.y])
-        (g2,) = scan.locate((g1,), [ws.y])
+        g1 = scan.locate((), [ws.y])[0].gamma
+        g2 = scan.locate((g1,), [ws.y])[0].gamma
         calls = []
         exact = threshold._ssr_ws
         monkeypatch.setattr(
@@ -775,7 +776,8 @@ class TestLocateGroup:
         scan, fixed, ys = self._group(rng)
         for held in (fixed, ()):
             located = scan.locate(held, (y for y in ys))
-            assert located == [_reference(scan.ws, scan.grid, held, y)[0] for y in ys]
+            assert [hit.gamma for hit in located] == [
+                _reference(scan.ws, scan.grid, held, y)[0] for y in ys]
             assert located == [scan.locate(held, [y])[0] for y in ys]
 
     def test_one_factor_per_call(self, rng, monkeypatch):
@@ -846,6 +848,50 @@ def test_scan_matches_pivoted_reference_property(**case):
     assert _located(scan, fixed, y_raw) == _reference(ws, grid, fixed, y_raw)
 
 
+def _assert_within_slack(ssr, slack, exact):
+    """A record's SSR is within its slack of the pivoted one; slack 0 means bitwise."""
+    assert abs(ssr - exact) <= slack
+    if slack == 0.0:
+        assert ssr == exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(**{**_SCAN_CASES, "log_scale": st.integers(-8, 8)})
+def test_records_hold_the_exact_ssr_within_their_slack_property(**case):
+    # Every locate record and every chain entry, the linear model's and the
+    # refinement's included, against the pivoted SSR of its thresholds.
+    from panelthresh.threshold import sequential_estimates
+
+    _, ws, _, scan, fixed, rng = _random_scan(**case)
+    y = rng.standard_normal((ws.n_units, ws.n_periods)) * 10.0 ** rng.integers(-2, 3)
+    for response in (ws.y, (y - y.mean(axis=1, keepdims=True)).ravel()):
+        (hit,) = scan.locate(fixed, [response])
+        if hit is not None:
+            _assert_within_slack(hit.ssr, hit.slack, _ssr_ws(ws, (*fixed, hit.gamma), response))
+            _assert_within_slack(hit.fixed_ssr, hit.fixed_slack, _ssr_ws(ws, fixed, response))
+        (chain,) = sequential_estimates(scan, 3, 1, lambda i: response)
+        assert [len(stage.gammas) for stage in chain] == list(range(len(chain)))
+        for stage in chain:
+            _assert_within_slack(stage.ssr, stage.slack, _ssr_ws(ws, stage.gammas, response))
+
+
+def test_linear_entry_is_screened_within_a_small_slack(rng):
+    # The linear model's entry comes from the first step's screen with a
+    # finite slack, far below its SSR on a well-conditioned panel; only the
+    # unconditional factor gives one.
+    from panelthresh.threshold import SSRScan, _Workspace, sequential_estimates
+
+    spec = ThresholdSpec(VariableRole("y", "q", ["x"], ["c"]))
+    ws = _Workspace(_scan_panel(rng, n=8, t=40), spec)
+    scan = SSRScan(ws, candidate_grid(ws.q, spec.trim_fraction, spec.max_grid_points))
+    (chain,) = sequential_estimates(scan, 2)
+    linear = chain[0]
+    assert linear.gammas == () and 0.0 < linear.slack < 1e-8 * linear.ssr
+    _assert_within_slack(linear.ssr, linear.slack, _ssr_ws(ws, ()))
+    (hit,) = scan.locate(chain[1].gammas, [ws.y])
+    assert hit.fixed_slack == math.inf
+
+
 def test_estimate_single_memory_does_not_grow_with_the_grid():
     # Regime columns are rebuilt per candidate instead of cached per grid
     # point; a cache of 400 candidates' columns on this panel costs ~25 MB.
@@ -876,7 +922,7 @@ def test_conditional_scan_memory_does_not_grow_with_the_grid():
     ))
     scan = build_scan(panel, default_spec(truth, max_grid_points=10_000))
     assert scan.grid.size > 5000
-    (g1,) = scan.locate((), [scan.ws.y])
+    g1 = scan.locate((), [scan.ws.y])[0].gamma
     tracemalloc.start()
     try:
         (hit,) = scan.locate((g1,), [scan.ws.y])

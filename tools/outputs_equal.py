@@ -13,7 +13,10 @@ the other commands; the report's timings sidecar is not reproducible and
 is left out. Then, at each ``--threads`` value, it runs ``simulate`` from
 each checkout with the ``recovery`` and the ``size`` experiment on
 PARENT's ``benchmark_dgp()`` (8x36, 50 trials, B = 99, master seed 0) and
-compares the standard output. One line per output gives its sha256 and
+compares the standard output, and it runs ``test`` on test-mid seed 2 with
+``inference.replications`` set to 999, whose critical values read other
+order statistics than B = 99's, and compares the standard output. One line
+per output gives its sha256 and
 whether the two checkouts wrote the same bytes. The exit code is 1 when
 any output differs or any run fails, else 0. ``compare`` is the check for
 one workload and seed; ``tools/bench_pairs.py`` imports it.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -32,6 +36,7 @@ from pathlib import Path
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 COMMANDS = ("report", "test", "fit", "ci", "diagnose")
 DEFAULT_RUNS = ("report-large:3", "report-large:7", "test-mid:2", "test-mid:11")
+WIDE_B = 999
 WRITE_INPUTS = ("import sys; from pathlib import Path; from workloads import WORKLOADS, "
                 "write_inputs; write_inputs(WORKLOADS[sys.argv[1]], int(sys.argv[2]), "
                 "Path(sys.argv[3]))")
@@ -71,6 +76,16 @@ def _outputs(side: str, checkout: Path, run_dir: Path, command: str,
     return {"stdout": proc.stdout}
 
 
+def _write_inputs(sides: dict[str, Path], workload: str, seed: int, run_dir: Path) -> None:
+    """Write one workload and seed's ``panel.csv`` and ``config.json`` with
+    PARENT's ``write_inputs``; exits on failure."""
+    proc = _run([sys.executable, "-c", WRITE_INPUTS, workload, str(seed), str(run_dir)],
+                run_dir, [sides["parent"] / "perfbench", sides["parent"] / "src"])
+    if proc.returncode != 0:
+        sys.exit(f"outputs_equal: writing {workload} seed {seed} inputs failed:\n"
+                 f"{proc.stderr.decode(errors='replace')}")
+
+
 def compare(sides: dict[str, Path], workload: str, seed: int,
             threads: tuple[int, ...] = (1, 2)) -> int:
     """Print one line per output of one workload and seed; return how many differ.
@@ -80,11 +95,7 @@ def compare(sides: dict[str, Path], workload: str, seed: int,
     differ = 0
     with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
         run_dir = Path(tmp)
-        proc = _run([sys.executable, "-c", WRITE_INPUTS, workload, str(seed), str(run_dir)],
-                    run_dir, [sides["parent"] / "perfbench", sides["parent"] / "src"])
-        if proc.returncode != 0:
-            sys.exit(f"outputs_equal: writing {workload} seed {seed} inputs failed:\n"
-                     f"{proc.stderr.decode(errors='replace')}")
+        _write_inputs(sides, workload, seed, run_dir)
         for n in threads:
             for command in COMMANDS:
                 parent, change = (_outputs(side, checkout, run_dir, command, n)
@@ -115,6 +126,24 @@ def compare_simulate(sides: dict[str, Path], threads: tuple[int, ...] = (1, 2)) 
     return differ
 
 
+def compare_wide_b(sides: dict[str, Path], threads: tuple[int, ...] = (1, 2)) -> int:
+    """Print one line per thread count for ``test`` on test-mid seed 2 at
+    B = ``WIDE_B``; return how many differ."""
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
+        run_dir = Path(tmp)
+        _write_inputs(sides, "test-mid", 2, run_dir)
+        config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        config["inference"]["replications"] = WIDE_B
+        (run_dir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        for n in threads:
+            parent, change = (_outputs(side, checkout, run_dir, "test", n)["stdout"]
+                              for side, checkout in sides.items())
+            differ += not _same(f"test-mid seed 2 B={WIDE_B} --threads {n} test stdout",
+                                parent, change)
+    return differ
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -131,6 +160,7 @@ def main() -> None:
         specs.append((workload, int(seed)))
     differ = sum(compare(sides, workload, seed, tuple(args.threads)) for workload, seed in specs)
     differ += compare_simulate(sides, tuple(args.threads))
+    differ += compare_wide_b(sides, tuple(args.threads))
     print(f"outputs_equal: {differ} output(s) differ")
     sys.exit(1 if differ else 0)
 
