@@ -338,6 +338,9 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     alphas = check_list(inference_raw.get("alphas", (0.05,)), "inference.alphas", float)
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ConfigError(f"alpha levels must lie in (0, 1), got {alphas}")
+    for i, alpha in enumerate(alphas):
+        if alpha in alphas[:i]:
+            raise ConfigError(f"inference.alphas names {alpha!r} more than once")
     seed = check_int(inference_raw.get("seed", 0), "inference.seed", 0)
     regime_count_test = check_flag(
         inference_raw.get("regime_count_test", True), "inference.regime_count_test")

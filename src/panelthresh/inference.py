@@ -29,6 +29,8 @@ from .threshold import (
     ThresholdFit,
     ThresholdSpec,
     _fit_ws,
+    _padded,
+    _reevaluate,
     _ssr_ws,
     _Workspace,
     build_scan,
@@ -160,19 +162,19 @@ def regime_count_on(
     ``threads`` spreads the fixed-threshold groups of each step.
 
     Each F* is then priced from its chain's two records. Their SSRs, within
-    their slacks (padded as in ``ci_on``), bound F* to an interval, padded
+    their slacks (padded by ``_padded``), bound F* to an interval, padded
     for the rounding of the formula. A p-value reads only the side of the
     observed F each F* falls on, and a critical value only the order
     statistics ``np.quantile`` reads (Davidson and MacKinnon 2000). So a
-    replication is priced exactly, by ``_ssr_ws`` on the calling thread in
-    replication order for each side with a nonzero slack, only when its
-    interval holds the observed F, when S_alt's lower end is not positive,
-    when the interval is not finite, or, repeated until no more are, when
-    its possible ranks meet a position one of ``CRITICAL_LEVELS`` reads.
-    Every other F* is its interval's lower end, on the side and at the ranks
-    of its exact value. So ``bootstrap_p``, ``critical_values`` and
-    ``degenerate_replications`` are bitwise those of pricing every
-    replication exactly.
+    replication, not a grid entry as in ``_reevaluate``, is priced exactly,
+    by ``_ssr_ws`` on the calling thread in replication order for each side
+    with a nonzero slack, only when its interval holds the observed F, when
+    S_alt's lower end is not positive, when the interval is not finite, or,
+    repeated until no more are, when its possible ranks meet a position one
+    of ``CRITICAL_LEVELS`` reads. Every other F* is its interval's lower
+    end, on the side and at the ranks of its exact value. So
+    ``bootstrap_p``, ``critical_values`` and ``degenerate_replications`` are
+    bitwise those of pricing every replication exactly.
     """
     if k_null not in (0, 1, 2):
         raise ConfigError(f"k_null must be 0, 1 or 2, got {k_null}")
@@ -198,11 +200,9 @@ def regime_count_on(
     degenerate = exact.copy()
     ssr, slack = np.zeros((B, 2)), np.zeros((B, 2))
     for rep in np.nonzero(~exact)[0]:
-        ssr[rep] = [stage.ssr for stage in pairs[rep]]
-        slack[rep] = [stage.slack for stage in pairs[rep]]
+        _, ssr[rep], slack[rep] = zip(*pairs[rep])
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    pad = slack + 4.0 * eps * (np.abs(ssr) + slack)
-    ends = np.stack([ssr - pad, ssr + pad], axis=2)
+    ends = np.stack(_padded(ssr, slack), axis=2)
     with np.errstate(all="ignore"):
         # F rises with S_null and is monotone in S_alt > 0: the corners bound it.
         alt_ends = ends[:, 1, None, :]
@@ -276,9 +276,9 @@ def ci_on(ws: _Workspace, fit: ThresholdFit, alpha: float, threshold_index: int 
     the next observed value; the upper endpoint accounts for that, so a
     sharply identified fit still yields an interval of positive width.
 
-    The profile's screened entries are re-evaluated by pivoted QR only where
-    their slack leaves the side of c(alpha) in doubt, so ``lower`` and
-    ``upper`` are those of the full pivoted profile for any alpha.
+    ``_reevaluate`` re-evaluates a screened entry only where the LR of its
+    ``_padded`` interval leaves the side of c(alpha) in doubt, so ``lower``
+    and ``upper`` are those of the full pivoted profile for any alpha.
     """
     c_alpha = critical_value(alpha)
     if not fit.ssr_profiles:
@@ -287,24 +287,15 @@ def ci_on(ws: _Workspace, fit: ThresholdFit, alpha: float, threshold_index: int 
         raise EstimationError(
             f"threshold_index {threshold_index} out of range for {len(fit.gammas)} thresholds"
         )
-    profile = fit.ssr_profiles[threshold_index]
-    gamma_hat = fit.gammas[threshold_index]
-    ssrs = [s for _, s in profile]
-    if fit.ssr_profile_slacks:
-        # A screened entry is unclear when the LR of any SSR within its slack
-        # (padded by a few ulps for the rounding of s +- slack) could fall on
-        # either side of c(alpha); only those are re-evaluated exactly.
-        values = np.array(ssrs)
-        slack = np.array(fit.ssr_profile_slacks[threshold_index])
-        pad = slack + 4.0 * np.finfo(float).eps * (np.abs(values) + slack)
-        clear = ((values + pad - fit.ssr) / fit.sigma2 <= c_alpha) | (
-            (values - pad - fit.ssr) / fit.sigma2 > c_alpha)
-        fixed = fit.gammas[:threshold_index] + fit.gammas[threshold_index + 1:]
-        for i in np.nonzero((slack > 0) & ~clear)[0]:
-            ssrs[i] = _ssr_ws(ws, (*fixed, profile[i][0]))
-    lr_profile = tuple((g, (s - fit.ssr) / fit.sigma2) for (g, _), s in zip(profile, ssrs))
-    accepted = [g for g, v in lr_profile if v <= c_alpha]
-    accepted.append(gamma_hat)
+    cands, ssrs = np.array(fit.ssr_profiles[threshold_index]).reshape(-1, 2).T
+    slack = (np.array(fit.ssr_profile_slacks[threshold_index]) if fit.ssr_profile_slacks
+             else np.zeros(cands.size))
+    lr_lo, lr_hi = ((end - fit.ssr) / fit.sigma2 for end in _padded(ssrs, slack))
+    clear = (lr_hi <= c_alpha) | (lr_lo > c_alpha)
+    fixed = fit.gammas[:threshold_index] + fit.gammas[threshold_index + 1:]
+    _reevaluate(ws, fixed, cands, ssrs, slack, np.flatnonzero((slack > 0) & ~clear), ws.y)
+    lr_profile = tuple(zip(cands.tolist(), ((ssrs - fit.ssr) / fit.sigma2).tolist()))
+    accepted = [fit.gammas[threshold_index]] + [g for g, v in lr_profile if v <= c_alpha]
     hi = max(accepted)
     nxt = np.searchsorted(ws.q_sorted, hi, side="right")
     upper = float(ws.q_sorted[nxt]) if nxt < ws.n_obs else float(hi)

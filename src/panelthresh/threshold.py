@@ -75,13 +75,13 @@ class ThresholdFit:
     cumulative indicators I(q <= gamma_k), ``None`` when disabled.
     ``ssr_profiles[j]`` is the (candidate, SSR) profile for threshold ``j``
     conditional on the other thresholds at their estimates, taken from the
-    screened scan (``SSRScan.profile``). Its entries within the screen's
-    error bound of the minimum, at the fitted threshold and wherever the
-    screen could not be trusted are the exact pivoted-QR SSRs, with slack 0
-    in ``ssr_profile_slacks[j]``. Every other entry is a screened SSR: it
-    differs from the pivoted one by at most its slack, a conditioning-based
-    bound on the screen's rounding error, and lies strictly above the
-    minimum.
+    screened scan (``SSRScan.profile``). Its entries that may hold the
+    minimum (``_near_minimum``, on the intervals of ``_padded``) and at the
+    fitted threshold are the pivoted-QR SSRs of ``_reevaluate``, whose
+    slack in ``ssr_profile_slacks[j]`` is 0 (no slacks: all exact). Every
+    other entry is a screened SSR: it differs from the pivoted one by at
+    most its slack, a conditioning-based bound on the screen's rounding
+    error, and lies strictly above the minimum.
     """
 
     gammas: tuple[float, ...]
@@ -466,7 +466,7 @@ class SSRScan:
     p columns. Per candidate only the m x m Schur complement of its own
     block is factored (``_inverse_cholesky``, as Z's is), giving the factor
     of the Gram ordered [Z, candidate]. A response then costs one cumulative
-    sum of u * demeaned y, one product with Z and batched m x m solves.
+    sum of u * y (y demeaned), one product with Z and batched m x m solves.
 
     A factor depends only on its fixed thresholds, not on the response, so
     ``locate`` takes one fixed set and a group of responses, and screens
@@ -474,19 +474,19 @@ class SSRScan:
     per group of a step. The factor without fixed thresholds (Z = [x,
     controls]) is made at construction and reused.
 
-    The normal-equation SSRs only screen the grid (``_screen``); only
-    ``_resolve`` re-evaluates entries, by pivoted QR (``_ssr_ws``). An entry
-    may hold the minimum when its screened SSR is within a conditioning-based
-    error bound of the minimum, or when the bound does not cover it (a Gram
-    too ill-conditioned, or a design the pivoted rank rule might cut, judged
-    per regressor so that units do not matter). ``locate`` re-evaluates
-    those only when there are several: a lone one is the minimum, every
-    other lying strictly above it. So its argmin and tie-break (the first
-    candidate) are bitwise those of ``profile_argmin(conditional_profile(ws,
-    grid, fixed, y))`` in ``tests/conftest.py``, and its record (``Located``)
-    keeps the winner's screened SSR, or its pivoted one when the winner was
-    re-evaluated. ``profile`` re-evaluates
-    all of them, and those at ``keep``, and returns every entry.
+    The normal-equation SSRs only screen the grid (``_screen``). Each decision
+    on them, here and in ``inference``, reads the intervals of ``_padded`` and
+    pays pivoted QR (``_reevaluate``) only for entries left in doubt. Here the
+    decision is the minimum (``_near_minimum``): an entry may hold it when its
+    interval reaches the lowest upper end, or when its slack does not cover it
+    (a Gram too ill-conditioned, or a design the pivoted rank rule might cut,
+    judged per regressor so that units do not matter). ``locate`` re-evaluates
+    those only when there are several: a lone one is the minimum, every other
+    lying strictly above it. So its argmin and tie-break (the first candidate)
+    are bitwise those of ``profile_argmin(conditional_profile(ws, grid, fixed,
+    y))`` in ``tests/conftest.py``, and its record (``Located``) keeps the
+    winner's screened SSR, or its pivoted one when the winner was
+    re-evaluated. ``profile`` re-evaluates all of them, and those at ``keep``.
 
     Nothing changes after construction, and the unconditional factor's
     arrays are read-only, so threads may share one instance.
@@ -619,18 +619,14 @@ class SSRScan:
         return (rows, P, lh_inv * dc[:, None, :], K, np.where(ok, bound, np.inf),
                 np.array(z_bound))
 
-    def _screen(self, factor, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _screen(self, factor, y: np.ndarray):
         """The candidates admissible under ``factor`` (a ``_factor`` result),
-        their screened SSRs for response ``y`` and each one's slack, a bound
-        on its distance from the pivoted SSR."""
-        return self._screen_with_fixed(factor, y)[:3]
-
-    def _screen_with_fixed(self, factor, y: np.ndarray):
-        """``_screen``'s three results, then the screened SSR of the fixed
-        set's own model, y'y - |P'y|^2 (the first term of every candidate's
-        SSR), and its slack."""
+        their screened SSRs for the within-demeaned response ``y`` and each
+        one's slack, a bound on its distance from the pivoted SSR; then the
+        screened SSR of the fixed set's own model, y'y - |P'y|^2 (the first
+        term of every candidate's SSR), and its slack."""
         rows, P, R, K, bound, z_bound = factor
-        rc = self._cumulative(self._u_sorted * self.ws._demean_cols(y)[self.ws.order, None])
+        rc = self._cumulative(self._u_sorted * y[self.ws.order, None])
         sz = P.T @ y
         sc = R @ rc[rows, :, None] - K @ sz[:, None]
         yy = float(y @ y)
@@ -638,27 +634,23 @@ class SSRScan:
         ssrs = fixed_ssr - np.einsum("cij,cij->c", sc, sc)
         return self.grid[rows], ssrs, bound * yy, float(fixed_ssr), float(z_bound * yy)
 
-    def _resolve(self, fixed: tuple[float, ...], cands: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Pivoted-QR SSRs for ``y`` at each of ``cands`` joined to ``fixed``."""
-        return np.array([_ssr_ws(self.ws, (*fixed, float(c)), y) for c in cands])
-
     def locate(self, fixed: tuple[float, ...], ys: Iterable[np.ndarray]) -> list[Located | None]:
-        """For each response of ``ys``, in order, the record of the first
-        candidate of least pivoted SSR among those jointly admissible with
-        ``fixed``, None when none is. Every response is screened under
-        ``fixed``'s one factor and read only when its turn comes, so ``ys``
-        may be lazy.
+        """For each within-demeaned response of ``ys``, in order, the record
+        of the first candidate of least pivoted SSR among those jointly
+        admissible with ``fixed``, None when none is. Every response is
+        screened under ``fixed``'s one factor and read only when its turn
+        comes, so ``ys`` may be lazy.
 
-        A record's SSR is the winner's screened value with its slack, or,
-        when several candidates may hold the minimum and were re-evaluated,
-        the winner's pivoted SSR with slack 0. It also carries the screened
-        SSR of ``fixed``'s own model (``Located``)."""
+        A record's SSR is the winner's screened value with its slack, or, when
+        several ``_padded`` intervals may hold the minimum (``_near_minimum``),
+        the pivoted SSR ``_reevaluate`` gave it, slack 0. It also carries the
+        screened SSR of ``fixed``'s own model (``Located``)."""
         factor, found = self._factor_of(fixed), []
         for y in ys:
-            cands, ssrs, slack, fixed_ssr, fixed_slack = self._screen_with_fixed(factor, y)
-            near = np.nonzero(_near_minimum(ssrs, slack))[0]
+            cands, ssrs, slack, fixed_ssr, fixed_slack = self._screen(factor, y)
+            near = np.flatnonzero(_near_minimum(ssrs, slack))
             if near.size > 1:
-                ssrs[near], slack[near] = self._resolve(fixed, cands[near], y), 0.0
+                _reevaluate(self.ws, fixed, cands, ssrs, slack, near, y)
                 near = near[[np.argmin(ssrs[near])]]
             found.append(Located(float(cands[near[0]]), float(ssrs[near[0]]), float(slack[near[0]]),
                                  fixed_ssr, fixed_slack) if near.size else None)
@@ -669,25 +661,39 @@ class SSRScan:
     ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
         """(candidate, SSR) of every candidate admissible jointly with
         ``fixed``, in grid order, and each entry's slack, for the workspace
-        response. Every entry that may hold the minimum and those at
-        ``keep`` are re-evaluated: bitwise the pivoted-QR values of
-        ``conditional_profile`` (``tests/conftest.py``), with slack 0; every
-        other entry is screened, within its slack of the pivoted value.
+        response. ``_reevaluate`` prices those at ``keep`` and each entry whose
+        ``_padded`` interval may hold the minimum (``_near_minimum``), bitwise
+        as ``conditional_profile`` (``tests/conftest.py``) does, slack 0; the
+        others are screened, within their slack of the pivoted value.
         """
-        cands, ssrs, slack = self._screen(self._factor_of(fixed), self.ws.y)
-        exact = _near_minimum(ssrs, slack) | np.isin(cands, keep)
-        ssrs[exact] = self._resolve(fixed, cands[exact], self.ws.y)
-        slack[exact] = 0.0
+        cands, ssrs, slack, _, _ = self._screen(self._factor_of(fixed), self.ws.y)
+        exact = np.flatnonzero(_near_minimum(ssrs, slack) | np.isin(cands, keep))
+        _reevaluate(self.ws, fixed, cands, ssrs, slack, exact, self.ws.y)
         return tuple(zip(cands.tolist(), ssrs.tolist())), tuple(slack.tolist())
+
+
+def _padded(screened: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of each screened SSR's interval, screened -+
+    slack, padded by a few ulps for the rounding of s +- slack."""
+    pad = slack + 4.0 * np.finfo(float).eps * (np.abs(screened) + slack)
+    return screened - pad, screened + pad
 
 
 def _near_minimum(screened: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """Mask of the screened entries that may hold the minimum: each one whose
-    interval screened +- slack reaches the lowest upper end, and each
-    untrusted one (infinite or non-finite slack)."""
-    trusted = np.isfinite(screened + slack)
-    ceiling = np.min(np.where(trusted, screened + slack, np.inf), initial=np.inf)
-    return np.where(trusted, screened - slack, -np.inf) <= ceiling
+    padded interval (``_padded``) reaches the lowest upper end, and each
+    untrusted one (infinite or NaN slack, or a NaN screened value)."""
+    lower, upper = _padded(screened, slack)
+    trusted = np.isfinite(upper)
+    return ~trusted | (lower <= np.min(upper[trusted], initial=np.inf))
+
+
+def _reevaluate(ws: _Workspace, fixed: tuple[float, ...], cands: np.ndarray, ssrs: np.ndarray,
+                slack: np.ndarray, at: np.ndarray, y: np.ndarray) -> None:
+    """Set the entries ``at`` (indices) of a screened profile in place to the
+    pivoted-QR SSRs for ``y`` at ``fixed`` and their candidates, slack 0."""
+    ssrs[at] = [_ssr_ws(ws, (*fixed, float(cands[i])), y) for i in at]
+    slack[at] = 0.0
 
 
 def _inverse_cholesky(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -515,6 +515,9 @@ class TestMainExitCodes:
          "output.markdown report.json.timings.json is also the JSON report or its timings"),
         ("report", {"diagnostics": {"variables": ["q", "c1", "q"]}}, 2,
          "config error: diagnostics.variables names 'q' more than once"),
+        # a repeated level would print the same confidence set twice
+        ("ci", {"inference": {"alphas": [0.05, 0.05, 0.1]}}, 2,
+         "config error: inference.alphas names 0.05 more than once"),
     ], ids=["csv", "roles", "replications", "alphas", "regime_count_test", "max_lag", "json",
             "simulate", "lag_var", "period_average_k", "lag_k_string", "lag_k_float",
             "within_vars", "instruments", "regime_varying_string", "controls_string",
@@ -525,7 +528,7 @@ class TestMainExitCodes:
             "diagnostics_variables_one",
             "diagnostics_variables_unknown", "unit_is_time", "regime_varying_twice",
             "controls_twice", "varying_and_control", "top_level_key", "json_is_markdown",
-            "markdown_is_sidecar", "diagnostics_variables_twice"])
+            "markdown_is_sidecar", "diagnostics_variables_twice", "alphas_twice"])
     def test_config_fault_stops_before_any_stage(
         self, panel_csv, tmp_path, capsys, monkeypatch, command, fault, code, message
     ):
@@ -1051,7 +1054,7 @@ class TestOneEstimationSample:
 
     def test_ci_reevaluates_on_the_run_workspace(self, three_threshold_config, tmp_path,
                                                  monkeypatch):
-        from panelthresh import inference, threshold
+        from panelthresh import threshold
 
         cfg = json.loads(three_threshold_config.read_text())
         cfg["spec"]["num_thresholds"] = 2
@@ -1061,7 +1064,7 @@ class TestOneEstimationSample:
         plain = _main_stdout(argv)
         built, screened, reevaluated = [], [], []
         init, profile = threshold._Workspace.__init__, threshold.SSRScan.profile
-        exact = inference._ssr_ws
+        exact = threshold._ssr_ws
 
         def counted(self, *args):
             built.append(1)
@@ -1071,11 +1074,13 @@ class TestOneEstimationSample:
             # Every screened entry's side of c(alpha) is left in doubt.
             entries, slacks = profile(self, *args)
             screened.extend(s for s in slacks if s > 0)
+            # the CI stage runs after the last profile: count its re-evaluations only
+            reevaluated.clear()
             return entries, tuple(math.inf if s > 0 else 0.0 for s in slacks)
 
         monkeypatch.setattr(threshold._Workspace, "__init__", counted)
         monkeypatch.setattr(threshold.SSRScan, "profile", inflated)
-        monkeypatch.setattr(inference, "_ssr_ws",
+        monkeypatch.setattr(threshold, "_ssr_ws",
                             lambda ws, *args: reevaluated.append(ws) or exact(ws, *args))
         assert _main_stdout(argv) == plain
         assert len(built) == 1

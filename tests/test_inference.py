@@ -503,8 +503,6 @@ class TestThresholdCI:
         # interval straddles the cut point and the side it falls on is
         # unknown until it is re-evaluated by pivoted QR. Only such entries
         # are, and the endpoints are those of the full pivoted profile.
-        from panelthresh import inference
-
         panel, _, spec, fit = fitted
         profile, slacks = fit.ssr_profiles[0], fit.ssr_profile_slacks[0]
 
@@ -521,9 +519,9 @@ class TestThresholdCI:
         }
         assert profile[i][0] in unclear and len(unclear) < len(screened) // 10
         called = []
-        exact = inference._ssr_ws
+        exact = threshold._ssr_ws
         monkeypatch.setattr(
-            inference, "_ssr_ws",
+            threshold, "_ssr_ws",
             lambda ws, gammas, *a: called.append(gammas) or exact(ws, gammas, *a),
         )
         ci = threshold_ci(panel, spec, fit, alpha)
@@ -675,6 +673,17 @@ class TestGroupedBootstrap:
             assert regime_count_on(scan, k_null, B, seed) == all_exact_regime_count(
                 scan, k_null, B, seed)
 
+    @staticmethod
+    def _widen_slacks(monkeypatch):
+        """Multiply every screen bound ``SSRScan._factor`` gives by 1e9."""
+        factor = SSRScan._factor
+
+        def widened(self, fixed):
+            *arrays, bound, z_bound = factor(self, fixed)
+            return (*arrays, bound * 1e9, np.asarray(z_bound * 1e9))
+
+        monkeypatch.setattr(SSRScan, "_factor", widened)
+
     @pytest.mark.parametrize("k_null", [0, 1, 2])
     def test_widened_slacks_price_more_and_change_nothing(self, monkeypatch, k_null):
         # Every screen bound x 1e9: locate re-evaluates every candidate, so
@@ -685,13 +694,7 @@ class TestGroupedBootstrap:
         panel, spec = self._problem()
         spec = replace(spec, max_grid_points=60)
         reference = all_exact_regime_count(build_scan(panel, spec), k_null, 99, 4)
-        factor = SSRScan._factor
-
-        def widened(self, fixed):
-            *arrays, bound, z_bound = factor(self, fixed)
-            return (*arrays, bound * 1e9, np.asarray(z_bound * 1e9))
-
-        monkeypatch.setattr(SSRScan, "_factor", widened)
+        self._widen_slacks(monkeypatch)
         calls = []
         exact = inference._ssr_ws
         monkeypatch.setattr(
@@ -699,6 +702,42 @@ class TestGroupedBootstrap:
         assert regime_count_on(build_scan(panel, spec), k_null, 99, 4) == reference
         if k_null == 0:
             assert calls == [()] * 99
+
+    def test_widened_slacks_leave_the_fit_and_its_confidence_sets(self, monkeypatch):
+        # The one rule at the estimate's and the confidence sets' decisions:
+        # with every screen bound x 1e9 the sequential argmins, the SSR and
+        # each profile's minimum are the plain scan's, the profiles turn
+        # exact, and the confidence sets keep their ends. So do they for the
+        # plain fit with its profile slacks x 1e9, whose screened entries CI
+        # inversion then re-evaluates wherever they straddle c(alpha).
+        panel, spec = self._problem()
+        spec = replace(spec, max_grid_points=60)
+        scan = build_scan(panel, spec)
+        plain = threshold.estimate_on(scan)
+        loose = replace(plain, ssr_profile_slacks=tuple(
+            tuple(s * 1e9 for s in slacks) for slacks in plain.ssr_profile_slacks))
+        calls = []
+        exact = threshold._ssr_ws
+        monkeypatch.setattr(
+            threshold, "_ssr_ws", lambda *a, **k: calls.append(1) or exact(*a, **k))
+        self._widen_slacks(monkeypatch)
+        fit = threshold.estimate_on(build_scan(panel, spec))
+        assert (fit.gammas, fit.ssr) == (plain.gammas, plain.ssr)
+        for profile, slacks, reference in zip(
+                fit.ssr_profiles, fit.ssr_profile_slacks, plain.ssr_profiles):
+            assert min(s for _, s in profile) == min(s for _, s in reference)
+            assert set(slacks) == {0.0}
+        for alpha in (0.10, 0.05, 0.01):
+            for j in range(2):
+                calls.clear()
+                ref = ci_on(scan.ws, plain, alpha, j)
+                plain_calls = len(calls)
+                ci = ci_on(scan.ws, fit, alpha, j)
+                assert (ci.lower, ci.upper) == (ref.lower, ref.upper)
+                calls.clear()
+                ci = ci_on(scan.ws, loose, alpha, j)
+                assert (ci.lower, ci.upper) == (ref.lower, ref.upper)
+                assert len(calls) > plain_calls
 
     def test_replication_straddling_the_observed_f_is_priced(self, monkeypatch):
         # The least F* at or above the observed F (of 1 vs 2 here, p about

@@ -13,10 +13,12 @@ the other commands; the report's timings sidecar is not reproducible and
 is left out. Then, at each ``--threads`` value, it runs ``simulate`` from
 each checkout with the ``recovery`` and the ``size`` experiment on
 PARENT's ``benchmark_dgp()`` (8x36, 50 trials, B = 99, master seed 0) and
-compares the standard output, and it runs ``test`` on test-mid seed 2 with
+compares the standard output. It runs ``test`` on test-mid seed 2 with
 ``inference.replications`` set to 999, whose critical values read other
-order statistics than B = 99's, and compares the standard output. One line
-per output gives its sha256 and
+order statistics than B = 99's, and ``ci`` on report-large seed 3 with
+``inference.alphas`` set to [0.10, 0.05, 0.01], three cut points of the
+LR profile where the workloads use one, and compares their standard
+output. One line per output gives its sha256 and
 whether the two checkouts wrote the same bytes. The exit code is 1 when
 any output differs or any run fails, else 0. ``compare`` is the check for
 one workload and seed; ``tools/bench_pairs.py`` imports it.
@@ -37,6 +39,7 @@ BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREAD
 COMMANDS = ("report", "test", "fit", "ci", "diagnose")
 DEFAULT_RUNS = ("report-large:3", "report-large:7", "test-mid:2", "test-mid:11")
 WIDE_B = 999
+CI_ALPHAS = [0.10, 0.05, 0.01]
 WRITE_INPUTS = ("import sys; from pathlib import Path; from workloads import WORKLOADS, "
                 "write_inputs; write_inputs(WORKLOADS[sys.argv[1]], int(sys.argv[2]), "
                 "Path(sys.argv[3]))")
@@ -126,21 +129,22 @@ def compare_simulate(sides: dict[str, Path], threads: tuple[int, ...] = (1, 2)) 
     return differ
 
 
-def compare_wide_b(sides: dict[str, Path], threads: tuple[int, ...] = (1, 2)) -> int:
-    """Print one line per thread count for ``test`` on test-mid seed 2 at
-    B = ``WIDE_B``; return how many differ."""
+def compare_edited(sides: dict[str, Path], workload: str, seed: int, key: str, value,
+                   command: str, threads: tuple[int, ...] = (1, 2)) -> int:
+    """Print one line per thread count for ``command`` on one workload and
+    seed with ``inference.<key>`` set to ``value``; return how many differ."""
     differ = 0
     with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
         run_dir = Path(tmp)
-        _write_inputs(sides, "test-mid", 2, run_dir)
+        _write_inputs(sides, workload, seed, run_dir)
         config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
-        config["inference"]["replications"] = WIDE_B
+        config["inference"][key] = value
         (run_dir / "config.json").write_text(json.dumps(config), encoding="utf-8")
         for n in threads:
-            parent, change = (_outputs(side, checkout, run_dir, "test", n)["stdout"]
+            parent, change = (_outputs(side, checkout, run_dir, command, n)["stdout"]
                               for side, checkout in sides.items())
-            differ += not _same(f"test-mid seed 2 B={WIDE_B} --threads {n} test stdout",
-                                parent, change)
+            differ += not _same(f"{workload} seed {seed} {key}={value} --threads {n} "
+                                f"{command} stdout", parent, change)
     return differ
 
 
@@ -160,7 +164,10 @@ def main() -> None:
         specs.append((workload, int(seed)))
     differ = sum(compare(sides, workload, seed, tuple(args.threads)) for workload, seed in specs)
     differ += compare_simulate(sides, tuple(args.threads))
-    differ += compare_wide_b(sides, tuple(args.threads))
+    differ += compare_edited(sides, "test-mid", 2, "replications", WIDE_B, "test",
+                             tuple(args.threads))
+    differ += compare_edited(sides, "report-large", 3, "alphas", CI_ALPHAS, "ci",
+                             tuple(args.threads))
     print(f"outputs_equal: {differ} output(s) differ")
     sys.exit(1 if differ else 0)
 
