@@ -4,12 +4,13 @@ The ``report`` subcommand runs the full pipeline and emits a deterministic,
 schema-versioned JSON report plus a markdown report with five table blocks
 (regime descriptives, correlations, panel unit roots, threshold inference,
 regime regression). Given the same config and seed the JSON output is byte
-identical regardless of the thread budget; per-stage wall times, which
-are not reproducible, go to a ``*.timings.json`` sidecar. Each pipeline
-stage returns a JSON-ready block; ``fit``, ``test``, ``ci`` and ``diagnose``
-run a subset of the stages, and every output, the report's blocks included,
-is assembled from the blocks by ``_command_payload``. The bootstraps run
-last, so a stage that rejects the data stops the run before them.
+identical regardless of the thread budget; each stage's wall time and the
+process's peak RSS after it, which are not reproducible, go to a
+``*.timings.json`` sidecar. Each pipeline stage returns a JSON-ready block;
+``fit``, ``test``, ``ci`` and ``diagnose`` run a subset of the stages, and
+every output, the report's blocks included, is assembled from the blocks by
+``_command_payload``. The bootstraps run last, so a stage that rejects the
+data stops the run before them.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 estimation error.
 """
@@ -406,14 +407,28 @@ def dumps_report(report: Mapping[str, Any]) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's RSS high-water mark in MB: ``VmHWM``, which restarts at
+    ``exec``, or None where ``/proc/self/status`` cannot be read."""
+    try:
+        status = Path("/proc/self/status").read_text(encoding="ascii")
+        return round(int(status.split("VmHWM:")[1].split()[0]) / 1024.0, 1)
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 class _StageClock:
+    """The one stage record: each stage's wall time and this process's peak
+    RSS after it; ``peak_rss_mb["start"]`` is read when the clock is made."""
+
     def __init__(self):
-        self.timings_ms: dict[str, float] = {}
+        self.record = {"timings_ms": {}, "peak_rss_mb": {"start": _peak_rss_mb()}}
         self._t0 = time.perf_counter()
 
     def lap(self, stage: str) -> None:
         now = time.perf_counter()
-        self.timings_ms[stage] = round((now - self._t0) * 1000.0, 3)
+        self.record["timings_ms"][stage] = round((now - self._t0) * 1000.0, 3)
+        self.record["peak_rss_mb"][stage] = _peak_rss_mb()
         self._t0 = now
 
 
@@ -591,7 +606,7 @@ def _run_stages(config: RunConfig, stages: Sequence[str], *, threads: int = 1):
 
 
 def run_pipeline(config: RunConfig, *, threads: int = 1):
-    """Execute the full pipeline; returns (report dict, markdown str, timings).
+    """Execute the full pipeline; returns (report dict, markdown str, stage record).
 
     Stage order: ingest, transforms, workspace (the shared estimation scan),
     threshold estimation, regime descriptives, correlations, panel unit
@@ -610,7 +625,7 @@ def run_pipeline(config: RunConfig, *, threads: int = 1):
     }
     markdown = render_markdown(report)
     clock.lap("render")
-    return report, markdown, clock.timings_ms
+    return report, markdown, clock.record
 
 
 def _command_payload(command: str, blocks: Mapping[str, Any]) -> dict[str, Any]:
@@ -771,10 +786,10 @@ def _cmd_report(config: RunConfig, args) -> int:
     sidecar_path = json_path.with_name(json_path.name + ".timings.json")
     if md_path.resolve() in (json_path.resolve(), sidecar_path.resolve()):
         raise ConfigError(f"output.markdown {md_path} is also the JSON report or its timings")
-    report, markdown, timings = run_pipeline(config, threads=args.threads)
+    report, markdown, record = run_pipeline(config, threads=args.threads)
     json_path.write_text(dumps_report(report), encoding="utf-8")
     md_path.write_text(markdown, encoding="utf-8")
-    sidecar_path.write_text(json.dumps({"timings_ms": timings}, indent=2) + "\n", encoding="utf-8")
+    sidecar_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"report written: {json_path} {md_path}")
     return 0
 

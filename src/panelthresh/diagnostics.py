@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_int
+from .errors import ConfigError, DataError, check_int, check_list, check_number
 from .panel import PanelDataset
 
 DEFAULT_MAX_LAG = 3
@@ -72,7 +72,7 @@ def regime_descriptives(
     panel: PanelDataset, threshold_var: str, gamma: float
 ) -> RegimeDescriptives:
     """Mean, sample SD, min, max and count per variable, pooled and by regime."""
-    mask = panel.values(threshold_var) <= gamma
+    mask = panel.values(threshold_var) <= check_number(gamma, "gamma")
     low_n = int(mask.sum())
     high_n = mask.size - low_n
     pooled = {v: _stats_over(panel.values(v).ravel()) for v in panel.variable_names}
@@ -89,7 +89,7 @@ def regime_descriptives(
 
 def correlation_matrix(panel: PanelDataset, vars: Sequence[str]) -> np.ndarray:
     """Pearson correlations over pooled observations, unit diagonal."""
-    names = list(vars)
+    names = list(check_list(vars, "vars", str))
     if len(names) < 2:
         raise DataError("correlation matrix needs at least 2 variables")
     data = np.vstack([panel.values(v).ravel() for v in names])

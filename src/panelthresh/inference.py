@@ -283,7 +283,7 @@ def ci_on(ws: _Workspace, fit: ThresholdFit, alpha: float, threshold_index: int 
     c_alpha = critical_value(alpha)
     if not fit.ssr_profiles:
         raise EstimationError("fit carries no SSR profile; run the grid estimator first")
-    if not 0 <= threshold_index < len(fit.ssr_profiles):
+    if not 0 <= check_int(threshold_index, "threshold_index") < len(fit.ssr_profiles):
         raise EstimationError(
             f"threshold_index {threshold_index} out of range for {len(fit.gammas)} thresholds"
         )

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int, check_list, check_number, check_str
 
 
 def _as_matrix(name: str, values, units: Sequence[str], periods: Sequence[str]) -> np.ndarray:
@@ -164,7 +164,7 @@ def within_transform(panel: PanelDataset, vars: Sequence[str]) -> PanelDataset:
     transform every listed variable has zero time mean within each unit, which
     removes unit-specific intercepts from any regression on the result.
     """
-    for name in vars:
+    for name in check_list(vars, "vars", str):
         panel.values(name)
     out = dict(panel.variables)
     for name in vars:
@@ -179,7 +179,7 @@ def make_lag(panel: PanelDataset, var: str, k: int) -> PanelDataset:
     The lag is taken within each unit; all other variables are truncated to
     the same periods so the output stays balanced and aligned.
     """
-    if k < 1:
+    if check_int(k, "k") < 1:
         raise DataError(f"lag order must be positive, got {k}")
     if k >= panel.n_periods:
         raise DataError(f"lag order {k} leaves no observations (T={panel.n_periods})")
@@ -199,7 +199,7 @@ def period_average(panel: PanelDataset, k: int) -> PanelDataset:
     is dropped so every retained mean averages the same number of cells.
     ``k = 1`` returns the panel unchanged.
     """
-    if k < 1:
+    if check_int(k, "k") < 1:
         raise DataError(f"block length must be positive, got {k}")
     if k > panel.n_periods:
         raise DataError(f"block length {k} exceeds T={panel.n_periods}")
@@ -227,7 +227,7 @@ def regime_indicator(panel: PanelDataset, threshold_var: str, gamma: float) -> n
     1 minus the result, so the two partition the panel exactly.
     """
     q = panel.values(threshold_var)
-    return (q <= gamma).astype(float)
+    return (q <= check_number(gamma, "gamma")).astype(float)
 
 
 def composite_index(
@@ -241,11 +241,11 @@ def composite_index(
     Weights are rescaled to sum to one, so only their ratios matter. The
     name must be new and the components must not be empty.
     """
-    if name in panel.variables:
+    if check_str(name, "name") in panel.variables:
         raise DataError(f"variable {name!r} already exists")
-    if not components:
+    if not check_list(components, "components", str):
         raise DataError("components must not be empty")
-    if len(components) != len(weights):
+    if len(components) != len(check_list(weights, "weights", float)):
         raise DataError(
             f"{len(components)} components but {len(weights)} weights"
         )

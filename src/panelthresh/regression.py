@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._linalg import pivoted_lstsq
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, check_list
 from .panel import PanelDataset
 from .threshold import ThresholdFit, ThresholdSpec, _Workspace
 
@@ -261,7 +261,7 @@ def regime_equation_on(
     y = panel.values(roles.dependent).ravel()
     if estimator == "OLS":
         return ols(y, X, robust=robust)
-    instruments = tuple(instruments or roles.instruments)
+    instruments = check_list(instruments or roles.instruments, "instruments", str)
     if not instruments:
         raise ConfigError("2SLS requires at least one instrument")
     Z: dict[str, np.ndarray] = {}

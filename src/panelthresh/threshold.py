@@ -29,7 +29,8 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._linalg import RANK_TOL, pivoted_lstsq
-from .errors import ConfigError, DataError, EstimationError, check_flag, check_int, check_number
+from .errors import (ConfigError, DataError, EstimationError, check_flag, check_int, check_list,
+                     check_number)
 from .panel import PanelDataset, VariableRole, make_lag
 
 DEFAULT_TRIM = 0.05
@@ -292,7 +293,7 @@ def fit_at(panel: PanelDataset, spec: ThresholdSpec, gammas: Sequence[float]) ->
     solves it by rank-revealing least squares, and packages the full fit.
     The returned fit has an empty SSR profile.
     """
-    if not 1 <= len(gammas) <= 3:
+    if not 1 <= len(check_list(gammas, "gammas", float)) <= 3:
         raise EstimationError(f"expected 1 to 3 thresholds, got {len(gammas)}")
     return _fit_ws(_Workspace(panel, spec), gammas)
 
@@ -304,7 +305,8 @@ def ssr_at(panel: PanelDataset, spec: ThresholdSpec, gammas: Sequence[float]) ->
     are dropped, so the fit degrades gracefully to the nested model instead
     of erroring; useful for profile diagnostics at the grid edges.
     """
-    return _ssr_ws(_Workspace(panel, spec), [float(g) for g in gammas])
+    gammas = check_list(gammas, "gammas", float)
+    return _ssr_ws(_Workspace(panel, spec), gammas)
 
 
 def estimate_single(panel: PanelDataset, spec: ThresholdSpec) -> ThresholdFit:

@@ -21,6 +21,7 @@ from panelthresh import (ConfigError, DataError, ThresholdDGP, benchmark_dgp,
 from panelthresh.cli import (
     REPORT_SCHEMA,
     _label_key,
+    _StageClock,
     apply_transforms,
     dumps_report,
     ingest_csv,
@@ -388,7 +389,18 @@ class TestPipeline:
 
     def test_per_stage_timings_collected(self, report):
         _, _, timings = report
-        assert {"ingest", "threshold_estimation", "linearity_test", "unit_roots"} <= set(timings)
+        assert ({"ingest", "threshold_estimation", "linearity_test", "unit_roots"}
+                <= set(timings["timings_ms"]))
+
+    def test_stage_clock_peaks_are_null_without_proc(self, monkeypatch):
+        def unreadable(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        clock = _StageClock()
+        clock.lap("ingest")
+        assert clock.record["peak_rss_mb"] == {"start": None, "ingest": None}
+        assert list(clock.record["timings_ms"]) == ["ingest"]
 
     def test_config_echo_round_trips(self, report, panel_csv):
         # The report echoes its config verbatim, booleans included, so the
@@ -840,7 +852,16 @@ class TestMainExitCodes:
         assert set(report["blocks"]) >= {"descriptives", "threshold"}
         assert (out_dir / "report.md").exists()
         sidecar = json.loads((out_dir / "report.json.timings.json").read_text())
-        assert list(sidecar) == ["timings_ms"]
+        assert list(sidecar) == ["timings_ms", "peak_rss_mb"]
+        # Each stage's peak RSS follows it, in stage order after the clock's
+        # start: positive and never falling, or all null without /proc.
+        peaks = sidecar["peak_rss_mb"]
+        assert list(peaks) == ["start", *sidecar["timings_ms"]]
+        values = list(peaks.values())
+        if values[0] is None:
+            assert set(values) == {None}
+        else:
+            assert values[0] > 0 and values == sorted(values)
 
     @pytest.mark.parametrize("output_dir", [False, True])
     def test_report_makes_output_subdirectories(self, panel_csv, tmp_path, monkeypatch,

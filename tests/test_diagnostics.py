@@ -202,11 +202,20 @@ class TestIpsTest:
     @pytest.mark.parametrize("call, argument, value", [
         ("ips_test", "max_lag", 1.5), ("ips_test", "moment_draws", 100.5),
         ("ips_test", "seed", -1),
+        # a string is not split into names, nor parsed as a threshold
+        ("correlation_matrix", "vars", "vv"), ("regime_descriptives", "gamma", "0.5"),
+        ("regime_descriptives", "gamma", True),
     ])
     def test_mistyped_argument_is_a_config_error(self, rng, call, argument, value):
         panel = _series_panel(rng.standard_normal((3, 20)))
-        with pytest.raises(ConfigError, match=rf"^{argument} must be an integer"):
-            {"ips_test": ips_test}[call](panel, "v", "intercept", **{argument: value})
+        calls = {
+            "ips_test": lambda **kw: ips_test(panel, "v", "intercept", **kw),
+            "correlation_matrix": lambda **kw: correlation_matrix(panel, **kw),
+            "regime_descriptives": lambda **kw: regime_descriptives(panel, "v", **kw),
+        }
+        with pytest.raises(ConfigError,
+                           match=rf"^{argument} must be an? (integer|number|list of strings)"):
+            calls[call](**{argument: value})
 
     @pytest.mark.parametrize("draws", [1, 0, -5])
     def test_fewer_than_two_draws_rejected(self, draws, rng):

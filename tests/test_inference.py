@@ -225,6 +225,7 @@ class TestLinearityTest:
         ("additional_threshold_test", "B", 99.5), ("additional_threshold_test", "B", "99"),
         ("additional_threshold_test", "seed", 1.5), ("additional_threshold_test", "seed", True),
         ("critical_value", "alpha", "0.05"), ("threshold_ci", "alpha", "0.05"),
+        *(("threshold_ci", "threshold_index", value) for value in (0.5, True, "0")),
         *((call, "threads", value) for call in ("linearity_test", "additional_threshold_test")
           for value in (1.5, 0, "2", True)),
     ])
@@ -245,7 +246,7 @@ class TestLinearityTest:
             "additional_threshold_test":
                 lambda **kw: additional_threshold_test(panel, spec, 1, **{"B": 99, **kw}),
             "critical_value": critical_value,
-            "threshold_ci": lambda alpha: threshold_ci(panel, spec, fit, alpha),
+            "threshold_ci": lambda **kw: threshold_ci(panel, spec, fit, **{"alpha": 0.05, **kw}),
         }
         with pytest.raises(ConfigError, match=rf"^{argument} must be an? (integer|number)"):
             calls[call](**{argument: value})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from panelthresh import (
+    ConfigError,
     DataError,
     PanelDataset,
     VariableRole,
@@ -210,6 +211,29 @@ class TestCompositeIndex:
         panel = make_panel({"a": [[1.0, 2.0]] * 2})
         with pytest.raises(DataError, match="components must not be empty"):
             composite_index(panel, [], [], "idx")
+
+
+@pytest.mark.parametrize("call, argument, value", [
+    ("within_transform", "vars", "yq"), ("make_lag", "k", True), ("make_lag", "k", 1.5),
+    ("make_lag", "k", "1"), ("period_average", "k", 2.0), ("regime_indicator", "gamma", "0.5"),
+    ("regime_indicator", "gamma", True), ("composite_index", "components", "qy"),
+    ("composite_index", "weights", "ab"), ("composite_index", "name", 5),
+])
+def test_mistyped_argument_is_a_config_error(rng, call, argument, value):
+    # A string is neither parsed nor split into names and a flag is no
+    # count: each is a ConfigError naming the argument.
+    panel = make_panel({"y": rng.standard_normal((2, 4)), "q": rng.standard_normal((2, 4))})
+    calls = {
+        "within_transform": lambda **kw: within_transform(panel, **kw),
+        "make_lag": lambda **kw: make_lag(panel, "y", **kw),
+        "period_average": lambda **kw: period_average(panel, **kw),
+        "regime_indicator": lambda **kw: regime_indicator(panel, "q", **kw),
+        "composite_index": lambda **kw: composite_index(
+            panel, **{"components": ["q", "y"], "weights": (1.0, 1.0), "name": "c", **kw}),
+    }
+    with pytest.raises(ConfigError, match=rf"^{argument} must be an? (integer|number|string|list "
+                                          r"of (strings|numbers))"):
+        calls[call](**{argument: value})
 
 
 def test_lag_then_within_matches_manual(rng):

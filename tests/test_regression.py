@@ -274,6 +274,15 @@ class TestEstimateRegimeEquation:
         with pytest.raises(ConfigError, match="instrument"):
             estimate_regime_equation(panel, spec, fit, "2SLS")
 
+    @pytest.mark.parametrize("instruments", ["z1", ["z1", 1]])
+    def test_mistyped_instruments_are_a_config_error(self, instruments):
+        # A string is not split into the names 'z' and '1'.
+        panel, truth = _regime_panel(seed=13, rho=0.6)
+        spec = default_spec(truth)
+        fit = fit_at(panel, spec, truth.gammas)
+        with pytest.raises(ConfigError, match="^instruments must be a list of strings"):
+            estimate_regime_equation(panel, spec, fit, "2SLS", instruments=instruments)
+
     def test_three_regime_labels(self):
         dgp = ThresholdDGP(
             n_units=6, n_periods=30, gamma0=(10.0, 30.0),

@@ -17,6 +17,7 @@ from panelthresh import (
     ThresholdFit,
     ThresholdSpec,
     VariableRole,
+    benchmark_dgp,
     candidate_grid,
     default_spec,
     dummy_ols_oracle,
@@ -361,14 +362,24 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("call, argument, value", [
         ("candidate_grid", "max_grid_points", 10.5), ("ThresholdSpec", "trim_fraction", "0.1"),
+        # a threshold is a finite number: no string parsed, no flag read as 1
+        ("ssr_at", "gammas", ["12"]), ("ssr_at", "gammas", [math.nan]), ("ssr_at", "gammas", 12.0),
+        ("fit_at", "gammas", [True]), ("fit_at", "gammas", "12"),
     ])
     def test_mistyped_argument_is_a_config_error(self, call, argument, value):
+        def benchmark_inputs():
+            panel, truth = simulate_threshold_panel(benchmark_dgp())
+            return panel, default_spec(truth)
+
         calls = {
             "candidate_grid": lambda **kw: candidate_grid(
                 np.arange(100.0), **{"trim_fraction": 0.05, "max_grid_points": 400, **kw}),
             "ThresholdSpec": lambda **kw: ThresholdSpec(VariableRole("y", "q", ["x"]), **kw),
+            "ssr_at": lambda **kw: ssr_at(*benchmark_inputs(), **kw),
+            "fit_at": lambda **kw: fit_at(*benchmark_inputs(), **kw),
         }
-        with pytest.raises(ConfigError, match=rf"^{argument} must be an? (integer|number)"):
+        with pytest.raises(ConfigError,
+                           match=rf"^{argument} must be an? (integer|number|list of numbers)"):
             calls[call](**{argument: value})
 
     def test_field_types_checked_for_library_callers(self):

@@ -117,8 +117,8 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    if args.pairs < 2:  # the quartiles of _spread need two runs per side
+        parser.error(f"--pairs must be >= 2, got {args.pairs}")
     specs = []
     for item in args.run:
         workload, _, seed = item.partition(":")

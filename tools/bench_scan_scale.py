@@ -6,12 +6,14 @@
 For each ``--size NxT`` (default 150x40, 500x60 and 1000x100) it starts a
 fresh interpreter on ``--checkout``'s ``src`` with BLAS pinned to one
 thread. The child simulates report-large's panel at that size (the same
-``ThresholdDGP``, seed ``--seed``), then times ``build_scan`` on the full
+``ThresholdDGP``, seed ``--seed``), then runs ``build_scan`` on the full
 observed-value grid (``max_grid_points`` uncapped) and ``estimate_on`` on
-the built scan. It reports both times in seconds, the grid size, and the
-child's peak RSS (``ru_maxrss``) after the panel is built and at the end.
-One JSON object per size goes to standard output. Sizes run one at a time,
-so one child holds memory at once.
+the built scan under the CLI's stage clock, with the CLI's stage names
+``workspace`` and ``threshold_estimation``. It reports the grid size and
+the clock's record: each stage's wall time (ms) and the child's peak RSS
+(``VmHWM``, MB) after it, ``start`` once the panel is built. One JSON
+object per size goes to standard output. Sizes run one at a time, so one
+child holds memory at once.
 """
 
 from __future__ import annotations
@@ -19,23 +21,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 DEFAULT_SIZES = ("150x40", "500x60", "1000x100")
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _peak_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def child(n_units: int, n_periods: int, seed: int) -> dict:
     """Build and fit one full-grid scan in this interpreter; its numbers."""
     from panelthresh import ThresholdDGP, ThresholdSpec, VariableRole, simulate_threshold_panel
+    from panelthresh.cli import _StageClock
     from panelthresh.threshold import build_scan, estimate_on
 
     panel, _ = simulate_threshold_panel(ThresholdDGP(
@@ -44,17 +41,13 @@ def child(n_units: int, n_periods: int, seed: int) -> dict:
     ))
     spec = ThresholdSpec(VariableRole("y", "q", ["q", "x2"], ["c1"]),
                          max_grid_points=n_units * n_periods)
-    before = _peak_mb()
-    t0 = time.perf_counter()
+    clock = _StageClock()
     scan = build_scan(panel, spec)
-    t1 = time.perf_counter()
+    clock.lap("workspace")
     fit = estimate_on(scan)
-    t2 = time.perf_counter()
-    return {
-        "panel": f"{n_units}x{n_periods}", "seed": seed, "grid_points": int(scan.grid.size),
-        "gamma": fit.gammas[0], "build_s": round(t1 - t0, 4), "estimate_s": round(t2 - t1, 4),
-        "peak_rss_before_mb": round(before, 1), "peak_rss_mb": round(_peak_mb(), 1),
-    }
+    clock.lap("threshold_estimation")
+    return {"panel": f"{n_units}x{n_periods}", "seed": seed, "grid_points": int(scan.grid.size),
+            "gamma": fit.gammas[0], **clock.record}
 
 
 def main() -> None:

@@ -89,23 +89,31 @@ def _write_inputs(sides: dict[str, Path], workload: str, seed: int, run_dir: Pat
                  f"{proc.stderr.decode(errors='replace')}")
 
 
-def compare(sides: dict[str, Path], workload: str, seed: int,
-            threads: tuple[int, ...] = (1, 2)) -> int:
-    """Print one line per output of one workload and seed; return how many differ.
+def compare(sides: dict[str, Path], workload: str, seed: int, threads: tuple[int, ...] = (1, 2),
+            commands: tuple[str, ...] = COMMANDS, inference: dict | None = None) -> int:
+    """Print one line per output of ``commands`` on one workload and seed;
+    return how many differ.
 
-    ``sides`` maps ``parent`` and ``change`` to their checkouts; exits on a failed run.
+    ``sides`` maps ``parent`` and ``change`` to their checkouts; exits on a
+    failed run. Each ``inference`` entry, when given, is set in the config's
+    ``inference`` section first and named in the output labels.
     """
     differ = 0
+    edits = "".join(f" {key}={value}" for key, value in (inference or {}).items())
     with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
         run_dir = Path(tmp)
         _write_inputs(sides, workload, seed, run_dir)
+        if inference:
+            config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+            config["inference"].update(inference)
+            (run_dir / "config.json").write_text(json.dumps(config), encoding="utf-8")
         for n in threads:
-            for command in COMMANDS:
+            for command in commands:
                 parent, change = (_outputs(side, checkout, run_dir, command, n)
                                   for side, checkout in sides.items())
                 for name, data in parent.items():
-                    differ += not _same(f"{workload} seed {seed} --threads {n} {command} {name}",
-                                        data, change[name])
+                    differ += not _same(f"{workload} seed {seed}{edits} --threads {n} {command} "
+                                        f"{name}", data, change[name])
     return differ
 
 
@@ -129,25 +137,6 @@ def compare_simulate(sides: dict[str, Path], threads: tuple[int, ...] = (1, 2)) 
     return differ
 
 
-def compare_edited(sides: dict[str, Path], workload: str, seed: int, key: str, value,
-                   command: str, threads: tuple[int, ...] = (1, 2)) -> int:
-    """Print one line per thread count for ``command`` on one workload and
-    seed with ``inference.<key>`` set to ``value``; return how many differ."""
-    differ = 0
-    with tempfile.TemporaryDirectory(prefix="outputs_equal-") as tmp:
-        run_dir = Path(tmp)
-        _write_inputs(sides, workload, seed, run_dir)
-        config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
-        config["inference"][key] = value
-        (run_dir / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        for n in threads:
-            parent, change = (_outputs(side, checkout, run_dir, command, n)["stdout"]
-                              for side, checkout in sides.items())
-            differ += not _same(f"{workload} seed {seed} {key}={value} --threads {n} "
-                                f"{command} stdout", parent, change)
-    return differ
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -164,10 +153,10 @@ def main() -> None:
         specs.append((workload, int(seed)))
     differ = sum(compare(sides, workload, seed, tuple(args.threads)) for workload, seed in specs)
     differ += compare_simulate(sides, tuple(args.threads))
-    differ += compare_edited(sides, "test-mid", 2, "replications", WIDE_B, "test",
-                             tuple(args.threads))
-    differ += compare_edited(sides, "report-large", 3, "alphas", CI_ALPHAS, "ci",
-                             tuple(args.threads))
+    differ += compare(sides, "test-mid", 2, tuple(args.threads), ("test",),
+                      {"replications": WIDE_B})
+    differ += compare(sides, "report-large", 3, tuple(args.threads), ("ci",),
+                      {"alphas": CI_ALPHAS})
     print(f"outputs_equal: {differ} output(s) differ")
     sys.exit(1 if differ else 0)
 
